@@ -1,30 +1,27 @@
 //! The experiment suite: one function per experiment in `docs/DESIGN.md`
-//! §3.
+//! §3, grouped by theme — `theorems` E1–E9, the workload `suites`
+//! E11–E17 (rows over one bound-table driver), the `runtime` experiments
+//! E10/E18/E20/E21 and the E19 `tournament` — and listed once, in
+//! [`registry`].
 //!
 //! Every experiment returns one or more [`Table`]s whose rows are the
 //! measurements the corresponding theorem or figure of the paper is about,
 //! next to the theorem's own formula evaluated at the same parameters. The
 //! benchmark harness prints them; `docs/EXPERIMENTS.md` archives a run.
 
-use crate::fit::power_law_exponent;
-use crate::par::par_map;
-use crate::policy::PolicySpec;
-use crate::sweeps::{
-    capacity_sweep, seed_sweep, CapacityGrid, CapacityRun, CapacitySweep, SweepConfig,
-};
+mod runtime;
+mod suites;
+mod theorems;
+mod tournament;
+
+pub use runtime::*;
+pub use suites::*;
+pub use theorems::*;
+pub use tournament::*;
+
 use crate::table::Table;
-use crate::tournament::{policy_space, run_tournament, TournamentConfig};
-use crate::validate::{validate_trace, BoundFamily, TraceValidation};
-use std::sync::Arc;
-use wsf_core::{
-    bounds, ExecutionReport, ForkPolicy, ParallelSimulator, Scheduler, SeqReport,
-    SequentialExecutor, SimConfig,
-};
-use wsf_dag::{classify, span, Dag, DagBuilder};
-use wsf_runtime::{Runtime, SpawnPolicy};
-use wsf_workloads::figures::{fig3, fig4, fig5a, fig5b, Fig6, Fig7a, Fig7b, Fig8};
-use wsf_workloads::random::{random_single_touch, RandomConfig};
-use wsf_workloads::{apps, backpressure, dag_exec, pipeline, runtime_apps, sort, stencil};
+use wsf_core::{ExecutionReport, ForkPolicy, ParallelSimulator, Scheduler, SeqReport, SimConfig};
+use wsf_dag::Dag;
 
 /// How large the experiment sweeps should be.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -69,2354 +66,12 @@ fn run_with(
     (seq, report)
 }
 
-/// E1 — Theorem 8 upper bound: measured deviations and additional misses of
-/// future-first work stealing on structured single-touch computations,
-/// against `P·T∞²` and `C·P·T∞²`.
-pub fn e1_thm8_upper(scale: Scale) -> Vec<Table> {
-    let procs = scale.pick(vec![2usize, 4], vec![2, 4, 8, 16]);
-    let depths = scale.pick(vec![4usize, 6], vec![4, 6, 8, 10]);
-    let c = 16usize;
-
-    let mut t = Table::new(
-        "E1 / Theorem 8 — future-first upper bound on structured single-touch DAGs",
-        &[
-            "workload",
-            "P",
-            "T_inf",
-            "deviations",
-            "P*T_inf^2",
-            "extra misses",
-            "C*P*T_inf^2",
-            "steals",
-        ],
-    );
-    // One independent cell per (P, workload); sharded across threads and
-    // re-assembled in order, so the table is identical at any thread count.
-    let mut cells: Vec<(usize, Option<usize>)> = Vec::new();
-    for &p in &procs {
-        cells.extend(depths.iter().map(|&d| (p, Some(d))));
-        cells.push((p, None));
-    }
-    let rows = par_map(cells, |(p, depth)| {
-        let (label, dag) = match depth {
-            Some(d) => (format!("fig4(depth={d})"), fig4(d, 4)),
-            None => (
-                "random-single-touch".to_string(),
-                random_single_touch(&RandomConfig {
-                    target_nodes: scale.pick(600, 4_000),
-                    seed: 11,
-                    ..RandomConfig::default()
-                }),
-            ),
-        };
-        let sp = span(&dag);
-        let (seq, rep) = run_with(&dag, p, c, ForkPolicy::FutureFirst, None);
-        vec![
-            label,
-            p.to_string(),
-            sp.to_string(),
-            rep.deviations().to_string(),
-            bounds::thm8_deviations(p as u64, sp).to_string(),
-            rep.additional_misses(&seq).to_string(),
-            bounds::thm8_additional_misses(c as u64, p as u64, sp).to_string(),
-            rep.steals().to_string(),
-        ]
-    });
-    for row in rows {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E2 — Theorem 9 lower bound: the Figure 6 constructions under the
-/// scripted adversary. One steal forces `Θ(T∞)` deviations per gadget;
-/// chained gadgets multiply the count.
-pub fn e2_thm9_lower(scale: Scale) -> Vec<Table> {
-    let ks = scale.pick(vec![4usize, 8], vec![8, 16, 32, 64]);
-    let c = scale.pick(4usize, 16);
-
-    let mut gadget = Table::new(
-        "E2a / Theorem 9, Figure 6(a) — one steal, future-first",
-        &[
-            "k",
-            "T_inf",
-            "steals",
-            "deviations",
-            "dev/T_inf",
-            "seq misses",
-            "extra misses",
-            "k*C",
-        ],
-    );
-    let mut points = Vec::new();
-    for &k in &ks {
-        let fig = Fig6::gadget(k, c);
-        let sp = span(&fig.dag);
-        let mut adv = fig.adversary();
-        let (seq, rep) = run_with(&fig.dag, fig.processors, c, Fig6::POLICY, Some(&mut adv));
-        points.push((sp as f64, rep.deviations() as f64));
-        gadget.push_row(vec![
-            k.to_string(),
-            sp.to_string(),
-            rep.steals().to_string(),
-            rep.deviations().to_string(),
-            format!("{:.3}", rep.deviations() as f64 / sp as f64),
-            seq.cache_misses().to_string(),
-            rep.additional_misses(&seq).to_string(),
-            (k * c).to_string(),
-        ]);
-    }
-    gadget.push_row(vec![
-        "exponent of deviations vs T_inf".to_string(),
-        format!(
-            "{:.2} (theorem: 1.0 per steal)",
-            power_law_exponent(&points)
-        ),
-    ]);
-
-    let mut repeated = Table::new(
-        "E2b / Theorem 9, Figure 6(b) — gadgets replayed by the same processors",
-        &[
-            "gadgets m",
-            "k",
-            "deviations",
-            "m*k",
-            "extra misses",
-            "steals",
-        ],
-    );
-    let k = scale.pick(6usize, 16);
-    for &m in &scale.pick(vec![1usize, 2, 4], vec![1, 2, 4, 8, 16]) {
-        let fig = Fig6::repeated(m, k, 1);
-        let mut adv = fig.adversary();
-        let (seq, rep) = run_with(&fig.dag, fig.processors, 8, Fig6::POLICY, Some(&mut adv));
-        repeated.push_row(vec![
-            m.to_string(),
-            k.to_string(),
-            rep.deviations().to_string(),
-            (m * k).to_string(),
-            rep.additional_misses(&seq).to_string(),
-            rep.steals().to_string(),
-        ]);
-    }
-
-    let mut tree = Table::new(
-        "E2c / Theorem 9, Figure 6(c) — independent gadget groups (random scheduler)",
-        &["gadgets n", "P", "T_inf", "deviations", "P*T_inf^2"],
-    );
-    for &n in &scale.pick(vec![2usize], vec![2, 4, 8]) {
-        let fig = Fig6::tree(n, k, 1);
-        let sp = span(&fig.dag);
-        let p = fig.processors;
-        let (_, rep) = run_with(&fig.dag, p, 8, Fig6::POLICY, None);
-        tree.push_row(vec![
-            n.to_string(),
-            p.to_string(),
-            sp.to_string(),
-            rep.deviations().to_string(),
-            bounds::thm9_deviations(p as u64, sp).to_string(),
-        ]);
-    }
-    vec![gadget, repeated, tree]
-}
-
-/// E3 — Theorem 10: parent-first executions of the Figure 7(b) and Figure 8
-/// constructions with the single-steal adversary.
-pub fn e3_thm10_parent_first(scale: Scale) -> Vec<Table> {
-    let c = scale.pick(4usize, 16);
-    let ns = scale.pick(vec![4usize, 8], vec![8, 16, 32, 64]);
-
-    let mut chain = Table::new(
-        "E3a / Theorem 10, Figure 7(b) — one steal, parent-first",
-        &[
-            "n",
-            "k",
-            "T_inf",
-            "deviations",
-            "seq misses",
-            "extra misses",
-            "C*T_inf",
-        ],
-    );
-    for &n in &ns {
-        let fig = Fig7b::new(8, n, c);
-        let sp = span(&fig.dag);
-        let mut adv = fig.adversary();
-        let (seq, rep) = run_with(&fig.dag, 2, c, Fig7b::POLICY, Some(&mut adv));
-        chain.push_row(vec![
-            n.to_string(),
-            fig.k.to_string(),
-            sp.to_string(),
-            rep.deviations().to_string(),
-            seq.cache_misses().to_string(),
-            rep.additional_misses(&seq).to_string(),
-            (c as u64 * sp).to_string(),
-        ]);
-    }
-
-    let mut branching = Table::new(
-        "E3b / Theorem 10, Figure 8 — branching multiplies the damage (t branches)",
-        &[
-            "branches",
-            "touches t",
-            "T_inf",
-            "deviations",
-            "t*n",
-            "extra misses",
-            "C*t*n",
-        ],
-    );
-    let n = scale.pick(4usize, 16);
-    for &depth in &scale.pick(vec![1usize, 2], vec![1, 2, 3, 4, 5]) {
-        let fig = Fig8::new(depth, n, c);
-        let sp = span(&fig.dag);
-        let t = fig.touches();
-        let mut adv = fig.adversary();
-        let (seq, rep) = run_with(&fig.dag, 2, c, Fig8::POLICY, Some(&mut adv));
-        branching.push_row(vec![
-            fig.leaves.to_string(),
-            t.to_string(),
-            sp.to_string(),
-            rep.deviations().to_string(),
-            (t * n).to_string(),
-            rep.additional_misses(&seq).to_string(),
-            (c * fig.leaves * n).to_string(),
-        ]);
-    }
-    vec![chain, branching]
-}
-
-/// E4 — background bounds: the Figure 7(a)/Figure 2 amplification gadget
-/// (one delayed touch costs `Ω(C·T∞)` misses) and the unstructured
-/// Figure 3 DAG.
-pub fn e4_unstructured(scale: Scale) -> Vec<Table> {
-    let c = scale.pick(4usize, 16);
-    let ns = scale.pick(vec![8usize], vec![16, 32, 64]);
-
-    let mut amp = Table::new(
-        "E4a / Figure 2 & 7(a) — a single delayed touch costs Ω(C·T_inf) misses (parent-first, sequential)",
-        &["n", "C", "misses (gate ready)", "misses (gate delayed)", "ratio"],
-    );
-    for &n in &ns {
-        let cheap = Fig7a::new(n, c, false);
-        let dear = Fig7a::new(n, c, true);
-        let run = |fig: &Fig7a| {
-            SequentialExecutor::new(Fig7a::POLICY)
-                .with_cache_lines(c)
-                .run(&fig.dag)
-                .cache
-                .misses
-        };
-        let (a, b) = (run(&cheap), run(&dear));
-        amp.push_row(vec![
-            n.to_string(),
-            c.to_string(),
-            a.to_string(),
-            b.to_string(),
-            format!("{:.2}", b as f64 / a.max(1) as f64),
-        ]);
-    }
-
-    let mut unstructured = Table::new(
-        "E4b / Figure 3 — unstructured futures under work stealing",
-        &[
-            "touches t",
-            "policy",
-            "P",
-            "deviations",
-            "unstructured bound P*T+t*T",
-            "extra misses",
-        ],
-    );
-    for &t in &scale.pick(vec![4usize], vec![8, 32, 128]) {
-        let dag = fig3(t);
-        let sp = span(&dag);
-        for policy in ForkPolicy::ALL {
-            let (seq, rep) = run_with(&dag, 4, c, policy, None);
-            unstructured.push_row(vec![
-                t.to_string(),
-                policy.to_string(),
-                "4".to_string(),
-                rep.deviations().to_string(),
-                bounds::unstructured_deviations(4, t as u64, sp).to_string(),
-                rep.additional_misses(&seq).to_string(),
-            ]);
-        }
-    }
-    vec![amp, unstructured]
-}
-
-/// E5 — Theorem 12: structured local-touch computations (pipelines) under
-/// future-first work stealing.
-pub fn e5_local_touch(scale: Scale) -> Vec<Table> {
-    let mut t = Table::new(
-        "E5 / Theorem 12 — local-touch pipelines, future-first",
-        &[
-            "stages",
-            "items",
-            "P",
-            "T_inf",
-            "deviations",
-            "P*T_inf^2",
-            "extra misses",
-            "C*P*T_inf^2",
-        ],
-    );
-    let c = 16usize;
-    let procs = scale.pick(vec![2usize], vec![2, 4, 8]);
-    let shards = scale.pick(
-        vec![(2usize, 3usize)],
-        vec![(2, 8), (4, 8), (4, 16), (8, 16)],
-    );
-    // Shard per (stages, items): the DAG is generated once per shard and
-    // every P of the inner loop reuses it.
-    let rows = par_map(shards, |(stages, items)| {
-        let dag = pipeline::pipeline(stages, items, 3);
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch());
-        let sp = span(&dag);
-        procs
-            .iter()
-            .map(|&p| {
-                let (seq, rep) = run_with(&dag, p, c, ForkPolicy::FutureFirst, None);
-                vec![
-                    stages.to_string(),
-                    items.to_string(),
-                    p.to_string(),
-                    sp.to_string(),
-                    rep.deviations().to_string(),
-                    bounds::thm8_deviations(p as u64, sp).to_string(),
-                    rep.additional_misses(&seq).to_string(),
-                    bounds::thm8_additional_misses(c as u64, p as u64, sp).to_string(),
-                ]
-            })
-            .collect::<Vec<_>>()
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E6 — Theorems 16/18: computations with a super final node.
-pub fn e6_super_final(scale: Scale) -> Vec<Table> {
-    let mut t = Table::new(
-        "E6 / Theorems 16 & 18 — side-effect futures synchronized by a super final node",
-        &[
-            "side-effect threads",
-            "P",
-            "T_inf",
-            "deviations",
-            "P*T_inf^2",
-            "extra misses",
-        ],
-    );
-    let c = 16usize;
-    let procs = scale.pick(vec![2usize], vec![2, 4, 8]);
-    let rows = par_map(scale.pick(vec![4usize], vec![8, 32, 128]), |threads| {
-        let dag = side_effect_dag(threads, 6);
-        let class = classify(&dag);
-        assert!(class.structured && class.single_touch && class.super_final);
-        let sp = span(&dag);
-        procs
-            .iter()
-            .map(|&p| {
-                let (seq, rep) = run_with(&dag, p, c, ForkPolicy::FutureFirst, None);
-                vec![
-                    threads.to_string(),
-                    p.to_string(),
-                    sp.to_string(),
-                    rep.deviations().to_string(),
-                    bounds::thm8_deviations(p as u64, sp).to_string(),
-                    rep.additional_misses(&seq).to_string(),
-                ]
-            })
-            .collect::<Vec<_>>()
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// A program whose futures are forked purely for side effects and only
-/// synchronized by the super final node (Definition 13).
-fn side_effect_dag(threads: usize, work: usize) -> Dag {
-    let mut b = DagBuilder::new();
-    let main = b.main_thread();
-    for i in 0..threads {
-        let f = b.fork(main);
-        for w in 0..work {
-            let n = b.task(f.future_thread);
-            b.set_block(n, wsf_dag::Block((i * work + w) as u32));
-        }
-        b.task(main);
-    }
-    b.finish_with_super_final()
-        .expect("side-effect DAG builds a valid super-final computation")
-}
-
-/// E7 — Lemmas 4, 11 and 14: the sequential-order properties of structured
-/// computations under future-first.
-pub fn e7_lemma4(scale: Scale) -> Vec<Table> {
-    let mut t = Table::new(
-        "E7 / Lemmas 4, 11, 14 — sequential order properties (future-first)",
-        &["workload", "touches checked", "violations"],
-    );
-    let workloads: Vec<(String, Dag)> = vec![
-        ("fig4".into(), fig4(scale.pick(3, 8), 3)),
-        ("fig5a".into(), fig5a(scale.pick(3, 12))),
-        ("fig5b".into(), fig5b(scale.pick(3, 12))),
-        ("fig6a".into(), Fig6::gadget(scale.pick(4, 24), 4).dag),
-        ("fib".into(), apps::fib(scale.pick(6, 12))),
-        (
-            "pipeline".into(),
-            pipeline::pipeline(3, scale.pick(3, 10), 2),
-        ),
-        (
-            "random".into(),
-            random_single_touch(&RandomConfig {
-                target_nodes: scale.pick(400, 3_000),
-                seed: 3,
-                ..RandomConfig::default()
-            }),
-        ),
-    ];
-    for (name, dag) in workloads {
-        let seq = SequentialExecutor::new(ForkPolicy::FutureFirst).run(&dag);
-        let mut pos = vec![usize::MAX; dag.num_nodes()];
-        for (i, n) in seq.order.iter().enumerate() {
-            pos[n.index()] = i;
-        }
-        let mut checked = 0usize;
-        let mut violations = 0usize;
-        for touch in dag.touches() {
-            let (Some(fp), Some(lp)) = (dag.future_parent(touch), dag.local_parent(touch)) else {
-                continue;
-            };
-            checked += 1;
-            if pos[fp.index()] >= pos[lp.index()] {
-                violations += 1;
-            }
-        }
-        t.push_row(vec![name, checked.to_string(), violations.to_string()]);
-    }
-    vec![t]
-}
-
-/// E8 — the paper's "second contribution": future-first beats parent-first
-/// on structured single-touch computations.
-pub fn e8_policy_comparison(scale: Scale) -> Vec<Table> {
-    let c = scale.pick(8usize, 16);
-    let mut t = Table::new(
-        "E8 / Section 5.1 vs 5.2 — future-first vs parent-first (additional misses, deviations)",
-        &[
-            "workload",
-            "P",
-            "FF deviations",
-            "PF deviations",
-            "FF extra misses",
-            "PF extra misses",
-        ],
-    );
-    let workloads: Vec<(String, Dag)> = vec![
-        ("fig6a(k=16)".into(), Fig6::gadget(scale.pick(6, 16), c).dag),
-        (
-            "fig7b(n=16)".into(),
-            Fig7b::new(8, scale.pick(6, 16), c).dag,
-        ),
-        ("fib".into(), apps::fib(scale.pick(6, 12))),
-        ("reduce".into(), apps::reduce(scale.pick(128, 2_048), 16, 8)),
-        (
-            "matmul".into(),
-            apps::matmul(scale.pick(2, 4), scale.pick(4, 8)),
-        ),
-    ];
-    let procs = scale.pick(vec![2usize], vec![2, 8]);
-    let rows = par_map(workloads, |(name, dag)| {
-        procs
-            .iter()
-            .map(|&p| {
-                let (ff_seq, ff) = run_with(&dag, p, c, ForkPolicy::FutureFirst, None);
-                let (pf_seq, pf) = run_with(&dag, p, c, ForkPolicy::ParentFirst, None);
-                vec![
-                    name.clone(),
-                    p.to_string(),
-                    ff.deviations().to_string(),
-                    pf.deviations().to_string(),
-                    ff.additional_misses(&ff_seq).to_string(),
-                    pf.additional_misses(&pf_seq).to_string(),
-                ]
-            })
-            .collect::<Vec<_>>()
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E9 — application workloads: classification and locality.
-pub fn e9_applications(scale: Scale) -> Vec<Table> {
-    let c = 32usize;
-    let mut t = Table::new(
-        "E9 / Section 4 — application workloads: class membership and locality (future-first, P=4)",
-        &[
-            "workload",
-            "nodes",
-            "T_inf",
-            "class",
-            "deviations",
-            "extra misses",
-            "seq misses",
-        ],
-    );
-    let workloads: Vec<(String, Dag)> = vec![
-        ("fib".into(), apps::fib(scale.pick(8, 14))),
-        ("reduce".into(), apps::reduce(scale.pick(256, 4_096), 16, 8)),
-        ("matmul".into(), apps::matmul(scale.pick(3, 6), 8)),
-        ("map_reduce".into(), apps::map_reduce(scale.pick(4, 16), 32)),
-        ("fig5a (priority futures)".into(), fig5a(scale.pick(4, 16))),
-        ("fig5b (passed future)".into(), fig5b(scale.pick(4, 16))),
-        (
-            "pipeline".into(),
-            pipeline::pipeline(4, scale.pick(4, 16), 4),
-        ),
-    ];
-    let rows = par_map(workloads, |(name, dag)| {
-        let class = classify(&dag);
-        let label = if class.fork_join {
-            "fork-join"
-        } else if class.is_structured_single_touch() && class.local_touch {
-            "single+local"
-        } else if class.is_structured_single_touch() {
-            "single-touch"
-        } else if class.is_structured_local_touch() {
-            "local-touch"
-        } else {
-            "unstructured"
-        };
-        let (seq, rep) = run_with(&dag, 4, c, ForkPolicy::FutureFirst, None);
-        vec![
-            name,
-            dag.num_nodes().to_string(),
-            span(&dag).to_string(),
-            label.to_string(),
-            rep.deviations().to_string(),
-            rep.additional_misses(&seq).to_string(),
-            seq.cache_misses().to_string(),
-        ]
-    });
-    for row in rows {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E10 — the real runtime: the same kernels on OS threads, child-first vs
-/// helper-first, with the runtime's own steal/inline counters.
-pub fn e10_runtime(scale: Scale) -> Vec<Table> {
-    use std::sync::Arc;
-    use wsf_runtime::{Runtime, SpawnPolicy};
-
-    let mut t = Table::new(
-        "E10 — real work-stealing runtime (structured single-touch futures)",
-        &[
-            "kernel",
-            "policy",
-            "threads",
-            "result ok",
-            "futures",
-            "steals",
-            "inline fraction",
-            "wall time (ms)",
-        ],
-    );
-    let fib_n = scale.pick(12u64, 20);
-    let sum_len = scale.pick(10_000usize, 400_000);
-    let sort_len = scale.pick(2_000u64, 40_000);
-    let (grid_rows, grid_cols) = scale.pick((4usize, 16usize), (16, 64));
-    let stream_items = scale.pick(200usize, 5_000);
-    for &threads in &scale.pick(vec![2usize], vec![1, 2, 4]) {
-        for policy in SpawnPolicy::ALL {
-            let rt = Arc::new(Runtime::builder().threads(threads).policy(policy).build());
-            let data: Arc<Vec<u64>> = Arc::new((0..sum_len as u64).collect());
-
-            let sort_input: Vec<u64> = (0..sort_len)
-                .map(|i| i.wrapping_mul(2_654_435_761) % 100_000)
-                .collect();
-            let mut sort_expected = sort_input.clone();
-            sort_expected.sort_unstable();
-
-            let start = std::time::Instant::now();
-            let fib_val = runtime_apps::fib(&rt, fib_n);
-            let sum_val = runtime_apps::sum(&rt, &data, 0, data.len(), 512);
-            let mr = runtime_apps::map_reduce(&rt, 32, |w| w as u64, |a, b| a + b);
-            let sorted = runtime_apps::merge_sort(&rt, sort_input, 256);
-            let grid = runtime_apps::stencil(&rt, grid_rows, grid_cols, 4);
-            let exchange = runtime_apps::stencil_exchange(&rt, grid_rows, grid_cols, 4);
-            let stream = runtime_apps::streaming_pipeline(&rt, stream_items, 8);
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-
-            let last = stream_items as u64 - 1;
-            let ok = fib_val == fib_reference(fib_n)
-                && sum_val == data.iter().sum::<u64>()
-                && mr == Some((0..32u64).sum())
-                && sorted == sort_expected
-                && grid.len() == grid_rows
-                // The per-neighbour-copy exchange must reproduce the
-                // snapshot stencil's grid exactly.
-                && exchange == grid
-                && stream.last().copied() == Some(last * last + 1);
-            let stats = rt.stats();
-            t.push_row(vec![
-                "fib+sum+map_reduce+sort+stencil+exchange+stream".to_string(),
-                policy.to_string(),
-                threads.to_string(),
-                ok.to_string(),
-                stats.futures_created.to_string(),
-                stats.steals.to_string(),
-                format!("{:.2}", stats.inline_fraction()),
-                format!("{elapsed:.1}"),
-            ]);
-        }
-    }
-    vec![t]
-}
-
-/// E11 — the bulk `(seed, P, policy, cache, scheduler)` sweep over random
-/// structured single-touch DAGs (thread-sharded; see [`crate::sweeps`]),
-/// comparing randomized work stealing with the deterministic parsimonious
-/// scheduler against each cell's governing deviation bound.
-pub fn e11_bulk_sweep(scale: Scale) -> Vec<Table> {
-    let config = SweepConfig {
-        target_nodes: scale.pick(400, 20_000),
-        seeds: scale.pick(vec![1, 2], vec![0, 1, 2, 3]),
-        processors: scale.pick(vec![2, 4], vec![2, 4, 8]),
-        cache_lines: scale.pick(vec![8], vec![8, 16]),
-        schedulers: vec![PolicySpec::ws_random(), PolicySpec::parsimonious()],
-        ..SweepConfig::default()
-    };
-    vec![seed_sweep(&config)]
-}
-
-/// Runs one simulation cell under a [`PolicySpec`], sharing the
-/// single scheduler constructor with the E11 sweep.
-fn run_with_sched(
-    dag: &Dag,
-    p: usize,
-    c: usize,
-    policy: ForkPolicy,
-    sched: PolicySpec,
-) -> (SeqReport, ExecutionReport) {
-    let mut s = sched.instantiate(SimConfig::default().seed);
-    run_with(dag, p, c, policy, Some(&mut s))
-}
-
-/// Formats one measurement as the standard [`THM12_COLUMNS`] row — `P`,
-/// `T∞`, scheduler, deviations, the deviation bound, extra misses, the
-/// miss bound, steals and the bound verdict — for the given precomputed
-/// bound pair. The single row-assembly point behind [`thm12_columns`] and
-/// [`thm16_18_columns`], so the E12–E16 tables cannot drift apart.
-fn bound_verdict_columns(
-    seq: &SeqReport,
-    rep: &ExecutionReport,
-    sp: u64,
-    p: usize,
-    sched: PolicySpec,
-    dev_bound: u64,
-    miss_bound: u64,
-) -> Vec<String> {
-    bound_verdict_columns_raw(
-        sp,
-        p,
-        sched,
-        rep.deviations(),
-        dev_bound,
-        rep.additional_misses(seq),
-        miss_bound,
-        rep.steals(),
-    )
-}
-
-/// The raw-number core of [`bound_verdict_columns`], shared with the
-/// one-pass sweep rows (which carry their measurements in a
-/// [`CapacityRun`] + curve instead of a report pair). Single assembly
-/// point: the two paths cannot drift in format or verdict logic.
-#[allow(clippy::too_many_arguments)]
-fn bound_verdict_columns_raw(
-    sp: u64,
-    p: usize,
-    sched: PolicySpec,
-    deviations: u64,
-    dev_bound: u64,
-    extra_misses: u64,
-    miss_bound: u64,
-    steals: u64,
-) -> Vec<String> {
-    let within = deviations <= dev_bound && extra_misses <= miss_bound;
-    vec![
-        p.to_string(),
-        sp.to_string(),
-        sched.to_string(),
-        deviations.to_string(),
-        dev_bound.to_string(),
-        extra_misses.to_string(),
-        miss_bound.to_string(),
-        steals.to_string(),
-        if within { "yes" } else { "NO" }.to_string(),
-    ]
-}
-
-/// [`bound_verdict_columns`] against the Theorem 12 formulas. Shared by
-/// E12–E15.
-fn thm12_columns(
-    seq: &SeqReport,
-    rep: &ExecutionReport,
-    sp: u64,
-    p: usize,
-    c: usize,
-    sched: PolicySpec,
-) -> Vec<String> {
-    bound_verdict_columns(
-        seq,
-        rep,
-        sp,
-        p,
-        sched,
-        bounds::thm12_deviations(p as u64, sp),
-        bounds::thm12_additional_misses(c as u64, p as u64, sp),
-    )
-}
-
-/// Runs one Theorem-12 suite cell under the given scheduler kind and
-/// returns [`thm12_columns`] for it. Shared by E12–E14 (E15 computes the
-/// sequential baseline once per shard instead).
-fn thm12_row(
-    dag: &Dag,
-    sp: u64,
-    p: usize,
-    c: usize,
-    policy: ForkPolicy,
-    sched: PolicySpec,
-) -> Vec<String> {
-    let (seq, rep) = run_with_sched(dag, p, c, policy, sched);
-    thm12_columns(&seq, &rep, sp, p, c, sched)
-}
-
-const THM12_COLUMNS: [&str; 9] = [
-    "P",
-    "T_inf",
-    "sched",
-    "deviations",
-    "P*T_inf^2",
-    "extra misses",
-    "C*P*T_inf^2",
-    "steals",
-    "within",
-];
-
-/// E12 — Theorem 12 on divide-and-conquer mergesort: the fork-join
-/// (single-touch) and streaming-merge (local-touch) variants under
-/// future-first, random work stealing vs the deterministic parsimonious
-/// scheduler, against the `O(C·P·T∞²)` bound.
-pub fn e12_dnc_sort(scale: Scale) -> Vec<Table> {
-    let c = 16usize;
-    let sizes = scale.pick(
-        vec![(64usize, 8usize)],
-        vec![(256, 16), (1_024, 32), (4_096, 64)],
-    );
-    let procs = scale.pick(vec![2usize], vec![2, 4, 8]);
-    let mut columns = vec!["variant", "len", "grain"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        "E12 / Theorem 12 — divide-and-conquer mergesort, future-first, WS vs parsimonious",
-        &columns,
-    );
-    let mut cells = Vec::new();
-    for &(len, grain) in &sizes {
-        for variant in ["fork-join", "streaming"] {
-            cells.push((len, grain, variant));
-        }
-    }
-    let rows = par_map(cells, |(len, grain, variant)| {
-        let dag = match variant {
-            "fork-join" => sort::mergesort(len, grain),
-            _ => sort::mergesort_streaming(len, grain, 2 * grain),
-        };
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-        let sp = span(&dag);
-        let mut rows = Vec::new();
-        for &p in &procs {
-            for sched in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
-                let mut row = vec![variant.to_string(), len.to_string(), grain.to_string()];
-                row.extend(thm12_row(&dag, sp, p, c, ForkPolicy::FutureFirst, sched));
-                rows.push(row);
-            }
-        }
-        rows
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E13 — Theorem 12 on wavefront stencil grids: row threads exchanging
-/// boundary futures, interior blocks reused across time steps.
-pub fn e13_stencil(scale: Scale) -> Vec<Table> {
-    let c = 16usize;
-    let shapes = scale.pick(
-        vec![(3usize, 2usize, 3usize)],
-        vec![(4, 4, 8), (8, 8, 8), (8, 4, 16)],
-    );
-    let procs = scale.pick(vec![2usize], vec![2, 4, 8]);
-    let mut columns = vec!["rows", "width", "steps"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        "E13 / Theorem 12 — wavefront stencil grids, future-first, WS vs parsimonious",
-        &columns,
-    );
-    let rows = par_map(shapes, |(rows, width, steps)| {
-        let dag = stencil::stencil(rows, width, steps);
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-        let sp = span(&dag);
-        let mut out = Vec::new();
-        for &p in &procs {
-            for sched in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
-                let mut row = vec![rows.to_string(), width.to_string(), steps.to_string()];
-                row.extend(thm12_row(&dag, sp, p, c, ForkPolicy::FutureFirst, sched));
-                out.push(row);
-            }
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E14 — Theorem 12 on streaming pipelines with bounded backpressure: the
-/// window sweep shows how tightening the in-flight bound shrinks span-side
-/// slack while the Theorem 12 bound keeps holding; both fork policies run
-/// (future-first against `P·T∞²`, parent-first against the general
-/// `(P+t)·T∞` shape Theorem 10's lower bound lives in).
-pub fn e14_backpressure(scale: Scale) -> Vec<Table> {
-    let c = 16usize;
-    let (stages, items, work) = scale.pick((2usize, 4usize, 2usize), (4, 16, 3));
-    let windows = scale.pick(vec![1usize, 4], vec![1, 2, 4, 16]);
-    let procs = scale.pick(vec![2usize], vec![2, 4, 8]);
-    let mut t = Table::new(
-        "E14 / Theorems 10 & 12 — bounded-backpressure pipelines, both policies, WS vs parsimonious",
-        &[
-            "stages",
-            "items",
-            "window",
-            "policy",
-            "P",
-            "T_inf",
-            "sched",
-            "deviations",
-            "dev bound",
-            "extra misses",
-            "steals",
-            "within",
-        ],
-    );
-    let rows = par_map(windows, |window| {
-        let dag = backpressure::batched_pipeline(stages, items, window, work);
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-        let sp = span(&dag);
-        let touches = dag.touches().count() as u64;
-        let mut out = Vec::new();
-        for policy in ForkPolicy::ALL {
-            for &p in &procs {
-                for sched in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
-                    let (seq, rep) = run_with_sched(&dag, p, c, policy, sched);
-                    let dev_bound = match policy {
-                        ForkPolicy::FutureFirst => bounds::thm12_deviations(p as u64, sp),
-                        ForkPolicy::ParentFirst => {
-                            bounds::unstructured_deviations(p as u64, touches, sp)
-                        }
-                    };
-                    let within = rep.deviations() <= dev_bound
-                        && rep.additional_misses(&seq)
-                            <= bounds::misses_from_deviations(c as u64, rep.deviations());
-                    out.push(vec![
-                        stages.to_string(),
-                        items.to_string(),
-                        window.to_string(),
-                        policy.to_string(),
-                        p.to_string(),
-                        sp.to_string(),
-                        sched.to_string(),
-                        rep.deviations().to_string(),
-                        dev_bound.to_string(),
-                        rep.additional_misses(&seq).to_string(),
-                        rep.steals().to_string(),
-                        if within { "yes" } else { "NO" }.to_string(),
-                    ]);
-                }
-            }
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E15 — large-capacity locality sweep: the Theorem-12 workload families at
-/// cache capacities from the paper's toy C = 16 up to 2²⁰ lines (the regime
-/// real cache-simulation frameworks model). The theorems are stated for
-/// arbitrary `C`; the sweep evaluates the full dense power-of-two grid from
-/// *one* execution per `(family, P, scheduler)` via the stack-distance
-/// profiler's [`capacity_sweep`] (Mattson's one-pass algorithm) — where the
-/// seed path re-simulated once per capacity, capping the grid at 4 points.
-///
-/// One shard per family ([`par_map`]), so the table is byte-identical at
-/// every thread count; and the rows are byte-identical to the per-capacity
-/// [`e15_cache_capacity_per_c`] path on any shared grid (pinned in
-/// `tests/parallel_determinism.rs`).
-pub fn e15_cache_capacity(scale: Scale) -> Vec<Table> {
-    e15_cache_capacity_with_grid(scale, &default_capacity_grid(scale))
-}
-
-/// One workload family of the E15/E17 sweeps: label plus DAG builder.
-type Family = (&'static str, fn(Scale) -> Dag);
-
-/// The Theorem-12 workload families E15 (and E17) sweep.
-///
-/// Full-scale sizes are chosen so the working sets straddle the swept
-/// capacities (the mergesort variants touch tens of thousands of blocks,
-/// comparable to C = 32768) — only tractable with O(1) cache models.
-fn e15_families() -> [Family; 4] {
-    [
-        ("mergesort", |s| {
-            sort::mergesort(s.pick(64, 65_536), s.pick(8, 64))
-        }),
-        ("mergesort-streaming", |s| {
-            let grain = s.pick(8, 64);
-            sort::mergesort_streaming(s.pick(64, 65_536), grain, 2 * grain)
-        }),
-        ("stencil", |s| {
-            let (rows, width, steps) = s.pick((3, 2, 3), (48, 128, 6));
-            stencil::stencil(rows, width, steps)
-        }),
-        ("pipeline-window4", |s| {
-            let (stages, items) = s.pick((2, 4), (8, 512));
-            backpressure::batched_pipeline(stages, items, 4, 3)
-        }),
-    ]
-}
-
-/// [`e15_cache_capacity`] over a caller-chosen capacity grid: one
-/// [`capacity_sweep`] per family answers every grid point, so the grid's
-/// resolution costs nothing extra. One shard per family; rows come out
-/// family-major, then C, then `(P, scheduler)` — exactly the per-capacity
-/// path's order, which [`e15_cache_capacity_per_c`] pins byte-identical.
-pub fn e15_cache_capacity_with_grid(scale: Scale, grid: &CapacityGrid) -> Vec<Table> {
-    let procs = scale.pick(vec![2usize], vec![2, 8]);
-    let mut columns = vec!["family", "nodes", "blocks", "C"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        capacity_sweep_title("E15 / Theorem 12 at scale — locality sweep", scale, grid),
-        &columns,
-    );
-    let rows = par_map(e15_families().to_vec(), |(name, build)| {
-        let dag = build(scale);
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-        let sweep = capacity_sweep(
-            &dag,
-            ForkPolicy::FutureFirst,
-            &procs,
-            &[PolicySpec::ws_random(), PolicySpec::parsimonious()],
-        );
-        let mut out = Vec::new();
-        for &c in grid.capacities() {
-            for run in &sweep.runs {
-                let mut row = vec![
-                    name.to_string(),
-                    dag.num_nodes().to_string(),
-                    dag.block_space().to_string(),
-                    c.to_string(),
-                ];
-                row.extend(thm12_columns_at(&sweep, run, c));
-                out.push(row);
-            }
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// The seed per-capacity E15 path: one full re-simulation per `(family,
-/// C)` cell. Kept as the differential anchor the one-pass
-/// [`e15_cache_capacity_with_grid`] is pinned byte-identical against (see
-/// `tests/parallel_determinism.rs`) and as the bench baseline the speedup
-/// is measured from.
-pub fn e15_cache_capacity_per_c(scale: Scale, grid: &CapacityGrid) -> Vec<Table> {
-    let capacities = grid.capacities().to_vec();
-    let procs = scale.pick(vec![2usize], vec![2, 8]);
-    let mut columns = vec!["family", "nodes", "blocks", "C"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        "E15 / Theorem 12 at scale — locality sweep, one re-simulation per capacity",
-        &columns,
-    );
-    let mut cells = Vec::new();
-    for &family in &e15_families() {
-        for &c in &capacities {
-            cells.push((family, c));
-        }
-    }
-    let rows = par_map(cells, |((name, build), c)| {
-        let dag = build(scale);
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-        let sp = span(&dag);
-        // The sequential baseline depends on neither P nor the scheduler:
-        // compute it once per (family, C) shard; every run in the shard
-        // reuses it and one scratch.
-        let base = SimConfig {
-            cache_lines: c,
-            fork_policy: ForkPolicy::FutureFirst,
-            ..SimConfig::default()
-        };
-        let seq = ParallelSimulator::new(base).sequential(&dag);
-        let mut scratch = wsf_core::SimScratch::new();
-        let mut out = Vec::new();
-        for &p in &procs {
-            for sched in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
-                let cfg = SimConfig {
-                    processors: p,
-                    ..base
-                };
-                let mut s = sched.instantiate(cfg.seed);
-                let rep = ParallelSimulator::new(cfg).run_with_scratch(
-                    &dag,
-                    &seq,
-                    &mut s,
-                    false,
-                    &mut scratch,
-                );
-                let mut row = vec![
-                    name.to_string(),
-                    dag.num_nodes().to_string(),
-                    dag.block_space().to_string(),
-                    c.to_string(),
-                ];
-                row.extend(thm12_columns(&seq, &rep, sp, p, c, sched));
-                out.push(row);
-            }
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// E16 — Theorems 16/18 at scale: the symmetric-exchange stencil (the
-/// super-final workload family — per-neighbour boundary copies closed by a
-/// super final node, which the one-sided E13 wavefront cannot express)
-/// swept over the same cache capacities as E15. `steps = 1` instances are
-/// exactly the Definition 13 class (Theorem 16); `steps > 1` instances
-/// exchange with both neighbours and leave plain local-touch (Definition
-/// 17's regime and one step beyond — the Theorem 18 formula is the bound
-/// column either way, and every row's verdict is asserted in tests).
-///
-/// One shard per shape ([`par_map`]), each answering every capacity from
-/// one [`capacity_sweep`], so the table is byte-identical at every thread
-/// count and — on any shared grid — byte-identical to the per-capacity
-/// [`e16_exchange_stencil_per_c`] path.
-pub fn e16_exchange_stencil(scale: Scale) -> Vec<Table> {
-    e16_exchange_stencil_with_grid(scale, &default_capacity_grid(scale))
-}
-
-/// The symmetric-exchange shapes E16 sweeps.
-///
-/// Full-scale shapes straddle the swept capacities like E15's: ~1.3k,
-/// ~6.7k and ~34k distinct blocks, plus a steps = 1 shape (the pure
-/// Theorem 16 / Definition 13 class) with a ~33k-block working set.
-fn e16_shapes(scale: Scale) -> Vec<(usize, usize, usize)> {
-    scale.pick(
-        vec![(3usize, 2usize, 2usize), (4, 2, 1)],
-        vec![(16, 64, 8), (48, 128, 6), (128, 256, 4), (64, 512, 1)],
-    )
-}
-
-/// Classifies one E16 exchange-stencil DAG, asserting the structural
-/// properties its theorem bounds rely on. Shared by both sweep paths.
-fn e16_classify(dag: &Dag, rows: usize, steps: usize) -> bool {
-    let class = classify(dag);
-    assert!(class.structured, "{:?}", class.violations);
-    assert!(class.super_final);
-    if steps == 1 {
-        assert!(class.single_touch, "{:?}", class.violations);
-    } else if rows > 2 {
-        assert!(
-            !class.local_touch,
-            "symmetric exchange leaves plain local-touch"
-        );
-    }
-    class.single_touch
-}
-
-/// [`e16_exchange_stencil`] over a caller-chosen capacity grid (the E15
-/// one-pass protocol; rows shape-major, then C, then `(P, scheduler)`).
-pub fn e16_exchange_stencil_with_grid(scale: Scale, grid: &CapacityGrid) -> Vec<Table> {
-    let procs = scale.pick(vec![2usize], vec![2, 8]);
-    let mut columns = vec!["rows", "width", "steps", "nodes", "blocks", "C"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        capacity_sweep_title(
-            "E16 / Theorems 16 & 18 at scale — symmetric-exchange stencils (super final node)",
-            scale,
-            grid,
-        ),
-        &columns,
-    );
-    let rows = par_map(e16_shapes(scale), |(rows, width, steps)| {
-        let dag = stencil::stencil_exchange(rows, width, steps);
-        let single_touch = e16_classify(&dag, rows, steps);
-        let sweep = capacity_sweep(
-            &dag,
-            ForkPolicy::FutureFirst,
-            &procs,
-            &[PolicySpec::ws_random(), PolicySpec::parsimonious()],
-        );
-        let mut out = Vec::new();
-        for &c in grid.capacities() {
-            for run in &sweep.runs {
-                let mut row = vec![
-                    rows.to_string(),
-                    width.to_string(),
-                    steps.to_string(),
-                    dag.num_nodes().to_string(),
-                    dag.block_space().to_string(),
-                    c.to_string(),
-                ];
-                row.extend(thm16_18_columns_at(&sweep, run, c, single_touch));
-                out.push(row);
-            }
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// The seed per-capacity E16 path (one re-simulation per `(shape, C)`
-/// cell), kept as the differential anchor and bench baseline like
-/// [`e15_cache_capacity_per_c`].
-pub fn e16_exchange_stencil_per_c(scale: Scale, grid: &CapacityGrid) -> Vec<Table> {
-    let capacities = grid.capacities().to_vec();
-    let procs = scale.pick(vec![2usize], vec![2, 8]);
-    let mut columns = vec!["rows", "width", "steps", "nodes", "blocks", "C"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        "E16 / Theorems 16 & 18 at scale — symmetric-exchange stencils, one re-simulation per capacity",
-        &columns,
-    );
-    let shapes = e16_shapes(scale);
-    let mut cells = Vec::new();
-    for &shape in &shapes {
-        for &c in &capacities {
-            cells.push((shape, c));
-        }
-    }
-    let rows = par_map(cells, |((rows, width, steps), c)| {
-        let dag = stencil::stencil_exchange(rows, width, steps);
-        let single_touch = e16_classify(&dag, rows, steps);
-        let sp = span(&dag);
-        let base = SimConfig {
-            cache_lines: c,
-            fork_policy: ForkPolicy::FutureFirst,
-            ..SimConfig::default()
-        };
-        let seq = ParallelSimulator::new(base).sequential(&dag);
-        let mut scratch = wsf_core::SimScratch::new();
-        let mut out = Vec::new();
-        for &p in &procs {
-            for sched in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
-                let cfg = SimConfig {
-                    processors: p,
-                    ..base
-                };
-                let mut s = sched.instantiate(cfg.seed);
-                let rep = ParallelSimulator::new(cfg).run_with_scratch(
-                    &dag,
-                    &seq,
-                    &mut s,
-                    false,
-                    &mut scratch,
-                );
-                let mut row = vec![
-                    rows.to_string(),
-                    width.to_string(),
-                    steps.to_string(),
-                    dag.num_nodes().to_string(),
-                    dag.block_space().to_string(),
-                    c.to_string(),
-                ];
-                row.extend(thm16_18_columns(&seq, &rep, sp, p, c, sched, single_touch));
-                out.push(row);
-            }
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// [`bound_verdict_columns`] against the Theorem 16 (single-touch,
-/// `steps = 1`) or Theorem 18 (local-touch regime, `steps > 1`) formulas —
-/// numerically Theorem 8's `P·T∞²` / `C·P·T∞²`, aliased for auditability.
-fn thm16_18_columns(
-    seq: &SeqReport,
-    rep: &ExecutionReport,
-    sp: u64,
-    p: usize,
-    c: usize,
-    sched: PolicySpec,
-    single_touch: bool,
-) -> Vec<String> {
-    let (dev_bound, miss_bound) = thm16_18_bounds(p, c, sp, single_touch);
-    bound_verdict_columns(seq, rep, sp, p, sched, dev_bound, miss_bound)
-}
-
-/// The Theorem 16 (`steps = 1`) or Theorem 18 (deviation, additional-miss)
-/// bound pair at the given parameters.
-fn thm16_18_bounds(p: usize, c: usize, sp: u64, single_touch: bool) -> (u64, u64) {
-    if single_touch {
-        (
-            bounds::thm16_deviations(p as u64, sp),
-            bounds::thm16_additional_misses(c as u64, p as u64, sp),
-        )
-    } else {
-        (
-            bounds::thm18_deviations(p as u64, sp),
-            bounds::thm18_additional_misses(c as u64, p as u64, sp),
-        )
-    }
-}
-
-/// [`bound_verdict_columns_raw`] for one capacity of a one-pass
-/// [`CapacitySweep`] run, against the Theorem 12 formulas — the one-pass
-/// counterpart of [`thm12_columns`].
-fn thm12_columns_at(sweep: &CapacitySweep, run: &CapacityRun, c: usize) -> Vec<String> {
-    let (p, sp) = (run.processors, sweep.span);
-    bound_verdict_columns_raw(
-        sp,
-        p,
-        run.scheduler,
-        run.deviations,
-        bounds::thm12_deviations(p as u64, sp),
-        run.additional_misses_at(&sweep.seq_curve, c),
-        bounds::thm12_additional_misses(c as u64, p as u64, sp),
-        run.steals,
-    )
-}
-
-/// [`bound_verdict_columns_raw`] for one capacity of a one-pass
-/// [`CapacitySweep`] run, against the Theorem 16/18 formulas — the
-/// one-pass counterpart of [`thm16_18_columns`].
-fn thm16_18_columns_at(
-    sweep: &CapacitySweep,
-    run: &CapacityRun,
-    c: usize,
-    single_touch: bool,
-) -> Vec<String> {
-    let (p, sp) = (run.processors, sweep.span);
-    let (dev_bound, miss_bound) = thm16_18_bounds(p, c, sp, single_touch);
-    bound_verdict_columns_raw(
-        sp,
-        p,
-        run.scheduler,
-        run.deviations,
-        dev_bound,
-        run.additional_misses_at(&sweep.seq_curve, c),
-        miss_bound,
-        run.steals,
-    )
-}
-
-/// The capacity grid an experiment sweeps when the caller does not supply
-/// one: two points at `Scale::Quick`, the dense power-of-two grid at
-/// `Scale::Full`.
-pub fn default_capacity_grid(scale: Scale) -> CapacityGrid {
-    scale.pick(CapacityGrid::quick(), CapacityGrid::dense())
-}
-
-/// Renders a capacity-sweep table title: the C range and point count,
-/// plus the grid's truncation note when the caller swept something coarser
-/// than `scale`'s default — so a truncated C-resolution shows up in the
-/// table itself, not just the harness log.
-fn capacity_sweep_title(prefix: &str, scale: Scale, grid: &CapacityGrid) -> String {
-    let caps = grid.capacities();
-    let (lo, hi) = (
-        caps.iter().min().expect("grid is non-empty"),
-        caps.iter().max().expect("grid is non-empty"),
-    );
-    let mut title = format!(
-        "{prefix}, one-pass over C = {lo} … {hi} ({} points)",
-        caps.len()
-    );
-    if grid != &default_capacity_grid(scale) {
-        if let Some(note) = grid.truncation_note() {
-            title.push_str(&format!(" [{note}]"));
-        }
-    }
-    title
-}
-
-/// E17 — per-workload miss-ratio curves: every E15 family and two E16
-/// exchange shapes profiled once with the stack-distance simulator, then
-/// read out at every grid capacity. Each row shows the *sequential*
-/// miss count and miss ratio at that capacity next to the parallel run's
-/// standard bound-verdict columns (Theorem 12 for the families, Theorem
-/// 16/18 for the exchange shapes) — the dense C-resolution picture of how
-/// each working set falls into cache, with the theorem verdicts riding
-/// along at every point.
-pub fn e17_miss_ratio_curves(scale: Scale) -> Vec<Table> {
-    e17_miss_ratio_curves_with_grid(scale, &default_capacity_grid(scale))
-}
-
-/// The E17 workload list: the Theorem-12 families plus two exchange
-/// stencils (one `steps = 1` Theorem-16 instance, one Theorem-18
-/// instance).
-enum E17Workload {
-    /// Index into [`e15_families`] (Theorem-12 bounds).
-    Family(usize),
-    /// An exchange-stencil shape (Theorem-16/18 bounds).
-    Exchange(usize, usize, usize),
-}
-
-/// [`e17_miss_ratio_curves`] over a caller-chosen capacity grid.
-pub fn e17_miss_ratio_curves_with_grid(scale: Scale, grid: &CapacityGrid) -> Vec<Table> {
-    let p = scale.pick(2usize, 8);
-    let exchanges = scale.pick(
-        vec![(3usize, 2usize, 2usize), (4, 2, 1)],
-        vec![(48, 128, 6), (64, 512, 1)],
-    );
-    let mut columns = vec!["workload", "blocks", "C", "seq misses", "seq ratio"];
-    columns.extend(THM12_COLUMNS);
-    let mut t = Table::new(
-        capacity_sweep_title(
-            "E17 / Theorems 12, 16 & 18 — miss-ratio curves (stack distance)",
-            scale,
-            grid,
-        ),
-        &columns,
-    );
-    let mut workloads: Vec<E17Workload> =
-        (0..e15_families().len()).map(E17Workload::Family).collect();
-    workloads.extend(
-        exchanges
-            .iter()
-            .map(|&(r, w, s)| E17Workload::Exchange(r, w, s)),
-    );
-    let rows = par_map(workloads, |workload| {
-        let (name, dag, single_touch, thm12) = match workload {
-            E17Workload::Family(i) => {
-                let (name, build) = e15_families()[i];
-                let dag = build(scale);
-                let class = classify(&dag);
-                assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-                (name.to_string(), dag, false, true)
-            }
-            E17Workload::Exchange(r, w, s) => {
-                let dag = stencil::stencil_exchange(r, w, s);
-                let single_touch = e16_classify(&dag, r, s);
-                (format!("exchange-{r}x{w}x{s}"), dag, single_touch, false)
-            }
-        };
-        let sweep = capacity_sweep(
-            &dag,
-            ForkPolicy::FutureFirst,
-            &[p],
-            &[PolicySpec::ws_random()],
-        );
-        let run = &sweep.runs[0];
-        let mut out = Vec::new();
-        for &c in grid.capacities() {
-            let mut row = vec![
-                name.clone(),
-                dag.block_space().to_string(),
-                c.to_string(),
-                sweep.seq_curve.misses_at(c).to_string(),
-                format!("{:.4}", sweep.seq_curve.miss_ratio_at(c)),
-            ];
-            row.extend(if thm12 {
-                thm12_columns_at(&sweep, run, c)
-            } else {
-                thm16_18_columns_at(&sweep, run, c, single_touch)
-            });
-            out.push(row);
-        }
-        out
-    });
-    for row in rows.into_iter().flatten() {
-        t.push_row(row);
-    }
-    vec![t]
-}
-
-/// The simulator replay behind E18: every committed epoch becomes one
-/// [`backpressure::batched_pipeline`] DAG (the stage topology the engine
-/// executed) and is measured as a standard Theorem-12 row under both
-/// sweep schedulers. The rows depend only on the committed log — which is
-/// exactly why a faulted run must reproduce the fault-free table byte for
-/// byte.
-fn e18_epoch_miss_rows(
-    policy: wsf_runtime::SpawnPolicy,
-    store: &wsf_runtime::CheckpointStore,
-    stages: usize,
-    window: usize,
-    work: usize,
-    p: usize,
-    c: usize,
-) -> Vec<Vec<String>> {
-    let mut out = Vec::new();
-    for cp in store.log() {
-        let dag = backpressure::batched_pipeline(stages, cp.items as usize, window, work);
-        let class = classify(&dag);
-        assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-        let sp = span(&dag);
-        for sched in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
-            let mut row = vec![
-                policy.to_string(),
-                cp.epoch.to_string(),
-                cp.first_item.to_string(),
-                cp.items.to_string(),
-            ];
-            row.extend(thm12_row(&dag, sp, p, c, ForkPolicy::FutureFirst, sched));
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// E18 — fault-tolerant streaming epochs: the seeded stream runs through
-/// the crash-recovery engine (`wsf_runtime::StreamEngine`) twice per spawn
-/// policy — fault-free and under a seeded fault schedule of task panics,
-/// worker kills, injector stalls and delayed wakeups
-/// (`WSF_FAULT_SEED`, default 1; the CI fault-matrix job sweeps it) — and
-/// every committed epoch is replayed as its `batched_pipeline` DAG on the
-/// simulator for Theorem-12 per-epoch miss accounting. Because commits
-/// happen only at barriers and transforms are pure over the epoch-start
-/// snapshot, the faulted run must commit a byte-identical log, so its miss
-/// table equals the fault-free one row for row; the summary table checks
-/// the exactly-once invariants (valid contiguous log, states equal to the
-/// sequential reference, fingerprint equal to the fault-free run).
-pub fn e18_streaming_epochs(scale: Scale) -> Vec<Table> {
-    use std::sync::Arc;
-    use std::time::Duration;
-    use wsf_runtime::{
-        sequential_reference, EpochConfig, FaultPlan, FaultSpec, Runtime, SpawnPolicy, StreamEngine,
-    };
-    use wsf_workloads::streaming::{mix_stages, SeededStream};
-
-    let c = 16usize;
-    let sim_p = scale.pick(2usize, 4);
-    let stages_n = scale.pick(2usize, 4);
-    let epoch_items = scale.pick(8usize, 64);
-    let epochs = scale.pick(3u64, 8);
-    let (window, work) = (4usize, 2usize);
-    // Ragged final epoch: the last barrier commits fewer items.
-    let len = epoch_items as u64 * epochs - 3;
-    let fault_seed: u64 = std::env::var("WSF_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-
-    let source = SeededStream::new(0x5eed_0018, len);
-    let stages = mix_stages(stages_n, 18);
-    let reference = sequential_reference(&stages, &source, epoch_items);
-    let config = EpochConfig {
-        epoch_items,
-        window,
-        max_retries: 8,
-        retry_backoff: Duration::from_millis(1),
-        task_timeout: Duration::from_secs(10),
-    };
-    let spec = FaultSpec {
-        // Well under the `len` dequeues the stream guarantees, so every
-        // drawn fault actually fires (keeps the summary deterministic).
-        horizon: len / 2,
-        panics: 2,
-        kills: 1,
-        stall_period: 5,
-        stall: Duration::from_micros(100),
-        wakeup_period: 3,
-        wakeup_delay: Duration::from_micros(50),
-    };
-
-    let mut columns = vec!["policy", "epoch", "first item", "items"];
-    columns.extend(THM12_COLUMNS);
-    let mut misses = Table::new(
-        format!(
-            "E18 / Theorem 12 — per-epoch miss accounting under injected faults (fault seed {fault_seed})"
-        ),
-        &columns,
-    );
-    let mut summary = Table::new(
-        format!("E18 — crash-recovery summary (fault seed {fault_seed})"),
-        &[
-            "policy",
-            "threads",
-            "fault plan",
-            "epochs",
-            "items",
-            "exactly-once",
-        ],
-    );
-
-    for policy in SpawnPolicy::ALL {
-        let rt = Arc::new(Runtime::builder().threads(2).policy(policy).build());
-        let mut baseline = StreamEngine::new(rt, stages.clone(), config.clone());
-        baseline.run(&source).expect("E18 fault-free baseline");
-
-        let plan = Arc::new(FaultPlan::seeded(fault_seed, &spec));
-        let rt = Arc::new(
-            Runtime::builder()
-                .threads(2)
-                .policy(policy)
-                .fault_hooks(Arc::clone(&plan) as _)
-                .build(),
-        );
-        let mut faulted = StreamEngine::new(rt, stages.clone(), config.clone());
-        let report = faulted
-            .run(&source)
-            .unwrap_or_else(|e| panic!("E18 faulted run (seed {fault_seed}, {policy}): {e}"));
-
-        let clean_rows =
-            e18_epoch_miss_rows(policy, baseline.store(), stages_n, window, work, sim_p, c);
-        let fault_rows =
-            e18_epoch_miss_rows(policy, faulted.store(), stages_n, window, work, sim_p, c);
-        assert_eq!(
-            clean_rows, fault_rows,
-            "E18 {policy}: faulted run must reproduce the fault-free per-epoch miss table"
-        );
-
-        let exactly_once = faulted.store().validate().is_ok()
-            && faulted.committed_states() == reference
-            && faulted.store().fingerprint() == baseline.store().fingerprint();
-        summary.push_row(vec![
-            policy.to_string(),
-            "2".to_string(),
-            plan.describe(),
-            report.epochs_committed.to_string(),
-            report.items.to_string(),
-            if exactly_once { "yes" } else { "NO" }.to_string(),
-        ]);
-        // Scheduling-dependent diagnostics stay out of the table so it is
-        // byte-identical across runs and thread counts.
-        eprintln!(
-            "E18 {policy}: retries={} inline_epochs={} fired: {}p/{}k stalls={} delays={}",
-            report.retries,
-            report.inline_epochs,
-            plan.fired_panics(),
-            plan.fired_kills(),
-            plan.fired_stalls(),
-            plan.fired_delays(),
-        );
-        for row in fault_rows {
-            misses.push_row(row);
-        }
-    }
-    vec![misses, summary]
-}
-
-/// One workload of the E19 tournament suite: name, DAG, and which bound
-/// family governs it (`thm12` for the Theorem-12 families,
-/// Theorem 16/18 — keyed by `single_touch` — for the exchange shapes).
-struct E19Workload {
-    name: &'static str,
-    dag: Dag,
-    thm12: bool,
-    single_touch: bool,
-}
-
-/// The Theorem-12/16 workload suite the E19 tournament scores against:
-/// the four E15 families plus one Theorem-16 (`steps = 1`) and one
-/// Theorem-18 symmetric-exchange stencil. Instances are sized below the
-/// E15 full-scale ones — the tournament simulates every workload once per
-/// `(P, policy)` over the whole policy space, so the suite trades
-/// working-set size for grid width (only the sizes shrink at
-/// `Scale::Quick`; the policy grid never does).
-fn e19_suite(scale: Scale) -> Vec<E19Workload> {
-    let (len, grain) = scale.pick((64usize, 8usize), (1_024, 32));
-    let families = [
-        ("mergesort", sort::mergesort(len, grain), true),
-        (
-            "mergesort-streaming",
-            sort::mergesort_streaming(len, grain, 2 * grain),
-            true,
-        ),
-        (
-            "stencil",
-            {
-                let (r, w, s) = scale.pick((3usize, 2usize, 3usize), (16, 32, 4));
-                stencil::stencil(r, w, s)
-            },
-            true,
-        ),
-        (
-            "pipeline-window4",
-            {
-                let (stages, items) = scale.pick((2usize, 4usize), (4, 64));
-                backpressure::batched_pipeline(stages, items, 4, 3)
-            },
-            true,
-        ),
-    ];
-    let mut suite: Vec<E19Workload> = families
-        .into_iter()
-        .map(|(name, dag, thm12)| {
-            let class = classify(&dag);
-            assert!(class.is_structured_local_touch(), "{:?}", class.violations);
-            E19Workload {
-                name,
-                dag,
-                thm12,
-                single_touch: false,
-            }
-        })
-        .collect();
-    for (name, (r, w, s)) in [
-        (
-            "exchange-thm16",
-            scale.pick((4usize, 2usize, 1usize), (16, 64, 1)),
-        ),
-        ("exchange-thm18", scale.pick((3, 2, 2), (16, 32, 4))),
-    ] {
-        let dag = stencil::stencil_exchange(r, w, s);
-        let single_touch = e16_classify(&dag, r, s);
-        suite.push(E19Workload {
-            name,
-            dag,
-            thm12: false,
-            single_touch,
-        });
-    }
-    suite
-}
-
-/// The E19-promoted presets, in [`PolicySpec::NAMED`] order (everything
-/// after the two historical baselines).
-fn e19_presets() -> Vec<PolicySpec> {
-    PolicySpec::NAMED
-        .iter()
-        .map(|&(_, spec)| spec)
-        .filter(|spec| *spec != PolicySpec::ws_random() && *spec != PolicySpec::parsimonious())
-        .collect()
-}
-
-/// E19 — the scheduler tournament: the simulator as a fitness oracle over
-/// the composable steal-policy space. Grid-enumerates victim order ×
-/// steal amount × patience × locality (80 points, ≥ 64 at every scale),
-/// scores every point over the Theorem-12/16 workload suite × P ×
-/// sampled capacities with one one-pass [`capacity_sweep`] per workload,
-/// and emits three tables: aggregate scores with Pareto marks, the
-/// Pareto front, and the promoted presets against the `ws-random`
-/// baseline cell by cell — with the Theorem 8/10/12-shaped bound, the
-/// slack left under it, and a `beats` verdict (fewer extra misses at
-/// equal-or-better makespan) per `(workload, P, C)`.
-pub fn e19_scheduler_tournament(scale: Scale) -> Vec<Table> {
-    e19_scheduler_tournament_with_specs(scale, &policy_space())
-}
-
-/// [`e19_scheduler_tournament`] over a caller-chosen policy set (the
-/// harness's `--schedulers`/`--patience` flags). A set narrower than the
-/// default grid is flagged in the scores table's title, mirroring the
-/// `--capacities` truncation convention.
-pub fn e19_scheduler_tournament_with_specs(scale: Scale, specs: &[PolicySpec]) -> Vec<Table> {
-    let suite = e19_suite(scale);
-    let workloads: Vec<(String, Dag)> = suite
-        .iter()
-        .map(|w| (w.name.to_string(), w.dag.clone()))
-        .collect();
-    let config = TournamentConfig {
-        // Two victim candidates minimum (P ≥ 3 would be better still, but
-        // P = 4 keeps the quick grid inside the smoke-test budget) so the
-        // victim-order dimension is never degenerate.
-        processors: scale.pick(vec![2, 4], vec![2, 8]),
-        specs: specs.to_vec(),
-        capacities: scale.pick(vec![16, 256], vec![16, 256, 4096, 32768]),
-        fork_policy: ForkPolicy::FutureFirst,
-    };
-    let t = run_tournament(&workloads, &config);
-
-    let default_points = policy_space().len();
-    let mut title = format!(
-        "E19 — scheduler tournament: aggregate scores over {} policy points × the Theorem-12/16 suite",
-        specs.len()
-    );
-    if specs.len() < default_points {
-        title.push_str(&format!(
-            " [note: policy set truncated to {} point(s) (default grid sweeps {})]",
-            specs.len(),
-            default_points
-        ));
-    }
-    let mut scores = Table::new(
-        title,
-        &[
-            "sched",
-            "deviations",
-            "steals",
-            "extra misses",
-            "makespan",
-            "pareto",
-        ],
-    );
-    for e in &t.entries {
-        scores.push_row(vec![
-            e.spec.to_string(),
-            e.deviations.to_string(),
-            e.steals.to_string(),
-            e.extra_misses.to_string(),
-            e.makespan.to_string(),
-            if e.pareto { "yes" } else { "-" }.to_string(),
-        ]);
-    }
-
-    // Policies that tie on the whole score tuple are mutually
-    // non-dominated, so a raw front drowns in duplicates (at P = 2 every
-    // victim order is degenerate, for one). Collapse ties: one row per
-    // distinct score, first spec in grid order speaks for the group.
-    let mut front = Table::new(
-        "E19 — Pareto front on (deviations, extra misses, makespan), score ties collapsed",
-        &[
-            "sched",
-            "deviations",
-            "steals",
-            "extra misses",
-            "makespan",
-            "ties",
-        ],
-    );
-    let mut seen_scores: Vec<(u64, u64, u64)> = Vec::new();
-    for e in t.pareto_front() {
-        let score = (e.deviations, e.extra_misses, e.makespan);
-        if seen_scores.contains(&score) {
-            continue;
-        }
-        seen_scores.push(score);
-        let ties = t
-            .pareto_front()
-            .filter(|o| (o.deviations, o.extra_misses, o.makespan) == score)
-            .count();
-        front.push_row(vec![
-            e.spec.to_string(),
-            e.deviations.to_string(),
-            e.steals.to_string(),
-            e.extra_misses.to_string(),
-            e.makespan.to_string(),
-            ties.to_string(),
-        ]);
-    }
-
-    // The promoted presets against ws-random, cell by cell. Only presets
-    // present in the evaluated set appear (an explicit --schedulers list
-    // may omit them).
-    let presets: Vec<PolicySpec> = e19_presets()
-        .into_iter()
-        .filter(|p| specs.contains(p))
-        .collect();
-    let mut promoted = Table::new(
-        "E19 — promoted presets vs ws-random, per (workload, P, C) cell",
-        &[
-            "workload",
-            "P",
-            "C",
-            "sched",
-            "T_inf",
-            "deviations",
-            "dev bound",
-            "slack",
-            "extra misses",
-            "miss bound",
-            "d_misses",
-            "makespan",
-            "d_makespan",
-            "beats",
-            "within",
-        ],
-    );
-    if specs.contains(&PolicySpec::ws_random()) {
-        for (widx, w) in suite.iter().enumerate() {
-            for &p in &config.processors {
-                let base = t
-                    .run(widx, p, &PolicySpec::ws_random())
-                    .expect("ws-random cell evaluated");
-                for (ci, &c) in config.capacities.iter().enumerate() {
-                    for preset in &presets {
-                        let run = t.run(widx, p, preset).expect("preset cell evaluated");
-                        let (dev_bound, miss_bound) = if w.thm12 {
-                            (
-                                bounds::thm12_deviations(p as u64, run.span),
-                                bounds::thm12_additional_misses(c as u64, p as u64, run.span),
-                            )
-                        } else {
-                            thm16_18_bounds(p, c, run.span, w.single_touch)
-                        };
-                        let (misses, base_misses) = (run.extra_misses[ci], base.extra_misses[ci]);
-                        let beats = misses < base_misses && run.makespan <= base.makespan;
-                        let within = run.deviations <= dev_bound && misses <= miss_bound;
-                        promoted.push_row(vec![
-                            w.name.to_string(),
-                            p.to_string(),
-                            c.to_string(),
-                            preset.to_string(),
-                            run.span.to_string(),
-                            run.deviations.to_string(),
-                            dev_bound.to_string(),
-                            (dev_bound.saturating_sub(run.deviations)).to_string(),
-                            misses.to_string(),
-                            miss_bound.to_string(),
-                            format!("{:+}", misses as i64 - base_misses as i64),
-                            run.makespan.to_string(),
-                            format!("{:+}", run.makespan as i64 - base.makespan as i64),
-                            if beats { "yes" } else { "-" }.to_string(),
-                            if within { "yes" } else { "NO" }.to_string(),
-                        ]);
-                    }
-                }
-            }
-        }
-    }
-
-    vec![scores, front, promoted]
-}
-
-/// The E20 tenant roster: E19-promoted policy points on distinct
-/// simulated machines, each with its own seed — every tenant's
-/// per-submission counters are fully determined by (policy, machine,
-/// seed, shape), which is what makes the E20 tables reproducible.
-fn e20_tenants(scale: Scale) -> Vec<(&'static str, wsf_server::TenantSpec)> {
-    use wsf_core::PolicyConfig;
-    use wsf_server::TenantSpec;
-    let tenant = |policy, processors, cache_lines, seed| TenantSpec {
-        policy,
-        processors,
-        cache_lines,
-        fork_policy: ForkPolicy::FutureFirst,
-        seed,
-    };
-    let mut tenants = vec![
-        (
-            "ws-half",
-            tenant(PolicyConfig::ws_half(0x2001), 4, 64, 0x2001),
-        ),
-        (
-            "ws-rr-eager",
-            tenant(PolicyConfig::rr_eager(), 2, 32, 0x2002),
-        ),
-    ];
-    if scale == Scale::Full {
-        tenants.push((
-            "ws-loaded-frugal",
-            tenant(PolicyConfig::loaded_frugal(), 8, 128, 0x2003),
-        ));
-        tenants.push((
-            "parsimonious",
-            tenant(PolicyConfig::parsimonious(4), 4, 64, 0x2004),
-        ));
-    }
-    tenants
-}
-
-/// Human-readable shape label for the E20 tables.
-fn e20_shape_label(spec: &wsf_workloads::submission::ShapeSpec) -> String {
-    use wsf_workloads::submission::ShapeSpec;
-    match *spec {
-        ShapeSpec::Mergesort { leaves } => format!("mergesort/{leaves}"),
-        ShapeSpec::Stencil { rows, width, steps } => {
-            format!("stencil/{rows}x{width}x{steps}")
-        }
-        ShapeSpec::Pipeline {
-            stages,
-            items,
-            window,
-            work,
-        } => format!("pipeline/{stages}x{items}w{window}k{work}"),
-    }
-}
-
-/// E20 — futures as a service: a real `wsf-server` instance is bound on a
-/// TCP loopback socket and driven through the wire protocol with a
-/// scripted zipfian multi-tenant mix of the workload-suite shapes
-/// (mergesort / stencil / batched pipeline). Every completion the server
-/// returns is checked against a local replay of the same (tenant, shape)
-/// cell on this process's simulator — the per-tenant deterministic-seed
-/// contract means the server's misses and deviations must equal the
-/// replay's exactly, no matter how submissions interleaved across
-/// executors on the way there. The tables keep only replay-determined
-/// columns (latency and throughput are printed to stderr), so they render
-/// byte-identically at every `--threads` setting and across runs.
-pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
-    use std::time::{Duration, Instant};
-    use wsf_server::{
-        AdmissionMode, BenchClient, LatencyRecorder, Server, ServerConfig, ZipfSampler, STATUS_OK,
-    };
-    use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
-
-    let tenants = e20_tenants(scale);
-    let shapes: [ShapeSpec; 3] = scale.pick(
-        ShapeSpec::smoke_mix(),
-        [
-            ShapeSpec::Mergesort { leaves: 256 },
-            ShapeSpec::Stencil {
-                rows: 16,
-                width: 32,
-                steps: 8,
-            },
-            ShapeSpec::Pipeline {
-                stages: 6,
-                items: 64,
-                window: 8,
-                work: 2,
-            },
-        ],
-    );
-    let total = scale.pick(24usize, 240);
-    let batch = 8usize;
-
-    let server = Server::bind_tcp(
-        "127.0.0.1:0",
-        ServerConfig {
-            runtime_threads: scale.pick(2, 4),
-            executors: 2,
-            admission: AdmissionMode::QueueAll,
-            tenants: tenants.iter().map(|&(_, t)| t).collect(),
-            fault_hooks: None,
-        },
-    )
-    .expect("bind E20 server");
-    let mut client =
-        BenchClient::connect_tcp(server.tcp_addr().expect("tcp addr")).expect("connect");
-
-    // The scripted zipfian schedule: tenant popularity is zipf(s = 1.1)
-    // over the roster, shapes cycle through the suite. Seeded, so the
-    // expected per-tenant tallies below replay the same script.
-    let mut zipf = ZipfSampler::new(tenants.len(), 1.1, 0xE20_5EED);
-    let schedule: Vec<(usize, usize)> = (0..total)
-        .map(|k| (zipf.sample(), k % shapes.len()))
-        .collect();
-
-    let started = Instant::now();
-    let mut staged: Vec<Vec<(u64, ShapeSpec)>> = vec![Vec::new(); tenants.len()];
-    for (k, &(t, s)) in schedule.iter().enumerate() {
-        staged[t].push((k as u64 + 1, shapes[s]));
-        if staged[t].len() == batch {
-            client.submit_batch(t as u64, &staged[t]).expect("submit");
-            staged[t].clear();
-        }
-    }
-    for (t, pending) in staged.iter().enumerate() {
-        if !pending.is_empty() {
-            client.submit_batch(t as u64, pending).expect("submit");
-        }
-    }
-
-    let mut completions = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while completions.len() < total {
-        assert!(
-            Instant::now() < deadline,
-            "E20 timed out at {}/{total} completions",
-            completions.len()
-        );
-        client
-            .recv_completions(&mut completions, Duration::from_secs(5))
-            .expect("recv completions");
-    }
-    let wall = started.elapsed();
-
-    // Ground truth: one local replay per (tenant, shape) cell.
-    let replay: Vec<Vec<(u64, u64)>> = tenants
-        .iter()
-        .map(|(_, tenant)| {
-            shapes
-                .iter()
-                .map(|shape| {
-                    let mut b = DagBuilder::new();
-                    let mut scratch = ShapeScratch::new();
-                    let dag = shape.build_into(&mut b, &mut scratch);
-                    let sim = ParallelSimulator::new(tenant.sim_config());
-                    let seq = sim.sequential(&dag);
-                    let mut sched = wsf_core::PolicyScheduler::new(tenant.policy);
-                    let report = sim.run_against(&dag, &seq, &mut sched, false);
-                    (report.cache_misses(), report.deviations())
-                })
-                .collect()
-        })
-        .collect();
-
-    // Check every completion against its cell's replay; aggregate per cell.
-    let mut subs = vec![vec![0u64; shapes.len()]; tenants.len()];
-    let mut matched = vec![vec![true; shapes.len()]; tenants.len()];
-    let mut latency = LatencyRecorder::new();
-    for c in &completions {
-        let k = (c.request_id - 1) as usize;
-        let (t, s) = schedule[k];
-        subs[t][s] += 1;
-        let (misses, deviations) = replay[t][s];
-        if c.status != STATUS_OK
-            || c.misses != misses
-            || c.deviations != deviations
-            || c.footprint != shapes[s].footprint()
-        {
-            matched[t][s] = false;
-        }
-        latency.record(c.micros);
-    }
-
-    let mut per_cell = Table::new(
-        format!(
-            "E20 / futures as a service — scripted zipfian mix ({total} submissions, \
-             {} tenants, TCP loopback), server vs local replay",
-            tenants.len()
-        ),
-        &[
-            "tenant",
-            "policy",
-            "P",
-            "C",
-            "shape",
-            "subs",
-            "footprint",
-            "misses/sub",
-            "devs/sub",
-            "server == replay",
-        ],
-    );
-    for (t, (name, tenant)) in tenants.iter().enumerate() {
-        for (s, shape) in shapes.iter().enumerate() {
-            let (misses, deviations) = replay[t][s];
-            per_cell.push_row(vec![
-                t.to_string(),
-                name.to_string(),
-                tenant.processors.to_string(),
-                tenant.cache_lines.to_string(),
-                e20_shape_label(shape),
-                subs[t][s].to_string(),
-                shape.footprint().to_string(),
-                misses.to_string(),
-                deviations.to_string(),
-                if matched[t][s] { "yes" } else { "NO" }.to_string(),
-            ]);
-        }
-    }
-
-    // Per-tenant accounting: the server's own tallies must equal the sums
-    // the schedule and the replay predict.
-    let mut summary = Table::new(
-        "E20 / per-tenant accounting — server tallies vs schedule × replay",
-        &[
-            "tenant",
-            "policy",
-            "sent",
-            "completed",
-            "shed",
-            "failed",
-            "inflight",
-            "misses",
-            "deviations",
-            "tallies match",
-        ],
-    );
-    for (t, (name, _)) in tenants.iter().enumerate() {
-        let sent: u64 = subs[t].iter().sum();
-        let misses: u64 = (0..shapes.len()).map(|s| subs[t][s] * replay[t][s].0).sum();
-        let deviations: u64 = (0..shapes.len()).map(|s| subs[t][s] * replay[t][s].1).sum();
-        let r = server.core().tenant_report(t);
-        let ok = r.completed == sent
-            && r.shed == 0
-            && r.failed == 0
-            && r.inflight == 0
-            && r.misses == misses
-            && r.deviations == deviations;
-        summary.push_row(vec![
-            t.to_string(),
-            name.to_string(),
-            sent.to_string(),
-            r.completed.to_string(),
-            r.shed.to_string(),
-            r.failed.to_string(),
-            r.inflight.to_string(),
-            r.misses.to_string(),
-            r.deviations.to_string(),
-            if ok { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-
-    // Latency and throughput are measured wall-clock quantities — honest
-    // but machine-dependent, so they go to stderr, never into the tables.
-    eprintln!(
-        "E20: {total} submissions in {wall:.2?} ({:.0} DAGs/sec), latency p50 {} us, \
-         p99 {} us, p999 {} us",
-        total as f64 / wall.as_secs_f64().max(1e-9),
-        latency.quantile(0.50),
-        latency.quantile(0.99),
-        latency.quantile(0.999),
-    );
-
-    let report = server.shutdown(Duration::from_secs(30));
-    assert!(report.drained, "E20 server failed to drain at shutdown");
-    vec![per_cell, summary]
-}
-
-fn fib_reference(n: u64) -> u64 {
-    let (mut a, mut b) = (0u64, 1u64);
-    for _ in 0..n {
-        let next = a + b;
-        a = b;
-        b = next;
-    }
-    a
-}
-
-/// One validated pool execution of the hardware-validation loop (E21):
-/// a preset-family DAG run on the real work-stealing pool at `processors`
-/// workers, its touch trace replayed and checked against the theorem
-/// bounds. Produced by [`e21_cells`]; the `hw_validate` bench bin archives
-/// these (with perf counters where available) in `BENCH_simulator.json`.
-#[derive(Clone, Debug)]
-pub struct HwValidationCell {
-    /// The workload family (`mergesort`, `stencil`, …).
-    pub family: &'static str,
-    /// Nodes in the DAG.
-    pub nodes: usize,
-    /// Distinct memory blocks of the DAG.
-    pub blocks: usize,
-    /// Pool workers the DAG was executed on.
-    pub processors: usize,
-    /// Which theorem's bounds apply (Thm 16/18 for the super-final
-    /// exchange stencils, Thm 12 otherwise).
-    pub bound_family: BoundFamily,
-    /// The trace-replay verdict over the executed schedule.
-    pub validation: TraceValidation,
-    /// Tasks acquired by steal during the execution (trace provenance).
-    pub steal_tasks: u64,
-    /// Chains respawned by the fault-rescue sweep (0 without injection).
-    pub rescued: usize,
-}
-
-/// The E21 workload matrix: the four Theorem-12 suite families (the
-/// exchange stencil twice, once per bound family), each sized so the
-/// theorem bounds exceed the node count — which makes every verdict
-/// structurally "yes" on *any* executed schedule, keeping the table
-/// byte-deterministic while the measured numbers vary run to run.
-pub fn e21_matrix(scale: Scale) -> Vec<(&'static str, Arc<Dag>, BoundFamily)> {
-    let (sort_shape, st, ex, bp) = scale.pick(
-        (
-            (64usize, 8usize),
-            (3usize, 2, 3),
-            (3usize, 2),
-            (3usize, 12, 4, 1),
-        ),
-        ((512, 16), (8, 8, 4), (4, 8), (4, 48, 8, 1)),
-    );
-    vec![
-        (
-            "mergesort",
-            Arc::new(sort::mergesort(sort_shape.0, sort_shape.1)),
-            BoundFamily::Thm12,
-        ),
-        (
-            "stencil",
-            Arc::new(stencil::stencil(st.0, st.1, st.2)),
-            BoundFamily::Thm12,
-        ),
-        (
-            "stencil_exchange/1",
-            Arc::new(stencil::stencil_exchange(ex.0, ex.1, 1)),
-            BoundFamily::Thm16,
-        ),
-        (
-            "stencil_exchange/2",
-            Arc::new(stencil::stencil_exchange(ex.0, ex.1, 2)),
-            BoundFamily::Thm18,
-        ),
-        (
-            "batched_pipeline",
-            Arc::new(backpressure::batched_pipeline(bp.0, bp.1, bp.2, bp.3)),
-            BoundFamily::Thm12,
-        ),
-    ]
-}
-
-/// Runs and validates one E21 cell: `dag` executed on a fresh traced pool
-/// of `processors` workers, `C = 16` per-worker private LRU caches. The
-/// `hw_validate` bin calls this directly so it can bracket each execution
-/// with a hardware miss counter.
-pub fn e21_cell(
-    family: &'static str,
-    dag: &Arc<Dag>,
-    processors: usize,
-    bound_family: BoundFamily,
-) -> HwValidationCell {
-    let c = 16usize;
-    let rt = Arc::new(
-        Runtime::builder()
-            .threads(processors)
-            .policy(SpawnPolicy::ChildFirst)
-            .touch_trace(4 * dag.num_nodes() + 64)
-            .build(),
-    );
-    let report = dag_exec::run_dag_on_pool(&rt, dag, ForkPolicy::FutureFirst);
-    let trace = rt.touch_trace().expect("tracing enabled");
-    let validation = validate_trace(
-        dag,
-        &trace,
-        ForkPolicy::FutureFirst,
-        c,
-        processors as u64,
-        bound_family,
-    );
-    // The structural determinism guarantee: with `nodes` at or below both
-    // bounds, no executed schedule can violate them (deviations and extra
-    // misses are each at most one per node).
-    assert!(
-        dag.num_nodes() as u64 <= validation.deviation_bound
-            && dag.num_nodes() as u64 <= validation.miss_bound,
-        "{family}: shape too large for deterministic verdicts \
-         ({} nodes, bounds {} / {})",
-        dag.num_nodes(),
-        validation.deviation_bound,
-        validation.miss_bound,
-    );
-    HwValidationCell {
-        family,
-        nodes: dag.num_nodes(),
-        blocks: dag.block_space(),
-        processors,
-        bound_family,
-        validation,
-        steal_tasks: trace.steal_tasks(),
-        rescued: report.rescued,
-    }
-}
-
-/// Runs the E21 matrix — every [`e21_matrix`] family on real pools at
-/// `P ∈ {1, 2, 4}` with tracing on — and validates each executed schedule.
-pub fn e21_cells(scale: Scale) -> Vec<HwValidationCell> {
-    let mut cells = Vec::new();
-    for (family, dag, bound_family) in e21_matrix(scale) {
-        for p in [1usize, 2, 4] {
-            cells.push(e21_cell(family, &dag, p, bound_family));
-        }
-    }
-    cells
-}
-
-/// E21 — the hardware-validation loop: the Theorem-12/16/18 suite
-/// families executed on the *real* work-stealing pool at `P ∈ {1, 2, 4}`,
-/// their block-touch traces replayed through the cache simulator and
-/// checked against the theorem bounds — bound verdicts over executed
-/// schedules rather than simulated ones.
-///
-/// The table is byte-deterministic at any `--threads` (shapes are sized so
-/// the bounds exceed the node count; see [`e21_matrix`]); the run-varying
-/// measurements — deviations, extra misses, steals — go to stderr, and the
-/// `hw_validate` bench bin archives them in `BENCH_simulator.json`.
-pub fn e21_hw_validate(scale: Scale) -> Vec<Table> {
-    let columns = [
-        "family",
-        "nodes",
-        "blocks",
-        "thm",
-        "P",
-        "T_inf",
-        "seq misses",
-        "dev bound",
-        "miss bound",
-        "p1",
-        "within",
-    ];
-    let mut t = Table::new(
-        "E21 / hardware-validation loop — executed schedules vs Theorems 12/16/18 (C = 16)",
-        &columns,
-    );
-    for cell in e21_cells(scale) {
-        let v = &cell.validation;
-        eprintln!(
-            "E21 {} P={}: deviations={} extra_misses={} runtime_misses={} \
-             steal_tasks={} rescued={} coverage={}",
-            cell.family,
-            cell.processors,
-            v.deviations,
-            v.extra_misses,
-            v.runtime_misses,
-            cell.steal_tasks,
-            cell.rescued,
-            v.coverage_ok,
-        );
-        t.push_row(vec![
-            cell.family.to_string(),
-            cell.nodes.to_string(),
-            cell.blocks.to_string(),
-            cell.bound_family.label().to_string(),
-            cell.processors.to_string(),
-            v.span.to_string(),
-            v.seq_misses.to_string(),
-            v.deviation_bound.to_string(),
-            v.miss_bound.to_string(),
-            match v.p1_exact {
-                Some(true) => "exact",
-                Some(false) => "DIVERGED",
-                None => "-",
-            }
-            .to_string(),
-            if v.within { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    vec![t]
-}
-
-/// Runs every experiment at the given scale.
+/// Runs every experiment of the [`registry`] at the given scale.
 pub fn run_all(scale: Scale) -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.extend(e1_thm8_upper(scale));
-    tables.extend(e2_thm9_lower(scale));
-    tables.extend(e3_thm10_parent_first(scale));
-    tables.extend(e4_unstructured(scale));
-    tables.extend(e5_local_touch(scale));
-    tables.extend(e6_super_final(scale));
-    tables.extend(e7_lemma4(scale));
-    tables.extend(e8_policy_comparison(scale));
-    tables.extend(e9_applications(scale));
-    tables.extend(e10_runtime(scale));
-    tables.extend(e11_bulk_sweep(scale));
-    tables.extend(e12_dnc_sort(scale));
-    tables.extend(e13_stencil(scale));
-    tables.extend(e14_backpressure(scale));
-    tables.extend(e15_cache_capacity(scale));
-    tables.extend(e16_exchange_stencil(scale));
-    tables.extend(e17_miss_ratio_curves(scale));
-    tables.extend(e18_streaming_epochs(scale));
-    tables.extend(e19_scheduler_tournament(scale));
-    tables.extend(e20_futures_service(scale));
-    tables.extend(e21_hw_validate(scale));
-    tables
+    registry()
+        .into_iter()
+        .flat_map(|(_, _, run)| run(scale))
+        .collect()
 }
 
 /// One experiment registry entry: id, description, runner.

@@ -33,11 +33,9 @@ use wsf_workloads::random::{random_single_touch, RandomConfig};
 
 /// The cache capacities a locality sweep evaluates.
 ///
-/// The seed experiments hard-coded C ∈ {16, 256, 4096, 32768} because each
-/// capacity cost a full re-simulation; with the one-pass
-/// [`capacity_sweep`] the evaluation grid is free, so the default is
-/// *dense* — every power of two from 2⁴ to 2²⁰ — and coarser grids are an
-/// explicit caller choice surfaced by [`CapacityGrid::truncation_note`].
+/// With the one-pass [`capacity_sweep`] the evaluation grid is free (one
+/// traced execution answers every capacity), so the full-scale grid is
+/// *dense* — every power of two from 2⁴ to 2²⁰.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CapacityGrid {
     capacities: Vec<usize>,
@@ -62,12 +60,6 @@ impl CapacityGrid {
         CapacityGrid::new((4..=20).map(|e| 1usize << e).collect())
     }
 
-    /// The seed experiments' coarse grid, C ∈ {16, 256, 4096, 32768}; kept
-    /// as the differential anchor against the per-capacity simulators.
-    pub fn legacy() -> Self {
-        CapacityGrid::new(vec![16, 256, 4096, 32768])
-    }
-
     /// The two-point grid the `Scale::Quick` smoke tests sweep.
     pub fn quick() -> Self {
         CapacityGrid::new(vec![16, 256])
@@ -86,39 +78,6 @@ impl CapacityGrid {
     /// Whether the grid has no points (never true for a constructed grid).
     pub fn is_empty(&self) -> bool {
         self.capacities.is_empty()
-    }
-
-    /// A caller-facing note when this grid is coarser than the dense
-    /// default — the harness prints it so truncated C-resolution is never
-    /// silent again.
-    pub fn truncation_note(&self) -> Option<String> {
-        let dense = Self::dense();
-        if self.capacities.len() < dense.capacities.len() {
-            Some(format!(
-                "note: capacity grid truncated to {} point(s) (dense default sweeps {})",
-                self.capacities.len(),
-                dense.capacities.len()
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// Parses a comma-separated capacity list (e.g. `16,256,4096`), for
-    /// the harness's `--capacities` flag.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let capacities: Vec<usize> = s
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad capacity {part:?}: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        if capacities.is_empty() || capacities.contains(&0) {
-            return Err("capacity grid must be non-empty and positive".into());
-        }
-        Ok(CapacityGrid::new(capacities))
     }
 }
 
@@ -215,9 +174,9 @@ pub struct CapacitySweep {
 /// identical at every `C`, and the per-processor access traces — hence the
 /// exact per-C miss counts, recovered here via the LRU inclusion property —
 /// are too. The differential suite in
-/// `crates/cache/tests/stack_distance_differential.rs` and the pinning
-/// test in `crates/analysis/tests/parallel_determinism.rs` hold this path
-/// to byte-identical tables against the per-capacity one.
+/// `crates/cache/tests/stack_distance_differential.rs` holds the curves,
+/// and this module's `capacity_sweep_matches_per_capacity_simulation` holds
+/// every field of the sweep, to per-capacity `ParallelSimulator` runs.
 pub fn capacity_sweep(
     dag: &Dag,
     fork_policy: ForkPolicy,
@@ -443,58 +402,81 @@ mod tests {
     use super::*;
 
     #[test]
-    fn capacity_grid_defaults_and_parse() {
+    fn capacity_grid_defaults() {
         assert_eq!(CapacityGrid::dense().len(), 17);
         assert_eq!(CapacityGrid::dense().capacities()[0], 16);
         assert_eq!(CapacityGrid::dense().capacities()[16], 1 << 20);
-        assert_eq!(CapacityGrid::legacy().capacities(), &[16, 256, 4096, 32768]);
-        assert!(CapacityGrid::dense().truncation_note().is_none());
-        let note = CapacityGrid::legacy().truncation_note().expect("coarse");
-        assert!(note.contains("truncated to 4"), "{note}");
+        assert_eq!(CapacityGrid::quick().capacities(), &[16, 256]);
         assert!(!CapacityGrid::quick().is_empty());
-
-        let parsed = CapacityGrid::parse("16, 256,4096").expect("parses");
-        assert_eq!(parsed.capacities(), &[16, 256, 4096]);
-        assert!(CapacityGrid::parse("").is_err());
-        assert!(CapacityGrid::parse("16,zero").is_err());
-        assert!(CapacityGrid::parse("16,0").is_err());
     }
 
     #[test]
     fn capacity_sweep_matches_per_capacity_simulation() {
-        // The local exactness check behind the one-pass E15/E16 path: the
-        // single traced execution's curve reproduces the per-capacity
-        // simulators' miss counts at every legacy capacity. (The
-        // full-table byte-identity pin lives in
-        // tests/parallel_determinism.rs.)
-        let dag = wsf_workloads::sort::mergesort(64, 8);
+        // The exactness oracle behind every table built on `capacity_sweep`
+        // (E12, E13, E15–E18): each field of the one traced execution —
+        // and its curve read at C — equals a `ParallelSimulator` run
+        // configured with `cache_lines = C`. Both bound families are held
+        // to it: the Theorem-12 mergesort, and the Theorem-16/18
+        // symmetric-exchange stencils (super final node; `steps = 1` and
+        // `steps > 1`), each at capacities on both sides of its working
+        // set.
+        use wsf_workloads::{sort, stencil};
         let schedulers = [PolicySpec::ws_random(), PolicySpec::parsimonious()];
-        let sweep = capacity_sweep(&dag, ForkPolicy::FutureFirst, &[2], &schedulers);
-        assert_eq!(sweep.runs.len(), 2);
-        for &c in CapacityGrid::legacy().capacities() {
-            let base = SimConfig {
-                cache_lines: c,
-                fork_policy: ForkPolicy::FutureFirst,
-                ..SimConfig::default()
-            };
-            let sim = ParallelSimulator::new(base);
-            let seq = sim.sequential(&dag);
-            assert_eq!(sweep.seq_curve.misses_at(c), seq.cache_misses());
-            for (run, scheduler) in sweep.runs.iter().zip(schedulers) {
-                let cfg = SimConfig {
-                    processors: 2,
-                    ..base
+        let processors = [2usize, 4];
+        for dag in [
+            sort::mergesort(64, 8),
+            stencil::stencil_exchange(4, 8, 1),
+            stencil::stencil_exchange(4, 8, 3),
+        ] {
+            let blocks = dag.block_space();
+            assert!(
+                blocks > 17,
+                "working set must straddle the small capacities"
+            );
+            let sweep = capacity_sweep(&dag, ForkPolicy::FutureFirst, &processors, &schedulers);
+            assert_eq!(sweep.runs.len(), processors.len() * schedulers.len());
+            assert_eq!(sweep.span, span(&dag));
+            for c in [
+                1,
+                4,
+                16,
+                17,
+                blocks - 1,
+                blocks,
+                blocks + 1,
+                256,
+                4096,
+                32768,
+            ] {
+                let base = SimConfig {
+                    cache_lines: c,
+                    fork_policy: ForkPolicy::FutureFirst,
+                    ..SimConfig::default()
                 };
-                let mut s = scheduler.instantiate(cfg.seed);
-                let rep = ParallelSimulator::new(cfg).run_against(&dag, &seq, &mut s, false);
-                assert_eq!(run.deviations, rep.deviations());
-                assert_eq!(run.steals, rep.steals());
-                assert_eq!(run.makespan, rep.makespan);
-                assert_eq!(run.curve.misses_at(c), rep.cache_misses(), "C = {c}");
-                assert_eq!(
-                    run.additional_misses_at(&sweep.seq_curve, c),
-                    rep.additional_misses(&seq)
-                );
+                let seq = ParallelSimulator::new(base).sequential(&dag);
+                assert_eq!(sweep.seq_curve.misses_at(c), seq.cache_misses());
+                let mut runs = sweep.runs.iter();
+                for &p in &processors {
+                    for scheduler in schedulers {
+                        let run = runs.next().expect("one run per (P, scheduler)");
+                        assert_eq!((run.processors, run.scheduler), (p, scheduler));
+                        let cfg = SimConfig {
+                            processors: p,
+                            ..base
+                        };
+                        let mut s = scheduler.instantiate(cfg.seed);
+                        let rep =
+                            ParallelSimulator::new(cfg).run_against(&dag, &seq, &mut s, false);
+                        assert_eq!(run.deviations, rep.deviations());
+                        assert_eq!(run.steals, rep.steals());
+                        assert_eq!(run.makespan, rep.makespan);
+                        assert_eq!(run.curve.misses_at(c), rep.cache_misses(), "C = {c}");
+                        assert_eq!(
+                            run.additional_misses_at(&sweep.seq_curve, c),
+                            rep.additional_misses(&seq)
+                        );
+                    }
+                }
             }
         }
     }

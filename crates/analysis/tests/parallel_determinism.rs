@@ -10,9 +10,7 @@
 //! the `threads = 1` baseline into a sharded run and make the comparison
 //! vacuous.
 
-use wsf_analysis::{
-    experiments, seed_sweep, set_threads, CapacityGrid, PolicySpec, Scale, SweepConfig,
-};
+use wsf_analysis::{registry, seed_sweep, set_threads, PolicySpec, Scale, SweepConfig};
 use wsf_core::ForkPolicy;
 
 fn render_sweep(threads: usize, seeds: Vec<u64>, policies: Vec<ForkPolicy>) -> String {
@@ -46,124 +44,22 @@ fn sweeps_and_experiments_are_byte_identical_across_thread_counts() {
     let oversubscribed = render_sweep(16, seeds, policies);
     assert_eq!(sequential, oversubscribed);
 
-    // The sharded experiments (E1, E5, E6, E8, E9 and the Theorem-12/16/18
-    // suites E12–E16) re-assemble their rows in input order; their rendered
-    // tables must not depend on threads. For E12–E16 this is the issues'
-    // acceptance contract: the measured workload tables are byte-identical
-    // at every `--threads` setting (E15/E16 additionally exercise the
-    // large-capacity indexed cache models, E16 over the super-final
-    // symmetric-exchange stencils). E18 runs the real crash-recovery
-    // engine under an injected fault schedule and keeps only
-    // commit-log-derived columns in its tables, so it too must render the
-    // same bytes regardless of sharding threads or fault timing.
-    let runners: Vec<fn(Scale) -> Vec<wsf_analysis::Table>> = vec![
-        experiments::e1_thm8_upper,
-        experiments::e5_local_touch,
-        experiments::e6_super_final,
-        experiments::e8_policy_comparison,
-        experiments::e9_applications,
-        experiments::e12_dnc_sort,
-        experiments::e13_stencil,
-        experiments::e14_backpressure,
-        experiments::e15_cache_capacity,
-        experiments::e16_exchange_stencil,
-        experiments::e17_miss_ratio_curves,
-        experiments::e18_streaming_epochs,
-        experiments::e19_scheduler_tournament,
-        // E20 drives a real TCP server; its tables keep only columns
-        // determined by the scripted schedule and the per-tenant replay
-        // (latency goes to stderr), so they too must render identically.
-        experiments::e20_futures_service,
-        // E21 executes DAGs on the real pool; its tables keep only the
-        // structural columns (shape, bounds, verdicts — guaranteed for
-        // any executed schedule of these sizes), with the measured
-        // deviation/miss numbers on stderr, so they too must render
-        // identically.
-        experiments::e21_hw_validate,
-    ];
-    for runner in runners {
+    // Every registered experiment re-assembles its sharded rows in input
+    // order, so its rendered tables must not depend on threads. E18 (the
+    // crash-recovery engine under an injected fault schedule), E20 (a real
+    // TCP server) and E21 (DAGs on the real pool) keep only columns
+    // determined by the commit log, the scripted schedule and the shapes —
+    // run-varying measurements go to stderr — so they are held to the same
+    // bytes. Only E10 is exempt: its table reports wall time.
+    for (id, _, runner) in registry() {
+        if id == "e10" {
+            continue;
+        }
         set_threads(1);
         let sequential: Vec<String> = runner(Scale::Quick).iter().map(|t| t.render()).collect();
         set_threads(4);
         let sharded: Vec<String> = runner(Scale::Quick).iter().map(|t| t.render()).collect();
         set_threads(0);
-        assert_eq!(sequential, sharded);
+        assert_eq!(sequential, sharded, "{id}");
     }
-
-    // The one-pass E15/E16 paths over the dense grid: still byte-identical
-    // at every thread count (each family/shape is one shard; a denser grid
-    // adds rows, not shards).
-    let dense = CapacityGrid::dense();
-    for grid_runner in [
-        experiments::e15_cache_capacity_with_grid,
-        experiments::e16_exchange_stencil_with_grid,
-    ] {
-        set_threads(1);
-        let sequential: Vec<String> = grid_runner(Scale::Quick, &dense)
-            .iter()
-            .map(|t| t.render())
-            .collect();
-        set_threads(4);
-        let sharded: Vec<String> = grid_runner(Scale::Quick, &dense)
-            .iter()
-            .map(|t| t.render())
-            .collect();
-        set_threads(0);
-        assert_eq!(sequential, sharded);
-    }
-
-    // The regression pin behind replacing the per-capacity loops: on the
-    // legacy 4-capacity grid the one-pass rows must be *byte-identical* to
-    // the seed per-capacity simulation rows (titles differ — the one-pass
-    // title names its grid — so the comparison is row-wise).
-    set_threads(1);
-    let legacy = CapacityGrid::legacy();
-    type GridRunner = fn(Scale, &CapacityGrid) -> Vec<wsf_analysis::Table>;
-    let pairs: [(GridRunner, GridRunner); 2] = [
-        (
-            experiments::e15_cache_capacity_with_grid,
-            experiments::e15_cache_capacity_per_c,
-        ),
-        (
-            experiments::e16_exchange_stencil_with_grid,
-            experiments::e16_exchange_stencil_per_c,
-        ),
-    ];
-    for (one_pass, per_c) in pairs {
-        let one_pass_rows: Vec<_> = one_pass(Scale::Quick, &legacy)
-            .into_iter()
-            .flat_map(|t| t.rows)
-            .collect();
-        let per_c_rows: Vec<_> = per_c(Scale::Quick, &legacy)
-            .into_iter()
-            .flat_map(|t| t.rows)
-            .collect();
-        assert!(!one_pass_rows.is_empty());
-        assert_eq!(
-            one_pass_rows, per_c_rows,
-            "one-pass sweep rows must be byte-identical to per-capacity simulation"
-        );
-    }
-    set_threads(0);
-}
-
-/// The full-scale version of the row pin above — the acceptance criterion
-/// verbatim (one-pass E15 at the legacy 4 capacities reproduces the seed
-/// tables byte-identically at `Scale::Full`). Minutes-long; run with
-/// `cargo test -p wsf-analysis -- --ignored`. Uses whatever thread count
-/// is configured (the pin above already proves thread-independence).
-#[test]
-#[ignore = "full-scale E15 re-simulation; minutes-long"]
-fn full_scale_one_pass_e15_matches_per_capacity_rows() {
-    let legacy = CapacityGrid::legacy();
-    let one_pass: Vec<_> = experiments::e15_cache_capacity_with_grid(Scale::Full, &legacy)
-        .into_iter()
-        .flat_map(|t| t.rows)
-        .collect();
-    let per_c: Vec<_> = experiments::e15_cache_capacity_per_c(Scale::Full, &legacy)
-        .into_iter()
-        .flat_map(|t| t.rows)
-        .collect();
-    assert!(!one_pass.is_empty());
-    assert_eq!(one_pass, per_c);
 }

@@ -2,12 +2,13 @@
 //! LRU/FIFO against the O(1) indexed arena (hash and direct-mapped block
 //! index), at capacities from the paper's C = 16 up to 32K lines.
 //!
-//! The ISSUE-4 acceptance numbers come from here (via `bench_json`'s
-//! `cache_*` fields): ≥ 10x per-access speedup at C = 4096 and no
-//! regression at C = 16 (where the adaptive constructor keeps the scan
-//! representation — the `adaptive/16` and `scan/16` rows must be equal to
-//! noise). `WSF_BENCH_SMOKE=1` shrinks the trace lengths so CI can execute
-//! one fast iteration of every row.
+//! The ISSUE-4 acceptance numbers come from here (archived as the
+//! `cache_*` fields of `BENCH_simulator.json`; live per-access costs are
+//! the `benchmark/` crate's `cache.*` rows): ≥ 10x per-access speedup at
+//! C = 4096 and no regression at C = 16 (where the adaptive constructor
+//! keeps the scan representation — the `adaptive/16` and `scan/16` rows
+//! must be equal to noise). `WSF_BENCH_SMOKE=1` shrinks the trace lengths
+//! so CI can execute one fast iteration of every row.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -20,8 +21,8 @@ fn smoke() -> bool {
 
 fn cache_model(c: &mut Criterion) {
     // Trace lengths are scaled down for the scan representation at large C
-    // (each access costs O(C) there); criterion reports per-iteration times
-    // and `bench_json` converts to ns/access.
+    // (each access costs O(C) there); criterion reports per-iteration
+    // times, not ns/access.
     let capacities: &[usize] = if smoke() {
         &[16, 4096]
     } else {

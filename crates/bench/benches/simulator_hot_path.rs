@@ -4,9 +4,10 @@
 //! (push/steal throughput vs the old mutex queue).
 //!
 //! `WSF_BENCH_SMOKE=1` shrinks every size so CI can execute one fast
-//! iteration of each benchmark; `cargo run -p wsf-bench --bin bench_json`
-//! produces the machine-readable numbers archived in
-//! `BENCH_simulator.json`.
+//! iteration of each benchmark. Machine-readable numbers for the same
+//! paths come from the `benchmark/` crate (`core.sim.steps_per_s`,
+//! `analysis.*`, `deque.injector.*`); `BENCH_simulator.json` is the frozen
+//! PR 2–10 archive.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;

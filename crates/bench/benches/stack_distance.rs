@@ -4,8 +4,8 @@
 //! One `StackDistanceSim` pass answers *every* capacity at once, so the
 //! honest comparison is `stack_distance/one_pass` against the **sum** of
 //! the `cache_sim/c*` rows over the capacities a sweep would re-simulate.
-//! `bench_json`'s `stack_distance_ns_per_access` and `e15_one_pass_*`
-//! fields record the end-to-end version of the same comparison.
+//! The end-to-end version of the same comparison is the `benchmark/`
+//! crate's `cache.stack_distance.ns_per_access` and `analysis.e15_s` rows.
 //! `WSF_BENCH_SMOKE=1` shrinks traces and capacities for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};

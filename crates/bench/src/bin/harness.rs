@@ -2,9 +2,8 @@
 //! `docs/EXPERIMENTS.md`.
 //!
 //! ```text
-//! harness [--quick] [--threads N] [--capacities C1,C2,...]
-//!         [--schedulers S1,S2,...] [--patience P1,P2,...]
-//!         [all|e1|e2|...|e21]...
+//! harness [--quick] [--threads N] [--schedulers S1,S2,...]
+//!         [--patience P1,P2,...] [all|e1|e2|...|e21]...
 //! ```
 //!
 //! With no experiment ids, all experiments run. `--quick` uses the reduced
@@ -12,103 +11,95 @@
 //! full sweep reported in `docs/EXPERIMENTS.md`. `--threads N` (or the
 //! `WSF_THREADS` environment variable) shards the sweeps across N worker
 //! threads; the tables are byte-identical at every thread count.
-//! `--capacities` overrides the cache-capacity grid of the one-pass
-//! locality sweeps (E15/E16/E17); the default is the dense 2^4…2^20 grid,
-//! and a coarser override is flagged with a truncation note so a sparse
-//! run cannot silently pose as the full sweep. `--schedulers` narrows the
-//! E19 tournament to an explicit policy list (`PolicySpec` syntax:
-//! `ws-half`, `loaded+half+p16`, `random@7+cache`, …); `--patience`
-//! instead re-enumerates the full grid over a caller-chosen patience axis.
-//! The two compose last-one-wins, and any set narrower than the default
-//! 80-point grid is flagged with the same style of truncation note.
+//! `--schedulers` narrows the E19 tournament to an explicit policy list
+//! (`PolicySpec` syntax: `ws-half`, `loaded+half+p16`, `random@7+cache`,
+//! …); `--patience` instead re-enumerates the full grid over a
+//! caller-chosen patience axis. The two compose last-one-wins, and any set
+//! narrower than the default 80-point grid is flagged with a truncation
+//! note. Any other `--flag` is rejected (exit status 2).
 
 use wsf_analysis::{
-    experiments, policy_space, policy_space_with, registry, set_threads, CapacityGrid, PolicySpec,
-    Scale, Table,
+    experiments, policy_space, policy_space_with, registry, set_threads, PolicySpec, Scale,
 };
 
-/// A gridded experiment runner: the one-pass locality sweeps take the
-/// capacity grid as a parameter.
-type GridRunner = fn(Scale, &CapacityGrid) -> Vec<Table>;
+const USAGE: &str = "usage: harness [--quick] [--threads N] [--schedulers S1,S2,...] \
+                     [--patience P1,P2,...] [all|e1|e2|...|e21]...";
+
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    scale: Scale,
+    threads: Option<usize>,
+    /// The E19 policy set, when `--schedulers`/`--patience` chose one.
+    specs: Option<Vec<PolicySpec>>,
+    /// Lower-cased experiment ids; empty means all.
+    wanted: Vec<String>,
+}
 
 /// Parses the `--patience` axis: a non-empty comma-separated `u32` list.
 fn parse_patience(s: &str) -> Result<Vec<u32>, String> {
-    let axis: Vec<u32> = s
-        .split(',')
+    s.split(',')
         .map(|tok| {
             let tok = tok.trim();
             tok.parse::<u32>()
                 .map_err(|e| format!("bad patience {tok:?}: {e}"))
         })
-        .collect::<Result<_, _>>()?;
-    if axis.is_empty() {
-        return Err("patience list must be non-empty".into());
+        .collect()
+}
+
+/// Parses the arguments after the program name. Valued flags take the
+/// next argument (last occurrence wins); an unknown flag is an error
+/// rather than something to skip — its value would otherwise be taken for
+/// an experiment id.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        scale: Scale::Full,
+        threads: None,
+        specs: None,
+        wanted: Vec::new(),
+    };
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--quick" | "-q" => options.scale = Scale::Quick,
+            "--threads" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => options.threads = Some(n),
+                _ => return Err("--threads requires a positive integer".into()),
+            },
+            "--schedulers" => {
+                let list = iter.next().ok_or(
+                    "--schedulers requires a comma-separated policy list, e.g. \
+                     ws-random,ws-half,loaded+half+p16",
+                )?;
+                options.specs = Some(PolicySpec::parse_list(list)?);
+            }
+            "--patience" => {
+                let axis = iter
+                    .next()
+                    .ok_or("--patience requires a comma-separated list, e.g. 0,1,4,16")?;
+                let axis = parse_patience(axis).map_err(|e| format!("--patience: {e}"))?;
+                options.specs = Some(policy_space_with(&axis));
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            id => options.wanted.push(id.to_lowercase()),
+        }
     }
-    Ok(axis)
+    Ok(options)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    // Single pass: consume `--threads N` / `--capacities LIST` /
-    // `--schedulers LIST` / `--patience LIST` (last occurrence wins) and
-    // collect the experiment ids.
-    let mut wanted: Vec<String> = Vec::new();
-    let mut grid: Option<CapacityGrid> = None;
-    let mut specs: Option<Vec<PolicySpec>> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => set_threads(n),
-                _ => {
-                    eprintln!("--threads requires a positive integer");
-                    std::process::exit(2);
-                }
-            }
-        } else if arg == "--capacities" {
-            match iter.next().map(|v| CapacityGrid::parse(v)) {
-                Some(Ok(g)) => grid = Some(g),
-                Some(Err(e)) => {
-                    eprintln!("--capacities: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--capacities requires a comma-separated list, e.g. 16,256,4096");
-                    std::process::exit(2);
-                }
-            }
-        } else if arg == "--schedulers" {
-            match iter.next().map(|v| PolicySpec::parse_list(v)) {
-                Some(Ok(list)) => specs = Some(list),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!(
-                        "--schedulers requires a comma-separated policy list, e.g. \
-                         ws-random,ws-half,loaded+half+p16"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        } else if arg == "--patience" {
-            match iter.next().map(|v| parse_patience(v)) {
-                Some(Ok(axis)) => specs = Some(policy_space_with(&axis)),
-                Some(Err(e)) => {
-                    eprintln!("--patience: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--patience requires a comma-separated list, e.g. 0,1,4,16");
-                    std::process::exit(2);
-                }
-            }
-        } else if !arg.starts_with('-') {
-            wanted.push(arg.to_lowercase());
-        }
+    let Options {
+        scale,
+        threads,
+        specs,
+        wanted,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if let Some(n) = threads {
+        set_threads(n);
     }
     let run_all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
 
@@ -117,12 +108,9 @@ fn main() {
         "# scale: {:?}; run `harness --quick` for the reduced sweeps\n",
         scale
     );
-    if let Some(note) = grid.as_ref().and_then(|g| g.truncation_note()) {
-        eprintln!("{note}");
-    }
     if let Some(s) = specs.as_ref() {
-        // Mirror the `--capacities` convention: a set narrower than the
-        // default grid cannot silently pose as the full tournament.
+        // A set narrower than the default grid cannot silently pose as
+        // the full tournament.
         let default_points = policy_space().len();
         if s.len() < default_points {
             eprintln!(
@@ -134,14 +122,6 @@ fn main() {
         }
     }
 
-    // The one-pass locality sweeps accept a capacity grid; everything else
-    // ignores `--capacities`.
-    let gridded: [(&str, GridRunner); 3] = [
-        ("e15", experiments::e15_cache_capacity_with_grid),
-        ("e16", experiments::e16_exchange_stencil_with_grid),
-        ("e17", experiments::e17_miss_ratio_curves_with_grid),
-    ];
-
     let mut ran = 0;
     for (id, description, runner) in registry() {
         if !run_all && !wanted.iter().any(|w| w == id) {
@@ -149,15 +129,11 @@ fn main() {
         }
         println!("## {} — {}\n", id.to_uppercase(), description);
         let start = std::time::Instant::now();
-        let grid_runner = gridded.iter().find(|(gid, _)| *gid == id).map(|(_, r)| *r);
-        let tables = match (&grid, grid_runner) {
-            (Some(g), Some(r)) => r(scale, g),
-            // The tournament takes the policy set as a parameter; every
-            // other experiment ignores `--schedulers`/`--patience`.
-            _ => match (&specs, id) {
-                (Some(s), "e19") => experiments::e19_scheduler_tournament_with_specs(scale, s),
-                _ => runner(scale),
-            },
+        // The tournament takes the policy set as a parameter; every other
+        // experiment ignores `--schedulers`/`--patience`.
+        let tables = match (&specs, id) {
+            (Some(s), "e19") => experiments::e19_scheduler_tournament_with_specs(scale, s),
+            _ => runner(scale),
         };
         for table in tables {
             println!("{table}");
@@ -172,5 +148,81 @@ fn main() {
             eprintln!("  {id:4} {description}");
         }
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_to_every_experiment_at_full_scale() {
+        let options = parse(&[]).expect("no arguments is valid");
+        assert_eq!(
+            options,
+            Options {
+                scale: Scale::Full,
+                threads: None,
+                specs: None,
+                wanted: vec![],
+            }
+        );
+    }
+
+    #[test]
+    fn flags_and_ids_may_interleave() {
+        let options = parse(&["E15", "--threads", "4", "-q", "e2"]).expect("valid");
+        assert_eq!(options.scale, Scale::Quick);
+        assert_eq!(options.threads, Some(4));
+        assert_eq!(options.wanted, ["e15", "e2"]);
+        assert_eq!(parse(&["--quick"]).expect("valid").scale, Scale::Quick);
+    }
+
+    #[test]
+    fn policy_flags_compose_last_one_wins() {
+        let listed = parse(&["--patience", "0,4", "--schedulers", "ws-random,ws-half"])
+            .expect("valid")
+            .specs
+            .expect("a policy set");
+        assert_eq!(listed, [PolicySpec::ws_random(), PolicySpec::ws_half()]);
+        let axis = parse(&["--schedulers", "ws-half", "--patience", "0,4"])
+            .expect("valid")
+            .specs
+            .expect("a policy set");
+        assert_eq!(axis, policy_space_with(&[0, 4]));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_not_skipped() {
+        // Before the fix `--thread 4` ran experiment "4" (nothing), and a
+        // stale `--capacities 16,256` was silently ignored.
+        for args in [
+            &["--thread", "4"][..],
+            &["--capacities", "16,256", "e15"],
+            &["e1", "-x"],
+        ] {
+            let err = parse(args).expect_err("unknown flag");
+            assert!(err.starts_with("unknown flag"), "{err}");
+        }
+    }
+
+    #[test]
+    fn valued_flags_need_well_formed_values() {
+        for args in [
+            &["--threads"][..],
+            &["--threads", "0"],
+            &["--threads", "many"],
+            &["--schedulers"],
+            &["--schedulers", "no-such-policy"],
+            &["--patience"],
+            &["--patience", "1,x"],
+            &["--patience", ""],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
     }
 }

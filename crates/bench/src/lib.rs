@@ -35,8 +35,8 @@ pub mod sizes {
 }
 
 /// Shared workload of the cache-model measurements: one definition feeds
-/// both the `cache_model` criterion bench and `bench_json`'s `cache_*`
-/// rows, so the two always measure the same protocol.
+/// the `cache_model` and `stack_distance` criterion benches, so the two
+/// always measure the same protocol.
 pub mod cache_bench {
     use wsf_cache::Cache;
 

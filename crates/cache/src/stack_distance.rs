@@ -452,8 +452,7 @@ impl MissRatioCurve {
     }
 
     /// One JSON object (a single line) with the curve evaluated at
-    /// `capacities` — the row format `bench_json` and the experiment
-    /// artifacts use.
+    /// `capacities` — the row format the experiment artifacts use.
     pub fn to_json_row(&self, label: &str, capacities: &[usize]) -> String {
         let mut row = format!(
             "{{ \"label\": \"{label}\", \"accesses\": {}, \"cold_misses\": {}, \"points\": [",

@@ -7,43 +7,12 @@
 //! the DAG size and step count*, which is only possible if zero
 //! allocations happen per step.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use wsf_core::{ParallelSimulator, RandomScheduler, SimConfig, SimScratch};
 use wsf_workloads::random::{random_single_touch, RandomConfig};
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator plus a per-thread allocation counter (per-thread so
-/// the test harness's other threads cannot disturb the measurement).
-struct CountingAlloc;
-
-// SAFETY: delegates directly to `System`; the counter update allocates
-// nothing (a `const`-initialized thread-local `Cell<u64>`).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::thread_allocs as allocs;
 
 /// Runs the simulator once with `scratch` and returns how many allocations
 /// the run performed on this thread.

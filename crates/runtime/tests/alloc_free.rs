@@ -13,43 +13,15 @@
 //! file holds a single test function: nothing else may run concurrently
 //! in this binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsf_core::ForkPolicy;
 use wsf_runtime::{Runtime, SpawnPolicy, TaskOrigin, TouchEvent, TouchTrace};
 use wsf_workloads::dag_exec::run_dag_on_pool;
 use wsf_workloads::sort;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator plus a process-global allocation counter.
-struct CountingAlloc;
-
-// SAFETY: delegates directly to `System`; the counter update allocates
-// nothing (a static atomic).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::process_allocs as allocs;
 
 #[test]
 fn recording_allocates_only_during_the_construction_reserve() {

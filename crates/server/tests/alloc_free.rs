@@ -26,8 +26,6 @@
 //! the *ingest* path, per the counting-allocator convention of measuring
 //! only the current thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use wsf_server::{
@@ -36,38 +34,9 @@ use wsf_server::{
 };
 use wsf_workloads::submission::ShapeSpec;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator plus a per-thread allocation counter (per-thread so
-/// the executor threads cannot disturb the measurement).
-struct CountingAlloc;
-
-// SAFETY: delegates directly to `System`; the counter update allocates
-// nothing (a `const`-initialized thread-local `Cell<u64>`).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::thread_allocs as allocs;
 
 /// Zero-allocation rounds required before the steady state counts as
 /// reached: > `SEG_CAP` (64) / submissions-per-round (3), so the streak is

@@ -96,6 +96,13 @@ impl Ctx {
             self.rt
                 .trace_node(node.0, self.dag.block_of(node).map(|b| b.0));
             ran += 1;
+            // Counted *before* any child is enabled: the `AcqRel`
+            // decrements below publish this increment to whichever thread
+            // enables a descendant, and so — through the `done` mutex — to
+            // the caller. Counting after them let a co-parent's thread run
+            // the final node and signal `done` while this node was still
+            // uncounted.
+            self.executed.fetch_add(1, Ordering::Relaxed);
 
             let mut enabled = [NodeId(0); 2];
             let mut n_enabled = 0;
@@ -106,7 +113,6 @@ impl Ctx {
                     n_enabled += 1;
                 }
             }
-            self.executed.fetch_add(1, Ordering::Relaxed);
             if node == self.dag.final_node() {
                 // Every node precedes the final node, so the DAG is done.
                 let mut done = self.done.lock().expect("done lock");
@@ -226,7 +232,11 @@ pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) ->
     }
 
     report.nodes_executed = ctx.executed.load(Ordering::Relaxed);
-    debug_assert_eq!(report.nodes_executed, dag.num_nodes());
+    assert_eq!(
+        report.nodes_executed,
+        dag.num_nodes(),
+        "the final node ran before every node was counted"
+    );
     report
 }
 

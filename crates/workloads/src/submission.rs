@@ -7,7 +7,11 @@
 //! flat little-endian `u64` words and cheap enough to rebuild on the server
 //! without allocating.
 //!
-//! Three properties distinguish these from the suite builders they mirror:
+//! Each family is node-for-node equal to the suite builder it mirrors —
+//! same node ids, threads, edges and `block_of`, with `Mergesort { leaves }`
+//! equal to `sort::mergesort(leaves, 1)` — which
+//! `tests/submission_differential.rs` checks over a parameter grid. Three
+//! properties distinguish these from the suite builders:
 //!
 //! * **flat-`u64` codec** — [`ShapeSpec::encode`]/[`ShapeSpec::decode`]
 //!   round-trip through the word stream the server's framing layer carries;
