@@ -11,7 +11,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use wsf_bench::{simulate, sizes};
-use wsf_core::{ForkPolicy, ParallelSimulator, ParsimoniousScheduler, SimConfig, SimScratch};
+use wsf_core::{
+    ForkPolicy, ParallelSimulator, PolicyConfig, PolicyScheduler, SimConfig, SimScratch,
+};
 use wsf_workloads::backpressure::batched_pipeline;
 use wsf_workloads::sort::{mergesort, mergesort_streaming};
 use wsf_workloads::stencil::{stencil, stencil_exchange};
@@ -61,7 +63,7 @@ fn simulate_suite(c: &mut Criterion) {
         let mut scratch = SimScratch::new();
         group.bench_function(format!("{name}/parsimonious_p4"), |b| {
             b.iter(|| {
-                let mut sched = ParsimoniousScheduler::new(4);
+                let mut sched = PolicyScheduler::new(PolicyConfig::parsimonious(4));
                 sim.run_with_scratch(dag, &seq, &mut sched, false, &mut scratch)
                     .steals()
             })

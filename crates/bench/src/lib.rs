@@ -1,13 +1,19 @@
 //! # wsf-bench — benchmark harness
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! * the `harness` binary (`cargo run -p wsf-bench --bin harness --release`)
-//!   regenerates every experiment table (E1–E16 of `docs/DESIGN.md`), i.e.
+//!   regenerates every experiment table (E1–E21 of `docs/DESIGN.md`), i.e.
 //!   the quantitative content of each theorem and figure of the paper;
+//! * the `hw_validate` binary brackets the E21 matrix with hardware
+//!   cache-miss counters where the machine exposes them;
 //! * the Criterion benches (`cargo bench -p wsf-bench`) measure the cost of
-//!   the simulator, the workload generators and the real runtime on the
-//!   same workloads, one bench target per experiment.
+//!   the simulator, the cache models, the workload generators and the real
+//!   runtime, grouped by the theorem or layer they exercise.
+//!
+//! End-to-end and per-layer performance numbers (served requests, table
+//! regeneration, pool execution) come from the standalone `benchmark/`
+//! crate, not from here.
 //!
 //! This library holds the small shared helpers used by both.
 

@@ -60,9 +60,8 @@ pub use policy::ForkPolicy;
 pub use ready::{schedule_enabled, Continuation, ReadyTracker};
 pub use report::{ExecutionReport, ProcStats, SeqReport, TraceEvent};
 pub use scheduler::{
-    GreedyScheduler, ParsimoniousScheduler, PolicyConfig, PolicyScheduler, RandomScheduler,
-    Scheduler, ScriptedScheduler, SleepDirective, StealAmount, StealContext, VictimOrder,
-    WakeCondition,
+    PolicyConfig, PolicyScheduler, RandomScheduler, Scheduler, ScriptedScheduler, SleepDirective,
+    StealAmount, StealContext, VictimOrder, WakeCondition,
 };
 pub use scratch::SimScratch;
 pub use sequential::SequentialExecutor;

@@ -345,7 +345,7 @@ impl ParallelSimulator {
 mod tests {
     use super::*;
     use crate::policy::ForkPolicy;
-    use crate::scheduler::GreedyScheduler;
+    use crate::scheduler::{PolicyConfig, PolicyScheduler};
     use wsf_dag::{Block, DagBuilder};
 
     /// A balanced fork-join tree of depth `depth` where every leaf touches a
@@ -387,7 +387,7 @@ mod tests {
         };
         let sim = ParallelSimulator::new(config);
         let seq = sim.sequential(&dag);
-        let mut sched = GreedyScheduler;
+        let mut sched = PolicyScheduler::new(PolicyConfig::parsimonious(0));
         let report = sim.run_against(&dag, &seq, &mut sched, true);
 
         assert!(report.completed);
@@ -486,7 +486,7 @@ mod tests {
         };
         let sim = ParallelSimulator::new(config);
         let seq = sim.sequential(&dag);
-        let mut sched = GreedyScheduler;
+        let mut sched = PolicyScheduler::new(PolicyConfig::parsimonious(0));
         let report = sim.run_against(&dag, &seq, &mut sched, false);
         assert!(report.completed);
         assert!(report.steals() > 0, "thieves find work in a wide tree");

@@ -13,11 +13,14 @@
 //!   locality heuristic (prefer victims whose top block is already resident
 //!   in the thief's cache). The analysis tournament (E19) enumerates this
 //!   space and uses the simulator as a fitness oracle over it.
-//! * [`RandomScheduler`] / [`ParsimoniousScheduler`] are thin aliases over
-//!   fixed `PolicyScheduler` configurations (uniform-random victims as in
-//!   the Arora–Blumofe–Plaxton analysis; deterministic steal-frugal
-//!   lowest-id), kept as named types because the theorem conformance tests
-//!   and every experiment table refer to them.
+//!   The named baselines are constructors of its [`PolicyConfig`]:
+//!   [`PolicyConfig::ws_random`] (uniform-random victims as in the
+//!   Arora–Blumofe–Plaxton analysis) and [`PolicyConfig::parsimonious`]
+//!   (deterministic steal-frugal lowest-id; patience 0 is the greedy
+//!   baseline).
+//! * [`RandomScheduler`] is `PolicyScheduler` at `ws_random`, kept as a
+//!   named type only because the standalone benchmark's adapter
+//!   constructs it.
 //! * [`ScriptedScheduler`] replays the adversarial scenarios used in the
 //!   proofs of Theorems 9 and 10.
 //!
@@ -90,8 +93,18 @@ impl PolicyConfig {
         }
     }
 
-    /// The deterministic steal-frugal baseline: lowest-id victims, steal
-    /// one, the given patience.
+    /// The deterministic steal-frugal baseline: a thief sits out `patience`
+    /// consecutive steal opportunities, then robs the lowest-numbered
+    /// candidate (steal one).
+    ///
+    /// Parsimonious work stealing (Arora–Blumofe–Plaxton, and the model of
+    /// Section 3) already steals only when a processor's own deque is
+    /// empty; this is the *steal-frugal* baseline on top of that rule — it
+    /// trades makespan for locality by letting busy processors run ahead
+    /// instead of eagerly migrating work, and it makes experiment tables
+    /// reproducible byte for byte because no randomness is involved.
+    /// `patience = 0` is the greedy scheduler: always steal at once from
+    /// the lowest-numbered candidate.
     pub fn parsimonious(patience: u32) -> Self {
         PolicyConfig {
             order: VictimOrder::LowestId,
@@ -246,12 +259,10 @@ pub trait Scheduler {
 /// A scheduler assembled from the orthogonal policy dimensions of
 /// [`PolicyConfig`]: victim order × steal amount × patience × locality.
 ///
-/// Fixed configurations reproduce the named baselines exactly —
-/// `PolicyConfig::ws_random(seed)` is step-for-step [`RandomScheduler`]
-/// (consuming one RNG draw per non-empty victim choice and none on an
-/// empty one), `PolicyConfig::parsimonious(p)` is step-for-step
-/// [`ParsimoniousScheduler`]; the equivalence proptests in
-/// `crates/core/tests/policy_equivalence.rs` pin both.
+/// `PolicyConfig::ws_random(seed)` consumes exactly one RNG draw per
+/// non-empty victim choice and none on an empty one — the contract every
+/// archived table's bytes rely on, pinned against [`RandomScheduler`] by
+/// `crates/core/tests/policy_equivalence.rs`.
 #[derive(Clone, Debug)]
 pub struct PolicyScheduler {
     config: PolicyConfig,
@@ -386,8 +397,9 @@ impl Scheduler for PolicyScheduler {
 
 /// The default scheduler: every processor is always awake and victims are
 /// chosen uniformly at random, as in the Arora–Blumofe–Plaxton analysis the
-/// paper builds on. A thin alias over
-/// [`PolicyConfig::ws_random`] — see [`PolicyScheduler`].
+/// paper builds on. Exactly `PolicyScheduler::new(PolicyConfig::ws_random(
+/// seed))`; the named type stays because the standalone benchmark's
+/// `benchmark/src/adapter.rs` constructs `RandomScheduler::new`.
 #[derive(Clone, Debug)]
 pub struct RandomScheduler {
     inner: PolicyScheduler,
@@ -403,55 +415,6 @@ impl RandomScheduler {
 }
 
 impl Scheduler for RandomScheduler {
-    fn choose_victim(&mut self, thief: usize, ctx: &StealContext<'_>) -> Option<usize> {
-        self.inner.choose_victim(thief, ctx)
-    }
-}
-
-/// A scheduler that always steals from the lowest-numbered candidate.
-/// Useful for fully deterministic tests. Behaves exactly like
-/// `PolicyScheduler` with [`VictimOrder::LowestId`] and zero patience.
-#[derive(Clone, Debug, Default)]
-pub struct GreedyScheduler;
-
-impl Scheduler for GreedyScheduler {
-    fn choose_victim(&mut self, _thief: usize, ctx: &StealContext<'_>) -> Option<usize> {
-        ctx.candidates().first().copied()
-    }
-}
-
-/// A deterministic, steal-frugal scheduler: a thief must sit out
-/// `patience` consecutive steal opportunities before it is allowed to
-/// steal, and then always robs the lowest-numbered candidate.
-///
-/// Parsimonious work stealing (Arora–Blumofe–Plaxton, and the model of
-/// Section 3) already steals only when a processor's own deque is empty;
-/// this scheduler is the *steal-frugal* deterministic baseline on top of
-/// that rule — it trades makespan for locality by letting busy processors
-/// run ahead instead of eagerly migrating work, and it makes experiment
-/// tables reproducible byte for byte because no randomness is involved.
-/// `patience = 0` behaves exactly like [`GreedyScheduler`]. A thin alias
-/// over [`PolicyConfig::parsimonious`] — see [`PolicyScheduler`].
-#[derive(Clone, Debug)]
-pub struct ParsimoniousScheduler {
-    inner: PolicyScheduler,
-}
-
-impl ParsimoniousScheduler {
-    /// Creates a scheduler whose thieves wait out `patience` steal
-    /// opportunities before actually stealing.
-    pub fn new(patience: u32) -> Self {
-        ParsimoniousScheduler {
-            inner: PolicyScheduler::new(PolicyConfig::parsimonious(patience)),
-        }
-    }
-}
-
-impl Scheduler for ParsimoniousScheduler {
-    fn on_complete(&mut self, proc: usize, node: NodeId, step: u64) {
-        self.inner.on_complete(proc, node, step);
-    }
-
     fn choose_victim(&mut self, thief: usize, ctx: &StealContext<'_>) -> Option<usize> {
         self.inner.choose_victim(thief, ctx)
     }
@@ -500,7 +463,8 @@ pub struct ScriptedScheduler {
 }
 
 impl ScriptedScheduler {
-    /// Creates an empty script (equivalent to [`GreedyScheduler`]).
+    /// Creates an empty script (greedy: always the lowest-numbered
+    /// candidate, nobody sleeps).
     pub fn new() -> Self {
         ScriptedScheduler::default()
     }
@@ -615,8 +579,8 @@ mod tests {
     }
 
     #[test]
-    fn parsimonious_scheduler_waits_then_steals_deterministically() {
-        let mut s = ParsimoniousScheduler::new(2);
+    fn parsimonious_policy_waits_then_steals_deterministically() {
+        let mut s = PolicyScheduler::new(PolicyConfig::parsimonious(2));
         let candidates = [1usize, 3];
         // Two refusals, then a steal from the lowest candidate.
         assert_eq!(s.choose_victim(0, &ctx(&candidates)), None);
@@ -630,18 +594,11 @@ mod tests {
         assert_eq!(s.choose_victim(2, &ctx(&candidates)), None);
         // An empty candidate list never consumes the waiting budget.
         assert_eq!(s.choose_victim(0, &ctx(&[])), None);
-        // patience = 0 behaves like GreedyScheduler.
-        let mut zero = ParsimoniousScheduler::new(0);
+        // patience = 0 is greedy: the lowest candidate, at once.
+        let mut zero = PolicyScheduler::new(PolicyConfig::parsimonious(0));
         assert_eq!(zero.choose_victim(7, &ctx(&candidates)), Some(1));
+        assert_eq!(zero.choose_victim(7, &ctx(&[])), None);
         assert!(zero.is_awake(7, 0));
-    }
-
-    #[test]
-    fn greedy_scheduler_picks_first() {
-        let mut g = GreedyScheduler;
-        assert_eq!(g.choose_victim(0, &ctx(&[3, 1, 2])), Some(3));
-        assert_eq!(g.choose_victim(0, &ctx(&[])), None);
-        assert!(g.is_awake(0, 0));
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! The E19 refactor's backward-compatibility contract: the legacy
-//! schedulers are *exact* `PolicyScheduler` configurations, pinned
-//! step-for-step at the trait level (randomized call sequences) and
-//! report-for-report at the full-simulation level — this is what makes the
-//! E11–E18 byte-identity across the refactor a theorem rather than a
-//! coincidence. Plus the `StealAmount::Half` invariants: exactly-once
-//! delivery and a consistent incrementally-maintained non-empty set.
+//! The E19 refactor's backward-compatibility contract: `RandomScheduler`
+//! is *exactly* `PolicyScheduler` at `PolicyConfig::ws_random`, pinned
+//! step-for-step at the trait level (randomized call sequences, RNG
+//! consumption included) and report-for-report at the full-simulation
+//! level — this is what makes the E11–E18 byte-identity across the
+//! refactor a theorem rather than a coincidence. (The deterministic
+//! baselines have no second type to compare with: they *are*
+//! `PolicyConfig::parsimonious`.) Plus the `StealAmount::Half` invariants:
+//! exactly-once delivery and a consistent incrementally-maintained
+//! non-empty set.
 
 use wsf_core::{
-    ForkPolicy, ParallelSimulator, ParsimoniousScheduler, PolicyConfig, PolicyScheduler,
-    RandomScheduler, Scheduler, SimConfig, SimScratch, StealAmount, StealContext, VictimOrder,
+    ForkPolicy, ParallelSimulator, PolicyConfig, PolicyScheduler, RandomScheduler, Scheduler,
+    SimConfig, SimScratch, StealAmount, StealContext, VictimOrder,
 };
 use wsf_dag::NodeId;
 use wsf_workloads::random::{random_single_touch, RandomConfig};
@@ -77,22 +80,6 @@ fn assert_step_for_step(
 }
 
 #[test]
-fn policy_lowest_one_matches_parsimonious_step_for_step() {
-    for patience in [0u32, 1, 2, 3, 7, 16] {
-        for gen_seed in [3u64, 11, 42, 2026] {
-            let mut policy = PolicyScheduler::new(PolicyConfig {
-                order: VictimOrder::LowestId,
-                amount: StealAmount::One,
-                patience,
-                prefer_cached: false,
-            });
-            let mut legacy = ParsimoniousScheduler::new(patience);
-            assert_step_for_step(&mut policy, &mut legacy, 6, 400, gen_seed);
-        }
-    }
-}
-
-#[test]
 fn policy_random_one_zero_matches_random_scheduler_step_for_step() {
     // The equivalence includes RNG consumption: both draw exactly one
     // `gen_range` per non-empty candidate list, so interleaving empty and
@@ -131,7 +118,7 @@ fn assert_reports_identical<S1: Scheduler, S2: Scheduler>(
 }
 
 #[test]
-fn full_simulations_agree_between_policy_and_legacy_schedulers() {
+fn full_simulations_agree_between_policy_and_random_scheduler() {
     let dag = random_single_touch(&RandomConfig {
         target_nodes: 3_000,
         seed: 13,
@@ -150,17 +137,6 @@ fn full_simulations_agree_between_policy_and_legacy_schedulers() {
                 &dag,
                 PolicyScheduler::new(PolicyConfig::ws_random(config.seed)),
                 RandomScheduler::new(config.seed),
-            );
-            assert_reports_identical(
-                config,
-                &dag,
-                PolicyScheduler::new(PolicyConfig {
-                    order: VictimOrder::LowestId,
-                    amount: StealAmount::One,
-                    patience: 4,
-                    prefer_cached: false,
-                }),
-                ParsimoniousScheduler::new(4),
             );
         }
     }
@@ -229,7 +205,7 @@ fn steal_half_delivers_every_node_exactly_once() {
 
 #[test]
 fn theorem_bounds_hold_over_sampled_policy_points() {
-    // Theorem 8/10/12 conformance extended from the two legacy schedulers
+    // Theorem 8/10/12 conformance extended from the two named baselines
     // to sampled `PolicyScheduler` points: the deviation bound O(P·T∞²)
     // (in the repo's constant-free reading, `bounds::thm8_deviations`) and
     // the miss bound C·deviations hold for every policy in the composable

@@ -1,30 +1,17 @@
-//! Closed- and open-loop client harnesses for the submission server.
+//! Reference client for the submission server.
 //!
 //! [`BenchClient`] is a blocking client over TCP or UDS with reusable
-//! encode/decode buffers. On top of it:
+//! encode/decode buffers — what E20 and the end-to-end tests talk to the
+//! server through. [`ZipfSampler`] draws skewed tenant ranks (weighted
+//! `1/r^s`, matching multi-tenant traffic) and [`LatencyRecorder`]
+//! aggregates nearest-rank latency quantiles for E20's stderr report.
 //!
-//! * [`run_closed_loop`] — `connections` independent clients, each keeping
-//!   exactly one batch of `batch` submissions in flight (submit, wait for
-//!   all completions, repeat). Measures end-to-end submission-to-completion
-//!   latency per request and sustained DAGs/sec. This is the
-//!   unbatched-vs-batched ingest experiment: `batch = 1` pays one
-//!   epoch-guard entry per DAG on the server's ingest path, `batch = 16`
-//!   amortizes it 16×.
-//! * [`run_open_loop`] — a fixed-rate submitter that never waits, paired
-//!   with a receiver thread. Driving the rate past the server's capacity
-//!   (e.g. 2× the closed-loop throughput) shows the shed-vs-queue
-//!   difference: with load shedding p99 stays bounded because rejected
-//!   work answers immediately, while queue-everything lets latency grow
-//!   with the backlog.
-//!
-//! Tenant popularity is zipfian ([`ZipfSampler`]): tenant ranks are
-//! weighted `1/r^s`, matching skewed multi-tenant traffic.
+//! Load generation (closed and open loops, pacing, windows) is not here:
+//! it lives in the standalone `benchmark/` crate, which speaks the
+//! [`crate::protocol`] directly.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wsf_workloads::submission::ShapeSpec;
@@ -33,7 +20,7 @@ use crate::core::Completion;
 use crate::net::{is_timeout, Stream};
 use crate::protocol::{
     frame_bytes, parse_response_header, FrameReader, ProtocolError, COMPLETION_WORDS,
-    PROTOCOL_VERSION, REQUEST_MAGIC, STATUS_OK, STATUS_SHED,
+    PROTOCOL_VERSION, REQUEST_MAGIC,
 };
 
 /// A blocking submission client with reusable buffers.
@@ -228,352 +215,6 @@ impl LatencyRecorder {
         let rank = ((self.samples.len() as f64 * q).ceil() as usize).clamp(1, self.samples.len());
         self.samples[rank - 1]
     }
-}
-
-/// Where the load generator should connect.
-#[derive(Clone, Debug)]
-pub enum Endpoint {
-    /// TCP address.
-    Tcp(std::net::SocketAddr),
-    /// Unix-domain-socket path.
-    Uds(std::path::PathBuf),
-}
-
-impl Endpoint {
-    fn connect(&self) -> io::Result<BenchClient> {
-        match self {
-            Endpoint::Tcp(a) => BenchClient::connect_tcp(*a),
-            Endpoint::Uds(p) => BenchClient::connect_uds(p),
-        }
-    }
-}
-
-/// Shared load-generation parameters.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    /// Number of tenants to spread load across (must match the server).
-    pub tenants: usize,
-    /// Zipf exponent for tenant popularity.
-    pub zipf_s: f64,
-    /// Submissions per request frame.
-    pub batch: usize,
-    /// Workload shapes, cycled per submission.
-    pub shapes: Vec<ShapeSpec>,
-    /// Wall-clock measurement window.
-    pub duration: Duration,
-    /// Sampler seed.
-    pub seed: u64,
-}
-
-/// Outcome of a load run.
-#[derive(Clone, Debug, Default)]
-pub struct LoadReport {
-    /// Submissions that executed (`STATUS_OK`).
-    pub completed: u64,
-    /// Submissions rejected by admission control (`STATUS_SHED`).
-    pub shed: u64,
-    /// Completions with any other status.
-    pub other: u64,
-    /// p50 submission-to-completion latency, microseconds.
-    pub p50_us: u64,
-    /// p99 submission-to-completion latency, microseconds.
-    pub p99_us: u64,
-    /// p999 submission-to-completion latency, microseconds.
-    pub p999_us: u64,
-    /// Executed DAGs per second of wall clock.
-    pub dags_per_sec: f64,
-    /// Sum of simulated cache misses over executed submissions.
-    pub misses: u64,
-    /// Sum of simulated deviations over executed submissions.
-    pub deviations: u64,
-}
-
-fn absorb(
-    c: &Completion,
-    starts: &mut HashMap<u64, Instant>,
-    lat: &mut LatencyRecorder,
-    report: &mut LoadReport,
-) {
-    if let Some(t0) = starts.remove(&c.request_id) {
-        if c.status == STATUS_OK {
-            lat.record(t0.elapsed().as_micros() as u64);
-        }
-    }
-    match c.status {
-        STATUS_OK => {
-            report.completed += 1;
-            report.misses += c.misses;
-            report.deviations += c.deviations;
-        }
-        STATUS_SHED => report.shed += 1,
-        _ => report.other += 1,
-    }
-}
-
-/// Closed-loop driver: `connections` clients, each with one batch in
-/// flight at a time. Latency is measured client-side from the submit call
-/// to the completion's arrival.
-pub fn run_closed_loop(
-    endpoint: &Endpoint,
-    connections: usize,
-    cfg: &LoadConfig,
-) -> io::Result<LoadReport> {
-    assert!(connections > 0 && cfg.batch > 0 && !cfg.shapes.is_empty());
-    let next_id = Arc::new(AtomicU64::new(1));
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for w in 0..connections {
-        let endpoint = endpoint.clone();
-        let cfg = cfg.clone();
-        let next_id = Arc::clone(&next_id);
-        workers.push(std::thread::spawn(
-            move || -> io::Result<(LatencyRecorder, LoadReport)> {
-                let mut client = endpoint.connect()?;
-                let mut zipf =
-                    ZipfSampler::new(cfg.tenants, cfg.zipf_s, cfg.seed ^ (w as u64) << 32);
-                let mut lat = LatencyRecorder::new();
-                let mut report = LoadReport::default();
-                let mut starts: HashMap<u64, Instant> = HashMap::new();
-                let mut batch: Vec<(u64, ShapeSpec)> = Vec::with_capacity(cfg.batch);
-                let mut completions: Vec<Completion> = Vec::new();
-                let mut shape_cursor = w;
-                let deadline = started + cfg.duration;
-                while Instant::now() < deadline {
-                    let tenant = zipf.sample() as u64;
-                    batch.clear();
-                    let t0 = Instant::now();
-                    for _ in 0..cfg.batch {
-                        let id = next_id.fetch_add(1, Ordering::Relaxed);
-                        let spec = cfg.shapes[shape_cursor % cfg.shapes.len()];
-                        shape_cursor += 1;
-                        batch.push((id, spec));
-                        starts.insert(id, t0);
-                    }
-                    client.submit_batch(tenant, &batch)?;
-                    let mut outstanding = cfg.batch;
-                    while outstanding > 0 {
-                        completions.clear();
-                        let n =
-                            client.recv_completions(&mut completions, Duration::from_secs(30))?;
-                        if n == 0 {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "no completions within 30s",
-                            ));
-                        }
-                        for c in &completions {
-                            absorb(c, &mut starts, &mut lat, &mut report);
-                        }
-                        outstanding -= n.min(outstanding);
-                    }
-                }
-                Ok((lat, report))
-            },
-        ));
-    }
-    let mut lat = LatencyRecorder::new();
-    let mut report = LoadReport::default();
-    for h in workers {
-        let (wl, wr) = h.join().expect("closed-loop worker panicked")?;
-        lat.merge(&wl);
-        report.completed += wr.completed;
-        report.shed += wr.shed;
-        report.other += wr.other;
-        report.misses += wr.misses;
-        report.deviations += wr.deviations;
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    report.dags_per_sec = report.completed as f64 / elapsed.max(1e-9);
-    report.p50_us = lat.quantile(0.50);
-    report.p99_us = lat.quantile(0.99);
-    report.p999_us = lat.quantile(0.999);
-    Ok(report)
-}
-
-/// Open-loop driver: one connection; a submitter fires batches at
-/// `rate_per_sec` submissions/second regardless of completions, while a
-/// receiver thread absorbs responses. Over capacity, the difference
-/// between shedding and queueing shows up directly in p99.
-pub fn run_open_loop(
-    endpoint: &Endpoint,
-    rate_per_sec: f64,
-    cfg: &LoadConfig,
-) -> io::Result<LoadReport> {
-    run_open_loop_multi(endpoint, 1, rate_per_sec, cfg)
-}
-
-/// [`run_open_loop`] spread over several connections, splitting the
-/// offered rate evenly. On a saturated machine a single connection's
-/// reader thread can become the choke point, backing the overload up into
-/// kernel socket buffers where admission control cannot see it; several
-/// connections give ingest enough scheduling share that the excess
-/// reaches the server's queue — the place the reject-vs-queue decision is
-/// made.
-pub fn run_open_loop_multi(
-    endpoint: &Endpoint,
-    connections: usize,
-    rate_per_sec: f64,
-    cfg: &LoadConfig,
-) -> io::Result<LoadReport> {
-    assert!(connections > 0 && rate_per_sec > 0.0);
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for w in 0..connections {
-        let endpoint = endpoint.clone();
-        let mut cfg = cfg.clone();
-        cfg.seed ^= (w as u64) << 32;
-        let rate = rate_per_sec / connections as f64;
-        workers.push(std::thread::spawn(move || {
-            open_loop_worker(&endpoint, rate, &cfg)
-        }));
-    }
-    let mut lat = LatencyRecorder::new();
-    let mut report = LoadReport::default();
-    for h in workers {
-        let (wl, wr) = h.join().expect("open-loop worker panicked")?;
-        lat.merge(&wl);
-        report.completed += wr.completed;
-        report.shed += wr.shed;
-        report.other += wr.other;
-        report.misses += wr.misses;
-        report.deviations += wr.deviations;
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    report.dags_per_sec = report.completed as f64 / elapsed.max(1e-9);
-    report.p50_us = lat.quantile(0.50);
-    report.p99_us = lat.quantile(0.99);
-    report.p999_us = lat.quantile(0.999);
-    Ok(report)
-}
-
-/// One open-loop connection: fixed-rate submitter on the calling thread,
-/// receiver on a helper thread. Returns raw samples; the callers compute
-/// quantiles after merging.
-fn open_loop_worker(
-    endpoint: &Endpoint,
-    rate_per_sec: f64,
-    cfg: &LoadConfig,
-) -> io::Result<(LatencyRecorder, LoadReport)> {
-    assert!(rate_per_sec > 0.0 && cfg.batch > 0 && !cfg.shapes.is_empty());
-    let client = endpoint.connect()?;
-    let BenchClient { stream, frames, .. } = client;
-    let read_half = stream.try_clone()?;
-
-    let starts: Arc<Mutex<HashMap<u64, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
-    let done = Arc::new(AtomicBool::new(false));
-
-    // Receiver: absorb completions until told to stop and the stream dries up.
-    let recv = {
-        let starts = Arc::clone(&starts);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || -> (LatencyRecorder, LoadReport) {
-            let mut stream = read_half;
-            let mut frames = frames;
-            let mut buf = [0u8; 4096];
-            let mut lat = LatencyRecorder::new();
-            let mut report = LoadReport::default();
-            let mut idle_after_done = 0u32;
-            loop {
-                let mut progressed = false;
-                while let Ok(true) = frames.poll_frame() {
-                    if let Ok(count) = parse_response_header(frames.words()) {
-                        let words = frames.words();
-                        let mut map = starts.lock().unwrap();
-                        for i in 0..count as usize {
-                            let base = 3 + i * COMPLETION_WORDS;
-                            let c = Completion {
-                                request_id: words[base],
-                                status: words[base + 1],
-                                misses: words[base + 2],
-                                deviations: words[base + 3],
-                                footprint: words[base + 4],
-                                micros: words[base + 5],
-                            };
-                            absorb(&c, &mut map, &mut lat, &mut report);
-                            progressed = true;
-                        }
-                    }
-                }
-                match stream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        frames.push_bytes(&buf[..n]);
-                        progressed = true;
-                    }
-                    Err(ref e) if is_timeout(e) => {}
-                    Err(_) => break,
-                }
-                if done.load(Ordering::Acquire) {
-                    if progressed {
-                        idle_after_done = 0;
-                    } else {
-                        idle_after_done += 1;
-                        // ~2s of post-run grace for stragglers.
-                        if idle_after_done > 40 {
-                            break;
-                        }
-                    }
-                }
-            }
-            (lat, report)
-        })
-    };
-
-    // Submitter: fixed-rate batches on this thread.
-    let mut stream = stream;
-    let mut zipf = ZipfSampler::new(cfg.tenants, cfg.zipf_s, cfg.seed);
-    let mut words: Vec<u64> = Vec::new();
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut next_id = 1u64;
-    let mut shape_cursor = 0usize;
-    let started = Instant::now();
-    let interval = Duration::from_secs_f64(cfg.batch as f64 / rate_per_sec);
-    let mut next_fire = started;
-    let mut submitted = 0u64;
-    while started.elapsed() < cfg.duration {
-        let now = Instant::now();
-        if now < next_fire {
-            std::thread::sleep(next_fire - now);
-        }
-        next_fire += interval;
-        let tenant = zipf.sample() as u64;
-        words.clear();
-        words.push(REQUEST_MAGIC);
-        words.push(PROTOCOL_VERSION);
-        words.push(tenant);
-        words.push(cfg.batch as u64);
-        let t0 = Instant::now();
-        {
-            let mut map = starts.lock().unwrap();
-            for _ in 0..cfg.batch {
-                let id = next_id;
-                next_id += 1;
-                words.push(id);
-                cfg.shapes[shape_cursor % cfg.shapes.len()].encode(&mut words);
-                shape_cursor += 1;
-                map.insert(id, t0);
-            }
-        }
-        frame_bytes(&words, &mut bytes);
-        let mut rest: &[u8] = &bytes;
-        while !rest.is_empty() {
-            match stream.write(rest) {
-                Ok(0) => break,
-                Ok(n) => rest = &rest[n..],
-                Err(ref e) if is_timeout(e) => {}
-                Err(e) => {
-                    done.store(true, Ordering::Release);
-                    let _ = recv.join();
-                    return Err(e);
-                }
-            }
-        }
-        submitted += cfg.batch as u64;
-    }
-    done.store(true, Ordering::Release);
-    let (lat, report) = recv.join().expect("open-loop receiver panicked");
-    let _ = submitted;
-    Ok((lat, report))
 }
 
 #[cfg(test)]

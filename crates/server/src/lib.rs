@@ -21,9 +21,9 @@
 //!   graceful drain-then-stop shutdown.
 //! * [`net`] — TCP/UDS listeners and per-connection reader/writer threads;
 //!   hung clients cannot wedge shutdown.
-//! * [`client`] — closed- and open-loop load harnesses with zipfian tenant
-//!   popularity and p50/p99/p999 latency measurement (E20 and the
-//!   `server_macro` benchmarks drive these).
+//! * [`client`] — a reference blocking client plus the zipfian tenant
+//!   sampler and latency recorder E20 uses; load generation lives in the
+//!   standalone `benchmark/` crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,10 +36,7 @@ pub mod protocol;
 pub mod tenant;
 
 pub use admission::AdmissionMode;
-pub use client::{
-    run_closed_loop, run_open_loop, run_open_loop_multi, BenchClient, Endpoint, LatencyRecorder,
-    LoadConfig, LoadReport, ZipfSampler,
-};
+pub use client::{BenchClient, LatencyRecorder, ZipfSampler};
 pub use core::{Completion, ConnShared, Ingest, ServerConfig, ServerCore, ServerReport};
 pub use net::Server;
 pub use protocol::{

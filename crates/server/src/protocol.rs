@@ -99,9 +99,8 @@ pub fn frame_bytes(words: &[u64], bytes: &mut Vec<u8>) {
 }
 
 /// Encodes a complete request frame for `tenant` carrying `subs` into
-/// `bytes` (cleared first). Convenience for tests and simple clients; the
-/// load harness's [`crate::BenchClient`] keeps its own reusable word
-/// buffer instead.
+/// `bytes` (cleared first). Convenience for tests and simple clients;
+/// [`crate::BenchClient`] keeps its own reusable word buffer instead.
 pub fn frame_request(tenant: u64, subs: &[(u64, ShapeSpec)], bytes: &mut Vec<u8>) {
     let mut words = Vec::with_capacity(4 + subs.len() * 4);
     words.push(REQUEST_MAGIC);
@@ -202,8 +201,10 @@ pub fn parse_response_header(words: &[u64]) -> Result<u64, ProtocolError> {
     if words[1] != PROTOCOL_VERSION {
         return Err(ProtocolError::BadVersion(words[1]));
     }
+    // The count is the peer's word: compare it with what the body holds,
+    // never multiply it (`COMPLETION_WORDS << 63` wraps to 0).
     let count = words[2];
-    if words.len() < 3 + COMPLETION_WORDS * count as usize {
+    if count > ((words.len() - 3) / COMPLETION_WORDS) as u64 {
         return Err(ProtocolError::Malformed("response body"));
     }
     Ok(count)
@@ -264,9 +265,36 @@ mod tests {
             parse_request_header(&[REQUEST_MAGIC, PROTOCOL_VERSION, 3, 5]).unwrap(),
             (3, 5)
         );
-        assert!(matches!(
-            parse_response_header(&[RESPONSE_MAGIC, PROTOCOL_VERSION, 2, 0, 0, 0, 0, 0, 0]),
-            Err(ProtocolError::Malformed(_))
-        ));
+    }
+
+    #[test]
+    fn response_count_is_checked_against_the_body_without_overflow() {
+        let frame = |count: u64, completions: usize| {
+            let mut words = vec![RESPONSE_MAGIC, PROTOCOL_VERSION, count];
+            words.resize(3 + COMPLETION_WORDS * completions, 0);
+            words
+        };
+        assert_eq!(parse_response_header(&frame(0, 0)), Ok(0));
+        assert_eq!(parse_response_header(&frame(2, 2)), Ok(2));
+        // One more completion than the body holds, down to a partial one.
+        let mut short = frame(2, 2);
+        short.pop();
+        for words in [frame(1, 0), frame(2, 1), frame(3, 2), short] {
+            assert_eq!(
+                parse_response_header(&words),
+                Err(ProtocolError::Malformed("response body"))
+            );
+        }
+        // Counts whose product with COMPLETION_WORDS wraps (to 0 for 1 << 63)
+        // must not pass as "fits in a three-word frame".
+        for count in [1 << 63, u64::MAX, u64::MAX / COMPLETION_WORDS as u64 + 1] {
+            for completions in [0, 2] {
+                assert_eq!(
+                    parse_response_header(&frame(count, completions)),
+                    Err(ProtocolError::Malformed("response body")),
+                    "count {count:#x}"
+                );
+            }
+        }
     }
 }

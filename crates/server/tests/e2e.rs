@@ -1,10 +1,13 @@
-//! End-to-end server tests over real TCP sockets: round-trip correctness
-//! against a local replay, graceful shutdown with a hung client attached,
-//! and exactly-once completion delivery under injected worker kills.
+//! End-to-end server tests over real sockets: round-trip correctness
+//! against a local replay over TCP and over a Unix domain socket, in-frame
+//! load shedding at the tenant budget, graceful shutdown with a hung client
+//! attached, and exactly-once completion delivery under injected worker
+//! kills.
 //!
 //! The fault seed is taken from `WSF_FAULT_SEED` when set (the CI
 //! fault-matrix job sweeps it), so a failure reproduces by exporting the
-//! printed seed.
+//! printed seed. Tests that arm no fault plan ignore it and must pass in
+//! every leg of that matrix.
 
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -16,6 +19,7 @@ use wsf_dag::DagBuilder;
 use wsf_runtime::{FaultPlan, FaultSpec};
 use wsf_server::{
     AdmissionMode, BenchClient, Completion, Server, ServerConfig, TenantSpec, STATUS_OK,
+    STATUS_SHED,
 };
 use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
 
@@ -68,12 +72,10 @@ fn collect(client: &mut BenchClient, want: usize) -> Vec<Completion> {
     out
 }
 
-#[test]
-fn tcp_round_trip_matches_local_replay() {
-    let server = Server::bind_tcp("127.0.0.1:0", two_tenant_config()).expect("bind");
-    let addr = server.tcp_addr().unwrap();
-    let mut client = BenchClient::connect_tcp(addr).expect("connect");
-
+/// Submits the smoke mix to both tenants of `two_tenant_config()`, checks
+/// every completion against the local replay and the tenant reports
+/// against the counts, then shuts the server down cleanly.
+fn round_trip_matches_local_replay(server: Server, mut client: BenchClient) {
     let shapes = ShapeSpec::smoke_mix();
     let mut expected = Vec::new();
     for (t, tenant_seed) in [(0u64, 11u64), (1, 22)] {
@@ -111,6 +113,74 @@ fn tcp_round_trip_matches_local_replay() {
     assert!(report.drained);
     assert_eq!(report.hung_workers, 0);
     assert_eq!(report.detached_executors, 0);
+}
+
+#[test]
+fn tcp_round_trip_matches_local_replay() {
+    let server = Server::bind_tcp("127.0.0.1:0", two_tenant_config()).expect("bind");
+    let client = BenchClient::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+    round_trip_matches_local_replay(server, client);
+}
+
+#[test]
+fn uds_round_trip_matches_local_replay() {
+    let dir = std::env::temp_dir().join(format!("wsf-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("server.sock");
+    let server = Server::bind_uds(&path, two_tenant_config()).expect("bind");
+    assert_eq!(server.uds_path(), Some(path.as_path()));
+    let client = BenchClient::connect_uds(&path).expect("connect");
+    round_trip_matches_local_replay(server, client);
+    assert!(!path.exists(), "shutdown must unlink the socket file");
+    std::fs::remove_dir(&dir).expect("temp dir is empty again");
+}
+
+#[test]
+fn one_frame_over_tenant_budget_sheds_the_excess() {
+    // Admission counts the frame's own staged submissions, and nothing can
+    // complete before the frame's `push_batch`, so against an idle server
+    // the split is exact: the first K are admitted, the rest shed.
+    const K: u64 = 3;
+    const N: u64 = 8;
+    let config = ServerConfig {
+        admission: AdmissionMode::Shed {
+            max_depth: usize::MAX,
+            max_tenant_inflight: K,
+            max_tenant_footprint: u64::MAX,
+        },
+        ..two_tenant_config()
+    };
+    let server = Server::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let mut client = BenchClient::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+
+    let spec = ShapeSpec::Mergesort { leaves: 32 };
+    let frame: Vec<(u64, ShapeSpec)> = (1..=N).map(|id| (id, spec)).collect();
+    client.submit_batch(1, &frame).expect("submit");
+    let completions = collect(&mut client, N as usize);
+
+    let ids: BTreeSet<u64> = completions.iter().map(|c| c.request_id).collect();
+    assert_eq!(ids, (1..=N).collect::<BTreeSet<u64>>(), "one reply each");
+    for c in &completions {
+        let want = if c.request_id <= K {
+            STATUS_OK
+        } else {
+            STATUS_SHED
+        };
+        assert_eq!(c.status, want, "request {}", c.request_id);
+        assert_eq!(c.footprint, spec.footprint(), "request {}", c.request_id);
+    }
+
+    let shedder = server.core().tenant_report(1);
+    assert_eq!((shedder.completed, shedder.shed), (K, N - K));
+    assert_eq!(shedder.inflight, 0);
+    let idle = server.core().tenant_report(0);
+    assert_eq!(
+        (idle.completed, idle.shed),
+        (0, 0),
+        "budgets are per tenant"
+    );
+    let report = server.shutdown(Duration::from_secs(10));
+    assert!(report.drained);
 }
 
 #[test]

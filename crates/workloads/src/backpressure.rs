@@ -18,13 +18,9 @@
 //! is touched once per item of its batch, by its parent — structured
 //! local-touch (Definition 3); with `window == 1` every worker is touched
 //! exactly once and the DAG is single-touch as well.
-//!
-//! Block ids come from a shared [`BlockAlloc`] (per-stage work and value
-//! regions plus the consumer's output array), collision-checked in
-//! `crates/workloads/tests/block_collisions.rs`.
 
-use crate::block_alloc::{BlockAlloc, BlockRegion};
-use wsf_dag::{Dag, DagBuilder, NodeId, ThreadId};
+use crate::submission::ShapeScratch;
+use wsf_dag::{Block, Dag, DagBuilder, ThreadId};
 
 /// Builds the bounded-backpressure pipeline DAG: `stages` stage workers per
 /// batch, `items` items flowing in batches of at most `window`, `work`
@@ -34,104 +30,90 @@ pub fn batched_pipeline(stages: usize, items: usize, window: usize, work: usize)
     let items = items.max(1);
     let window = window.max(1).min(items);
     let work = work.max(1);
-
-    let mut alloc = BlockAlloc::new();
-    let stage_work: Vec<_> = (1..=stages)
-        .map(|s| alloc.region(format!("stage{s}/work"), items * work))
-        .collect();
-    let stage_value: Vec<_> = (1..=stages)
-        .map(|s| alloc.region(format!("stage{s}/value"), items))
-        .collect();
-    let dispatch = alloc.region("main/dispatch", items.div_ceil(window));
-    let output = alloc.region("main/output", items);
-
     let mut b = DagBuilder::with_capacity(
         stages * items * (work + 2) + 3 * items + 4,
         stages * items.div_ceil(window) + 1,
     );
+    let scratch = &mut ShapeScratch::new();
+    batched_pipeline_into(&mut b, scratch, stages, items, window, work);
+    b.finish().expect("batched pipeline builds a valid DAG")
+}
+
+/// Appends the bounded-backpressure pipeline (all parameters `>= 1`,
+/// `window <= items`) to `b` (a builder holding only the root node) — the
+/// one description of the family, shared by [`batched_pipeline`] and
+/// [`crate::submission::ShapeSpec::build_into`]. Allocates nothing once
+/// `b` and `scratch` have grown to the shape.
+///
+/// Block numbering: stage `s` item `i`'s work blocks are `s * items * work
+/// + i * work ..+ work`, its value block `stages * items * work + s * items
+/// + i`; one dispatch block per batch and one consumer output block per
+/// item follow. The count is what
+/// [`crate::submission::ShapeSpec::footprint`] declares before anything is
+/// built; disjointness is collision-checked in
+/// `crates/workloads/tests/block_collisions.rs`.
+pub fn batched_pipeline_into(
+    b: &mut DagBuilder,
+    scratch: &mut ShapeScratch,
+    stages: usize,
+    items: usize,
+    window: usize,
+    work: usize,
+) {
+    debug_assert!(stages >= 1 && work >= 1 && (1..=items).contains(&window));
     let main = ThreadId::MAIN;
+    let value_base = stages * items * work;
+    let dispatch_base = value_base + stages * items;
+    let output_base = dispatch_base + items.div_ceil(window);
+
     let mut batch = 0usize;
     let mut first = 0usize;
     while first < items {
         let batch_len = window.min(items - first);
-        // Fork this batch's stage-1 worker; the whole worker chain for the
-        // batch is built before the consumer touches anything, and the next
-        // batch's workers do not exist until this loop iteration is over —
-        // that is the backpressure.
-        let f = b.fork(main);
-        let values = build_worker(
-            &mut b,
-            f.future_thread,
-            1,
-            stages,
-            first,
-            batch_len,
-            work,
-            &stage_work,
-            &stage_value,
-        );
-        // The fork's right child models the batch dispatch; it may not be a
-        // touch node.
+        // Chain-fork this batch's stage workers (stage s forks stage s+1
+        // as its first action). The whole chain is built before the
+        // consumer touches anything, and the next batch's workers do not
+        // exist until this loop iteration is over — that is the
+        // backpressure.
+        scratch.threads.clear();
+        scratch.threads.push(b.fork(main).future_thread);
+        for s in 1..stages {
+            let f = b.fork(scratch.threads[s - 1]);
+            scratch.threads.push(f.future_thread);
+        }
+        // Deepest stage first so each worker can touch its child's values;
+        // only the child stage's values are live at a time.
+        scratch.prev.clear();
+        for s in (0..stages).rev() {
+            let thread = scratch.threads[s];
+            scratch.cur.clear();
+            for i in 0..batch_len {
+                let item = first + i;
+                for w in 0..work {
+                    let n = b.task(thread);
+                    b.set_block(n, Block((s * items * work + item * work + w) as u32));
+                }
+                if s + 1 < stages {
+                    b.touch(thread, scratch.prev[i]);
+                }
+                let v = b.task(thread);
+                b.set_block(v, Block((value_base + s * items + item) as u32));
+                scratch.cur.push(v);
+            }
+            std::mem::swap(&mut scratch.prev, &mut scratch.cur);
+        }
+        // The fork's right child models the batch dispatch; it may not be
+        // a touch node.
         let n = b.task(main);
-        b.set_block(n, dispatch.block(batch));
-        for (i, v) in values.into_iter().enumerate() {
-            b.touch(main, v);
+        b.set_block(n, Block((dispatch_base + batch) as u32));
+        for i in 0..batch_len {
+            b.touch(main, scratch.prev[i]);
             let n = b.task(main);
-            b.set_block(n, output.block(first + i));
+            b.set_block(n, Block((output_base + first + i) as u32));
         }
         first += batch_len;
         batch += 1;
     }
-    b.finish().expect("batched pipeline builds a valid DAG")
-}
-
-/// Builds the stage-`s` worker thread of one batch, returning the value
-/// nodes its parent must touch in order.
-#[allow(clippy::too_many_arguments)]
-fn build_worker(
-    b: &mut DagBuilder,
-    thread: ThreadId,
-    s: usize,
-    stages: usize,
-    first: usize,
-    batch_len: usize,
-    work: usize,
-    stage_work: &[BlockRegion],
-    stage_value: &[BlockRegion],
-) -> Vec<NodeId> {
-    // Deeper stages first: fork the child worker for the same batch.
-    let child_values = if s < stages {
-        let f = b.fork(thread);
-        Some(build_worker(
-            b,
-            f.future_thread,
-            s + 1,
-            stages,
-            first,
-            batch_len,
-            work,
-            stage_work,
-            stage_value,
-        ))
-    } else {
-        None
-    };
-
-    let mut values = Vec::with_capacity(batch_len);
-    for i in 0..batch_len {
-        let item = first + i;
-        for w in 0..work {
-            let n = b.task(thread);
-            b.set_block(n, stage_work[s - 1].block(item * work + w));
-        }
-        if let Some(cv) = &child_values {
-            b.touch(thread, cv[i]);
-        }
-        let v = b.task(thread);
-        b.set_block(v, stage_value[s - 1].block(item));
-        values.push(v);
-    }
-    values
 }
 
 #[cfg(test)]

@@ -13,9 +13,12 @@
 //! * the Theorem-12 workload suite — divide-and-conquer mergesort in
 //!   fork-join and streaming-merge variants ([`sort`]), wavefront stencil
 //!   grids with boundary-exchange futures ([`stencil`]) and streaming
-//!   pipelines with bounded backpressure ([`backpressure`]), all drawing
-//!   their memory-block ids from the shared collision-checked
-//!   [`block_alloc::BlockAlloc`];
+//!   pipelines with bounded backpressure ([`backpressure`]). The three
+//!   families the server also builds ([`sort::mergesort_into`],
+//!   [`stencil::stencil_into`], [`backpressure::batched_pipeline_into`])
+//!   each have one allocation-free builder with closed-form block ids; the
+//!   rest draw theirs from the shared [`block_alloc::BlockAlloc`]. Both
+//!   numberings are collision-checked;
 //! * the Theorem-16/18 super-final family — the symmetric-exchange stencil
 //!   ([`stencil::stencil_exchange`]), whose per-neighbour boundary copies
 //!   need a super final node to close the computation;
@@ -28,11 +31,11 @@
 //!   block-touch traces of the hardware-validation loop (E21);
 //! * [`presets`] — named size presets scaling every suite family up to
 //!   ~10^6 distinct blocks;
-//! * [`submission`] — wire-encodable, allocation-free rebuildable shape
-//!   descriptions of the suite families for the serving front end
-//!   (`wsf-server`), with exact declared-footprint accounting.
+//! * [`submission`] — wire-encodable parameter sets of those three
+//!   families for the serving front end (`wsf-server`): codec, caps and
+//!   exact declared-footprint accounting over the same builders.
 //!
-//! Every generator documents which experiment (E1–E16 in `docs/DESIGN.md`)
+//! Every generator documents which experiment (E1–E21 in `docs/DESIGN.md`)
 //! it feeds and which figure or theorem of the paper it reproduces.
 
 #![warn(missing_docs)]

@@ -12,8 +12,8 @@
 //! * [`BlockScale::Million`] — ~10^6 distinct blocks, the scale the
 //!   `#[ignore]`d tests in `crates/workloads/tests/scale.rs` build and
 //!   simulate, stressing the dense index's memory footprint and grow path
-//!   (every family draws its ids from [`crate::block_alloc::BlockAlloc`],
-//!   so `Dag::block_space()` declares the dense range and the builders
+//!   (every family numbers its blocks densely from 0, so
+//!   `Dag::block_space()` declares the dense range, and the builders
 //!   pre-size their node arrays via `DagBuilder::with_capacity`).
 //!
 //! Exact block counts per family (all asserted in the scale tests):
@@ -98,9 +98,9 @@ mod tests {
                 (90_000..200_000).contains(&blocks),
                 "{name}: {blocks} blocks is outside the ~10^5 budget"
             );
-            // BlockAlloc ids are dense from 0, so the declared dense-index
-            // range never exceeds the allocation (equality holds whenever
-            // every allocated id is used, as the stencils and pipeline do).
+            // Block ids are dense from 0, so the declared dense-index range
+            // never exceeds the numbering (equality holds whenever every
+            // id is used, as the stencils and pipeline do).
             assert!(dag.block_space() >= blocks, "{name}");
         }
     }

@@ -14,13 +14,17 @@
 //!   the Theorem 12 class.
 //!
 //! Memory blocks model the merge buffers with per-level block maps: each
-//! recursion depth owns a disjoint [`BlockAlloc`] region covering the whole
-//! array at `grain` elements per block, so a merge at depth `d` touches the
-//! depth-`d` buffer of its range and nothing else. Region disjointness is
-//! collision-checked (see `crates/workloads/tests/block_collisions.rs`).
+//! recursion depth owns a disjoint block range covering the whole array at
+//! `grain` elements per block, so a merge at depth `d` touches the
+//! depth-`d` buffer of its range and nothing else. [`mergesort_into`]
+//! numbers its ranges in closed form (the count is what
+//! [`crate::submission::ShapeSpec::footprint`] declares before anything is
+//! built); [`mergesort_streaming`] draws per-thread regions from a
+//! [`BlockAlloc`]. Both are collision-checked in
+//! `crates/workloads/tests/block_collisions.rs`.
 
 use crate::block_alloc::{BlockAlloc, BlockRegion};
-use wsf_dag::{Dag, DagBuilder, NodeId, ThreadId};
+use wsf_dag::{Block, Dag, DagBuilder, NodeId, ThreadId};
 
 /// The grain-aligned split point of `[lo, hi)` (with `lo` itself aligned):
 /// the midpoint rounded up to a multiple of `grain`, so every range in the
@@ -40,79 +44,62 @@ fn blocks_covering(lo: usize, hi: usize, grain: usize) -> std::ops::Range<usize>
 
 /// Builds the fork-join mergesort DAG over `len` elements with leaf size
 /// `grain`: structured, single-touch and properly nested (the Theorem 8
-/// class). One block per `grain` elements per recursion level; the
-/// per-level merge-buffer regions are allocated lazily as the recursion
-/// deepens.
+/// class). One block per `grain` elements per recursion level.
 pub fn mergesort(len: usize, grain: usize) -> Dag {
     let len = len.max(1);
     let grain = grain.max(1);
-    let mut alloc = BlockAlloc::new();
     let nblocks = len.div_ceil(grain);
-    let input = alloc.region("input", nblocks);
-    let mut levels: Vec<BlockRegion> = Vec::new();
-
-    let mut b = DagBuilder::with_capacity(6 * nblocks + 4, 2 * nblocks.max(1));
-    sort_rec(
-        &mut b,
-        ThreadId::MAIN,
-        0,
-        len,
-        0,
-        grain,
-        &input,
-        &mut levels,
-        &mut alloc,
-    );
-    b.task(ThreadId::MAIN);
+    let mut b = DagBuilder::with_capacity(6 * nblocks + 4, 2 * nblocks);
+    mergesort_into(&mut b, len, grain);
     b.finish().expect("mergesort builds a valid DAG")
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sort_rec(
-    b: &mut DagBuilder,
-    thread: ThreadId,
-    lo: usize,
-    hi: usize,
-    depth: usize,
-    grain: usize,
-    input: &BlockRegion,
-    levels: &mut Vec<BlockRegion>,
-    alloc: &mut BlockAlloc,
-) {
-    if hi - lo <= grain {
-        // Leaf: sort the run in place — one task reading its input block
-        // (`lo` is grain-aligned, so the block is exclusively this leaf's).
-        let n = b.task(thread);
-        b.set_block(n, input.block(lo / grain));
-        return;
+/// Appends the fork-join mergesort of `len >= 1` elements at leaf size
+/// `grain >= 1` to `b` (a builder holding only the root node) — the one
+/// description of the family, shared by [`mergesort`] and
+/// [`crate::submission::ShapeSpec::build_into`]. Allocates nothing beyond
+/// the builder's own growth.
+///
+/// Block numbering, with `nblocks = ceil(len / grain)`: the leaf whose
+/// range starts at `lo` reads input block `lo / grain`; the merge at
+/// recursion depth `d` writes blocks `nblocks * (1 + d) + blk` for every
+/// `blk` its range covers — each depth owns a full-width merge buffer
+/// placed after the input and the shallower buffers, so a merge touches
+/// the depth-`d` buffer of its range and nothing else.
+pub fn mergesort_into(b: &mut DagBuilder, len: usize, grain: usize) {
+    fn rec(
+        b: &mut DagBuilder,
+        thread: ThreadId,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        nblocks: usize,
+        grain: usize,
+    ) {
+        if hi - lo <= grain {
+            // Leaf: sort the run in place — one task reading its input
+            // block (`lo` is grain-aligned, so the block is exclusively
+            // this leaf's).
+            let n = b.task(thread);
+            b.set_block(n, Block((lo / grain) as u32));
+            return;
+        }
+        let mid = aligned_mid(lo, hi, grain);
+        let f = b.fork(thread);
+        rec(b, f.future_thread, lo, mid, depth + 1, nblocks, grain);
+        b.task(thread); // the fork's right child (continuation)
+        rec(b, thread, mid, hi, depth + 1, nblocks, grain);
+        // Join (the single touch of the left future), then merge the two
+        // halves into this level's buffer, one task per covered block.
+        b.touch_thread(thread, f.future_thread);
+        for blk in blocks_covering(lo, hi, grain) {
+            let n = b.task(thread);
+            b.set_block(n, Block((nblocks * (1 + depth) + blk) as u32));
+        }
     }
-    if depth == levels.len() {
-        // First internal call this deep: allocate the level's merge buffer
-        // (one block map covering the whole array).
-        levels.push(alloc.region(format!("merge/level{depth}"), input.len()));
-    }
-    let mid = aligned_mid(lo, hi, grain);
-    let f = b.fork(thread);
-    sort_rec(
-        b,
-        f.future_thread,
-        lo,
-        mid,
-        depth + 1,
-        grain,
-        input,
-        levels,
-        alloc,
-    );
-    b.task(thread); // the fork's right child (continuation)
-    sort_rec(b, thread, mid, hi, depth + 1, grain, input, levels, alloc);
-    // Join (the single touch of the left future), then merge the two halves
-    // into this level's buffer, one task per covered block.
-    b.touch_thread(thread, f.future_thread);
-    for blk in blocks_covering(lo, hi, grain) {
-        let n = b.task(thread);
-        b.set_block(n, levels[depth].block(blk));
-    }
+    debug_assert!(len >= 1 && grain >= 1);
+    rec(b, ThreadId::MAIN, 0, len, 0, len.div_ceil(grain), grain);
+    b.task(ThreadId::MAIN);
 }
 
 /// Builds the streaming (local-touch) mergesort DAG: the left half of every

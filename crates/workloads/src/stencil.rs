@@ -33,12 +33,16 @@
 //!   [`crate::runtime_apps::stencil_exchange`] (one future handle per
 //!   `(neighbour, step)`), validated in E10.
 //!
-//! Interior, boundary and output blocks come from one shared [`BlockAlloc`]
-//! so rows never alias each other (collision-checked in
-//! `crates/workloads/tests/block_collisions.rs`).
+//! Rows never alias each other's interior or boundary blocks:
+//! [`stencil_into`] numbers them in closed form (the count is what
+//! [`crate::submission::ShapeSpec::footprint`] declares before anything is
+//! built), [`stencil_exchange`] draws per-row regions from one
+//! [`BlockAlloc`]; both are collision-checked in
+//! `crates/workloads/tests/block_collisions.rs`.
 
 use crate::block_alloc::{BlockAlloc, BlockRegion};
-use wsf_dag::{Dag, DagBuilder, NodeId, ThreadId};
+use crate::submission::ShapeScratch;
+use wsf_dag::{Block, Dag, DagBuilder, NodeId, ThreadId};
 
 /// Builds the wavefront stencil DAG: `rows` row threads (row 0 is the main
 /// thread), `width` interior blocks per row, `steps` time steps.
@@ -46,60 +50,66 @@ pub fn stencil(rows: usize, width: usize, steps: usize) -> Dag {
     let rows = rows.max(1);
     let width = width.max(1);
     let steps = steps.max(1);
-    let mut alloc = BlockAlloc::new();
-    let interior: Vec<_> = (0..rows)
-        .map(|r| alloc.region(format!("row{r}/interior"), width))
-        .collect();
-    let boundary: Vec<_> = (1..rows)
-        .map(|r| alloc.region(format!("row{r}/boundary"), steps))
-        .collect();
-
     let mut b = DagBuilder::with_capacity(rows * steps * (width + 2) + 4, rows);
+    stencil_into(&mut b, &mut ShapeScratch::new(), rows, width, steps);
+    b.finish().expect("stencil builds a valid DAG")
+}
 
+/// Appends the wavefront stencil (all parameters `>= 1`) to `b` (a builder
+/// holding only the root node) — the one description of the family, shared
+/// by [`stencil`] and [`crate::submission::ShapeSpec::build_into`].
+/// Allocates nothing once `b` and `scratch` have grown to the shape.
+///
+/// Block numbering: row `r`'s interior occupies `r * width .. (r + 1) *
+/// width`, the same blocks every step; row `r`'s (`r >= 1`) step-`s`
+/// boundary value is block `rows * width + (r - 1) * steps + s`.
+pub fn stencil_into(
+    b: &mut DagBuilder,
+    scratch: &mut ShapeScratch,
+    rows: usize,
+    width: usize,
+    steps: usize,
+) {
+    debug_assert!(rows >= 1 && width >= 1 && steps >= 1);
     // The chain of row threads: main is row 0, row r forks row r+1.
-    let mut threads = vec![ThreadId::MAIN];
-    for _ in 1..rows {
-        let parent = *threads.last().unwrap();
-        let f = b.fork(parent);
-        threads.push(f.future_thread);
+    let main = ThreadId::MAIN;
+    scratch.threads.clear();
+    scratch.threads.push(main);
+    for r in 1..rows {
+        let f = b.fork(scratch.threads[r - 1]);
+        scratch.threads.push(f.future_thread);
     }
-
-    // Build deepest row first so parents can touch published boundaries.
-    let mut published: Vec<Vec<NodeId>> = vec![Vec::new(); rows];
+    // Deepest row first so each parent can touch its child's published
+    // boundaries; only the child row's values are live at a time.
+    scratch.prev.clear();
     for r in (1..rows).rev() {
-        let thread = threads[r];
+        let thread = scratch.threads[r];
+        scratch.cur.clear();
         for s in 0..steps {
             for w in 0..width {
                 let n = b.task(thread);
-                b.set_block(n, interior[r].block(w));
+                b.set_block(n, Block((r * width + w) as u32));
             }
             if r + 1 < rows {
-                b.touch(thread, published[r + 1][s]);
+                b.touch(thread, scratch.prev[s]);
             }
             let value = b.task(thread);
-            b.set_block(value, boundary[r - 1].block(s));
-            published[r].push(value);
+            b.set_block(value, Block((rows * width + (r - 1) * steps + s) as u32));
+            scratch.cur.push(value);
         }
+        std::mem::swap(&mut scratch.prev, &mut scratch.cur);
     }
-
     // Row 0 (the main thread) consumes row 1's boundaries step by step.
-    let main = ThreadId::MAIN;
-    let below: Vec<Option<NodeId>> = if rows > 1 {
-        published[1].iter().copied().map(Some).collect()
-    } else {
-        vec![None; steps]
-    };
-    for value in below {
+    for s in 0..steps {
         for w in 0..width {
             let n = b.task(main);
-            b.set_block(n, interior[0].block(w));
+            b.set_block(n, Block(w as u32));
         }
-        if let Some(value) = value {
-            b.touch(main, value);
+        if rows > 1 {
+            b.touch(main, scratch.prev[s]);
         }
     }
     b.task(main);
-    b.finish().expect("stencil builds a valid DAG")
 }
 
 /// Builds the symmetric-exchange stencil DAG (Theorem 16/18 workload):

@@ -7,31 +7,35 @@
 //! flat little-endian `u64` words and cheap enough to rebuild on the server
 //! without allocating.
 //!
-//! Each family is node-for-node equal to the suite builder it mirrors —
-//! same node ids, threads, edges and `block_of`, with `Mergesort { leaves }`
-//! equal to `sort::mergesort(leaves, 1)` — which
-//! `tests/submission_differential.rs` checks over a parameter grid. Three
-//! properties distinguish these from the suite builders:
+//! A shape is a set of parameters, not a second builder:
+//! [`ShapeSpec::build_into`] dispatches to the family's one builder —
+//! [`crate::sort::mergesort_into`] (`Mergesort { leaves }` is
+//! `mergesort(leaves, 1)`), [`crate::stencil::stencil_into`],
+//! [`crate::backpressure::batched_pipeline_into`] — which append into a
+//! caller-owned recycled [`DagBuilder`] using a reusable [`ShapeScratch`],
+//! so steady-state rebuilds perform no heap allocation (asserted by the
+//! server's counting-allocator test), and the experiment tables run the
+//! very DAGs the server serves (`tests/family_golden.rs` pins both entry
+//! points to the same digests). What this module adds is what the wire
+//! needs:
 //!
 //! * **flat-`u64` codec** — [`ShapeSpec::encode`]/[`ShapeSpec::decode`]
 //!   round-trip through the word stream the server's framing layer carries;
 //!   `decode` validates every parameter against hard caps so a malicious
 //!   frame cannot request an unbounded build;
-//! * **arithmetic block ids** — block numbering is closed-form over the
-//!   parameters (no [`crate::block_alloc::BlockAlloc`], whose `String`
-//!   region names allocate per build), with the exact distinct-block count
-//!   exposed as [`ShapeSpec::footprint`] — the quantity the server's
-//!   admission control charges;
-//! * **arena construction** — [`ShapeSpec::build_into`] appends into a
-//!   caller-owned recycled [`DagBuilder`] using a reusable [`ShapeScratch`],
-//!   so steady-state rebuilds perform no heap allocation (asserted by the
-//!   server's counting-allocator test).
+//! * **declared footprint** — the builders number their blocks in closed
+//!   form over the parameters, so the exact distinct-block count is known
+//!   before anything is built: [`ShapeSpec::footprint`], the quantity the
+//!   server's admission control charges.
 //!
 //! Every family is structured local-touch (Definition 3), so the Theorem 12
 //! deviation/miss bounds apply to everything the server executes; the tests
 //! assert the classification.
 
-use wsf_dag::{Block, Dag, DagBuilder, NodeId, ThreadId};
+use crate::backpressure::batched_pipeline_into;
+use crate::sort::mergesort_into;
+use crate::stencil::stencil_into;
+use wsf_dag::{Dag, DagBuilder, NodeId, ThreadId};
 
 /// Largest mergesort leaf count a frame may request (power of two).
 pub const MAX_LEAVES: u64 = 1 << 14;
@@ -77,14 +81,14 @@ impl std::error::Error for ShapeError {}
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ShapeSpec {
     /// Fork-join divide-and-conquer mergesort over `leaves` unit runs
-    /// (`leaves` a power of two). Mirrors [`crate::sort::mergesort`].
+    /// (`leaves` a power of two): [`crate::sort::mergesort`] at unit grain.
     Mergesort {
         /// Number of leaf runs (power of two, `1..=MAX_LEAVES`).
         leaves: u32,
     },
     /// One-sided wavefront stencil: `rows` row threads sweeping `width`
     /// interior blocks for `steps` steps, exchanging one boundary value per
-    /// step. Mirrors [`crate::stencil::stencil`].
+    /// step: [`crate::stencil::stencil`].
     Stencil {
         /// Grid rows (`1..=MAX_ROWS`); row 0 is the main thread.
         rows: u32,
@@ -95,7 +99,7 @@ pub enum ShapeSpec {
     },
     /// Bounded-backpressure streaming pipeline: `stages` stage workers per
     /// batch, `items` items in batches of `window`, `work` work nodes per
-    /// item per stage. Mirrors [`crate::backpressure::batched_pipeline`].
+    /// item per stage: [`crate::backpressure::batched_pipeline`].
     Pipeline {
         /// Pipeline stages (`1..=MAX_STAGES`).
         stages: u32,
@@ -272,16 +276,16 @@ impl ShapeSpec {
     pub fn build_into(&self, b: &mut DagBuilder, scratch: &mut ShapeScratch) -> Dag {
         debug_assert_eq!(b.num_nodes(), 1, "builder must be fresh or recycled");
         match *self {
-            ShapeSpec::Mergesort { leaves } => build_mergesort(b, leaves as usize),
+            ShapeSpec::Mergesort { leaves } => mergesort_into(b, leaves as usize, 1),
             ShapeSpec::Stencil { rows, width, steps } => {
-                build_stencil(b, scratch, rows as usize, width as usize, steps as usize)
+                stencil_into(b, scratch, rows as usize, width as usize, steps as usize)
             }
             ShapeSpec::Pipeline {
                 stages,
                 items,
                 window,
                 work,
-            } => build_pipeline(
+            } => batched_pipeline_into(
                 b,
                 scratch,
                 stages as usize,
@@ -312,165 +316,20 @@ impl ShapeSpec {
     }
 }
 
-/// Reusable buffers for [`ShapeSpec::build_into`]: thread-chain ids plus
-/// the two published-value rings the deepest-first sweeps swap between.
+/// Reusable buffers for [`ShapeSpec::build_into`] and the family builders
+/// it dispatches to: thread-chain ids plus the two published-value rings
+/// the deepest-first sweeps swap between.
 #[derive(Debug, Default)]
 pub struct ShapeScratch {
-    threads: Vec<ThreadId>,
-    prev: Vec<NodeId>,
-    cur: Vec<NodeId>,
+    pub(crate) threads: Vec<ThreadId>,
+    pub(crate) prev: Vec<NodeId>,
+    pub(crate) cur: Vec<NodeId>,
 }
 
 impl ShapeScratch {
     /// Creates an empty scratch (buffers grow to the traffic's working set).
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Fork-join mergesort with arithmetic blocks: leaf run `i` reads block
-/// `i`; a depth-`d` merge over `[lo, hi)` writes blocks
-/// `leaves*(1+d) + lo .. leaves*(1+d) + hi`.
-fn build_mergesort(b: &mut DagBuilder, leaves: usize) {
-    fn rec(
-        b: &mut DagBuilder,
-        thread: ThreadId,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        leaves: usize,
-    ) {
-        if hi - lo == 1 {
-            let n = b.task(thread);
-            b.set_block(n, Block(lo as u32));
-            return;
-        }
-        let mid = (lo + hi) / 2;
-        let f = b.fork(thread);
-        rec(b, f.future_thread, lo, mid, depth + 1, leaves);
-        b.task(thread); // the fork's right child (continuation)
-        rec(b, thread, mid, hi, depth + 1, leaves);
-        b.touch_thread(thread, f.future_thread);
-        for blk in lo..hi {
-            let n = b.task(thread);
-            b.set_block(n, Block((leaves * (1 + depth) + blk) as u32));
-        }
-    }
-    rec(b, ThreadId::MAIN, 0, leaves, 0, leaves);
-    b.task(ThreadId::MAIN);
-}
-
-/// Wavefront stencil with arithmetic blocks: row `r` interior occupies
-/// `r*width .. (r+1)*width`; row `r`'s (`r >= 1`) step-`s` boundary is
-/// `rows*width + (r-1)*steps + s`.
-fn build_stencil(
-    b: &mut DagBuilder,
-    scratch: &mut ShapeScratch,
-    rows: usize,
-    width: usize,
-    steps: usize,
-) {
-    let main = ThreadId::MAIN;
-    scratch.threads.clear();
-    scratch.threads.push(main);
-    for _ in 1..rows {
-        let parent = *scratch.threads.last().unwrap();
-        let f = b.fork(parent);
-        scratch.threads.push(f.future_thread);
-    }
-    // Deepest row first so each parent can touch its child's published
-    // boundaries; only the child row's values are live at a time.
-    scratch.prev.clear();
-    for r in (1..rows).rev() {
-        let thread = scratch.threads[r];
-        scratch.cur.clear();
-        for s in 0..steps {
-            for w in 0..width {
-                let n = b.task(thread);
-                b.set_block(n, Block((r * width + w) as u32));
-            }
-            if r + 1 < rows {
-                b.touch(thread, scratch.prev[s]);
-            }
-            let value = b.task(thread);
-            b.set_block(value, Block((rows * width + (r - 1) * steps + s) as u32));
-            scratch.cur.push(value);
-        }
-        std::mem::swap(&mut scratch.prev, &mut scratch.cur);
-    }
-    for s in 0..steps {
-        for w in 0..width {
-            let n = b.task(main);
-            b.set_block(n, Block(w as u32));
-        }
-        if rows > 1 {
-            b.touch(main, scratch.prev[s]);
-        }
-    }
-    b.task(main);
-}
-
-/// Bounded-backpressure pipeline with arithmetic blocks: stage `s` item
-/// `i`'s work blocks are `s*items*work + i*work ..+work`, its value block
-/// `stages*items*work + s*items + i`; batch dispatch and consumer output
-/// blocks follow.
-fn build_pipeline(
-    b: &mut DagBuilder,
-    scratch: &mut ShapeScratch,
-    stages: usize,
-    items: usize,
-    window: usize,
-    work: usize,
-) {
-    let main = ThreadId::MAIN;
-    let value_base = stages * items * work;
-    let dispatch_base = value_base + stages * items;
-    let output_base = dispatch_base + items.div_ceil(window);
-
-    let mut batch = 0usize;
-    let mut first = 0usize;
-    while first < items {
-        let batch_len = window.min(items - first);
-        // Chain-fork this batch's stage workers (stage s forks stage s+1
-        // as its first action), then build deepest stage first.
-        scratch.threads.clear();
-        let f = b.fork(main);
-        scratch.threads.push(f.future_thread);
-        for _ in 1..stages {
-            let parent = *scratch.threads.last().unwrap();
-            let f = b.fork(parent);
-            scratch.threads.push(f.future_thread);
-        }
-        scratch.prev.clear();
-        for ss in (0..stages).rev() {
-            let thread = scratch.threads[ss];
-            scratch.cur.clear();
-            for i in 0..batch_len {
-                let item = first + i;
-                for w in 0..work {
-                    let n = b.task(thread);
-                    b.set_block(n, Block((ss * items * work + item * work + w) as u32));
-                }
-                if ss + 1 < stages {
-                    b.touch(thread, scratch.prev[i]);
-                }
-                let v = b.task(thread);
-                b.set_block(v, Block((value_base + ss * items + item) as u32));
-                scratch.cur.push(v);
-            }
-            std::mem::swap(&mut scratch.prev, &mut scratch.cur);
-        }
-        // The fork's right child models the batch dispatch; it may not be
-        // a touch node.
-        let n = b.task(main);
-        b.set_block(n, Block((dispatch_base + batch) as u32));
-        for i in 0..batch_len {
-            b.touch(main, scratch.prev[i]);
-            let n = b.task(main);
-            b.set_block(n, Block((output_base + first + i) as u32));
-        }
-        first += batch_len;
-        batch += 1;
     }
 }
 

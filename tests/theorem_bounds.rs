@@ -30,8 +30,7 @@
 
 use wsf::prelude::*;
 use wsf_core::{
-    bounds, ExecutionReport, GreedyScheduler, ParsimoniousScheduler, RandomScheduler, Scheduler,
-    SeqReport,
+    bounds, ExecutionReport, PolicyConfig, PolicyScheduler, RandomScheduler, Scheduler, SeqReport,
 };
 use wsf_dag::{classify, span, Dag};
 use wsf_workloads::backpressure::batched_pipeline;
@@ -42,6 +41,11 @@ use wsf_workloads::sort::{mergesort, mergesort_streaming};
 use wsf_workloads::stencil::{stencil, stencil_exchange};
 
 const CACHE: usize = 16;
+
+/// The deterministic steal-frugal baseline (`patience = 0` is greedy).
+fn parsimonious(patience: u32) -> PolicyScheduler {
+    PolicyScheduler::new(PolicyConfig::parsimonious(patience))
+}
 
 /// Runs the simulator over `dag` and returns the sequential baseline plus
 /// the parallel report (randomized work stealing, fixed seed).
@@ -216,8 +220,8 @@ fn thm12_upper_bound_holds_on_workload_suite() {
         for p in [2usize, 4] {
             assert_thm8_bounds(name, &dag, p, ForkPolicy::FutureFirst);
             let schedulers: Vec<(&str, Box<dyn Scheduler>)> = vec![
-                ("greedy", Box::new(GreedyScheduler)),
-                ("parsimonious", Box::new(ParsimoniousScheduler::new(4))),
+                ("greedy", Box::new(parsimonious(0))),
+                ("parsimonious", Box::new(parsimonious(4))),
             ];
             for (sched_name, mut sched) in schedulers {
                 let (seq, rep) =
@@ -289,8 +293,8 @@ fn thm16_18_upper_bounds_hold_on_exchange_stencils() {
         for p in [2usize, 4] {
             let (seq0, rep0) = run(&dag, p, ForkPolicy::FutureFirst);
             let schedulers: Vec<(&str, Box<dyn Scheduler>)> = vec![
-                ("greedy", Box::new(GreedyScheduler)),
-                ("parsimonious", Box::new(ParsimoniousScheduler::new(4))),
+                ("greedy", Box::new(parsimonious(0))),
+                ("parsimonious", Box::new(parsimonious(4))),
             ];
             let mut runs = vec![("ws-random", seq0, rep0)];
             for (sched_name, mut sched) in schedulers {
@@ -437,7 +441,7 @@ fn parsimonious_scheduler_trades_steals_for_locality() {
         let seq = sim.sequential(&dag);
         let mut random = RandomScheduler::new(SimConfig::default().seed);
         let ws = sim.run_against(&dag, &seq, &mut random, false);
-        let mut infinite = ParsimoniousScheduler::new(u32::MAX);
+        let mut infinite = parsimonious(u32::MAX);
         let frugal = sim.run_against(&dag, &seq, &mut infinite, false);
         assert!(ws.completed && frugal.completed, "{name}");
         assert_eq!(frugal.steals(), 0, "{name}: infinite patience never steals");
