@@ -466,6 +466,71 @@ mod tests {
     }
 
     #[test]
+    fn scratch_reused_after_a_mid_run_panic_yields_the_fresh_state_report() {
+        // A run that unwinds midway leaves deques, caches, the tracker and
+        // the non-empty set populated. The next run on that scratch — same
+        // configuration, so the processors are reset in place rather than
+        // rebuilt — must still equal a fresh-state run.
+        struct PanicsAt {
+            inner: RandomScheduler,
+            completions_left: u32,
+        }
+        impl Scheduler for PanicsAt {
+            fn on_complete(&mut self, proc: usize, node: NodeId, step: u64) {
+                assert!(self.completions_left > 0, "injected mid-run panic");
+                self.completions_left -= 1;
+                self.inner.on_complete(proc, node, step);
+            }
+            fn choose_victim(&mut self, thief: usize, ctx: &StealContext<'_>) -> Option<usize> {
+                self.inner.choose_victim(thief, ctx)
+            }
+        }
+
+        let config = SimConfig {
+            processors: 4,
+            seed: 7,
+            ..SimConfig::default()
+        };
+        let sim = ParallelSimulator::new(config);
+        let big = fork_tree(6);
+        let big_seq = sim.sequential(&big);
+        for k in [1u32, 17, 60] {
+            let mut scratch = SimScratch::new();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut sched = PanicsAt {
+                    inner: RandomScheduler::new(config.seed),
+                    completions_left: k,
+                };
+                sim.run_with_scratch(&big, &big_seq, &mut sched, true, &mut scratch)
+            }));
+            assert!(
+                unwound.is_err(),
+                "the scheduler panics after {k} completions"
+            );
+
+            // Reuse on the same DAG and on a smaller one.
+            for dag in [&big, &fork_tree(4)] {
+                let seq = sim.sequential(dag);
+                let fresh =
+                    sim.run_against(dag, &seq, &mut RandomScheduler::new(config.seed), true);
+                let reused = sim.run_with_scratch(
+                    dag,
+                    &seq,
+                    &mut RandomScheduler::new(config.seed),
+                    true,
+                    &mut scratch,
+                );
+                assert!(reused.completed);
+                assert_eq!(fresh.makespan, reused.makespan, "k={k}");
+                assert_eq!(fresh.deviations(), reused.deviations(), "k={k}");
+                assert_eq!(fresh.steals(), reused.steals(), "k={k}");
+                assert_eq!(fresh.cache_misses(), reused.cache_misses(), "k={k}");
+                assert_eq!(fresh.trace, reused.trace, "k={k}: identical order");
+            }
+        }
+    }
+
+    #[test]
     fn deviations_are_bounded_by_executed_nodes() {
         let dag = fork_tree(5);
         let config = SimConfig {

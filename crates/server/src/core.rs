@@ -1,51 +1,63 @@
 //! The transport-independent server core: ingest, admission, execution.
 //!
 //! [`ServerCore`] owns the shared submission queue (a lock-free
-//! [`Injector`]), the tenant table, the execution [`Runtime`] and a small
-//! pool of executor threads. The network layer (or a test) drives it with
-//! already-framed request words:
+//! [`Injector`]), the tenant table, the plan cache ([`crate::plan`]), the
+//! execution [`Runtime`] and a small pool of executor threads. The network
+//! layer (or a test) drives it with already-framed request words:
 //!
 //! ```text
-//! reader thread ──ingest_frame──▶ decode → admit → arena-build → push_batch
-//!                                                                    │
-//! executor thread ◀── steal ─────────────────────────────────────────┘
+//! reader thread ──ingest_frame──▶ decode → admit → stage → push_batch
+//!                                                              │
+//! executor thread ◀── steal ───────────────────────────────────┘
 //!    └─ defer_future(simulate) on the Runtime, retry on injected faults,
 //!       inline fallback when the pool is gone; exactly one completion per
 //!       accepted submission, pushed to the connection's completion queue.
+//!
+//! simulate = resolve the shared plan (hit: an `Arc` clone; miss: build
+//!            the DAG and its sequential baseline once), then the tenant's
+//!            seeded stealing run on the thread's reused `SimScratch`.
 //! ```
 //!
-//! **The ingest hot path allocates nothing in steady state.** Decoded
-//! shapes rebuild into a per-connection [`DagBuilder`] arena recycled from
-//! completed submissions ([`DagBuilder::recycle`]); jobs stage into a
-//! reused buffer and enter the injector through
-//! [`Injector::push_batch`] — one two-parity epoch-guard entry per frame
-//! instead of one per submission. `crates/server/tests/alloc_free.rs`
-//! proves the full decode→admit→build→push_batch path under a counting
-//! allocator.
+//! **The ingest hot path allocates nothing in steady state.** Ingest
+//! builds nothing: a job is the decoded [`ShapeSpec`] plus its routing
+//! words, staged into a reused buffer and entered into the injector
+//! through [`Injector::push_batch`] — one two-parity epoch-guard entry per
+//! frame instead of one per submission.
+//! `crates/server/tests/alloc_free.rs` proves the full
+//! decode→admit→stage→push_batch path under a counting allocator.
+//! Nothing here paces it against the executors; a network reader does that
+//! itself, between frames ([`ConnShared::wait_for_window`]).
+//!
+//! **One execution path.** Every execution — first attempt, retry, inline
+//! fallback — is the same function, `simulate`. The DAG and its
+//! sequential baseline come from the server's plan cache and are
+//! immutable, so nothing an attempt does can damage them; only the
+//! per-tenant stealing run is computed per request, and it is never
+//! cached.
 //!
 //! **Exactly-once execution.** The executor owns a submission's record
-//! until it completes. The DAG travels in an `Arc<Mutex<Option<Dag>>>`
-//! cell; an injected worker kill fails the future *before* the task body
-//! runs (the closure is dropped unrun), so the DAG survives in the cell
-//! and the retry re-submits it. A genuine mid-simulation panic leaves the
-//! cell empty and the retry rebuilds from the [`ShapeSpec`]. After bounded
-//! retries — or whenever no live worker remains — the executor simulates
-//! inline, so exactly one completion is delivered per accepted submission
-//! no matter which workers die.
+//! until it completes. A pool task captures only `Copy` values and a
+//! handle to the plan cache, so a failed attempt — an injected worker
+//! kill, which drops the closure unrun, or a panic inside the task —
+//! loses nothing: the retry is the same closure again and resolves the
+//! same plan. After bounded retries — or whenever no live worker remains —
+//! the executor simulates inline, so exactly one completion is delivered
+//! per accepted submission no matter which workers die.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wsf_core::{ParallelSimulator, PolicyConfig, PolicyScheduler, SimConfig};
-use wsf_dag::{Dag, DagBuilder};
+use wsf_core::{ParallelSimulator, PolicyConfig, PolicyScheduler, SimConfig, SimScratch};
 use wsf_deque::Injector;
 use wsf_runtime::{FaultHooks, Runtime, RuntimeStats, TouchOutcome};
-use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
+use wsf_workloads::submission::ShapeSpec;
 
 use crate::admission::AdmissionMode;
+use crate::plan::{PlanCache, PlanKey, PlanStats};
 use crate::protocol::{
     parse_request_header, ProtocolError, STATUS_OK, STATUS_SHED, STATUS_SHUTTING_DOWN,
 };
@@ -98,13 +110,15 @@ pub struct Completion {
 }
 
 /// State shared between a connection's reader, its writer and the
-/// executors: the completion queue and the spent-DAG recycle pool.
+/// executors: the completion queue, and the count of accepted submissions
+/// still executing that paces the reader.
 #[derive(Debug)]
 pub struct ConnShared {
     completions: Mutex<VecDeque<Completion>>,
     cv: Condvar,
-    spent: Mutex<Vec<Dag>>,
     open: AtomicBool,
+    /// Accepted submissions of this connection not yet completed.
+    outstanding: AtomicUsize,
 }
 
 impl ConnShared {
@@ -112,8 +126,8 @@ impl ConnShared {
         ConnShared {
             completions: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
-            spent: Mutex::new(Vec::new()),
             open: AtomicBool::new(true),
+            outstanding: AtomicUsize::new(0),
         }
     }
 
@@ -136,7 +150,28 @@ impl ConnShared {
         n
     }
 
-    /// Marks the connection closed (writer exited; recycling stops).
+    /// Waits up to `timeout` until fewer than `window` accepted submissions
+    /// of this connection are still executing; returns whether that holds.
+    ///
+    /// A network reader calls this between frames, so a burst waits in the
+    /// socket (back-pressure on its own sender) instead of running ahead of
+    /// the executors: ingest builds nothing, so nothing else paces it.
+    pub fn wait_for_window(&self, window: usize, timeout: Duration) -> bool {
+        let below = || self.outstanding.load(Ordering::Acquire) < window;
+        if below() {
+            return true;
+        }
+        // `execute_job` decrements before it takes this lock to push the
+        // completion, so the decrement is either seen here or notifies.
+        let q = self.completions.lock().unwrap();
+        let _ = self
+            .cv
+            .wait_timeout_while(q, timeout, |_| !below())
+            .unwrap();
+        below()
+    }
+
+    /// Marks the connection closed (reader or writer exited).
     pub fn close(&self) {
         self.open.store(false, Ordering::Release);
         self.cv.notify_all();
@@ -154,22 +189,19 @@ struct Job {
     request_id: u64,
     spec: ShapeSpec,
     footprint: u64,
-    dag: Option<Dag>,
     conn: Arc<ConnShared>,
     start: Instant,
 }
 
-/// Per-connection ingest arena: the reusable builder, shape scratch and
-/// job staging buffer. Owned by the connection's reader thread.
+/// Per-connection ingest state: the reusable job staging buffer. Owned by
+/// the connection's reader thread.
 #[derive(Default)]
 pub struct Ingest {
-    builder: DagBuilder,
-    scratch: ShapeScratch,
     staging: Vec<Job>,
 }
 
 impl Ingest {
-    /// Creates an empty arena (buffers grow to the traffic's working set).
+    /// Creates an empty staging buffer (it grows to the largest frame).
     pub fn new() -> Self {
         Self::default()
     }
@@ -180,6 +212,7 @@ struct CoreInner {
     depth: AtomicUsize,
     tenants: Vec<TenantState>,
     admission: AdmissionMode,
+    plans: Arc<PlanCache>,
     runtime: RwLock<Option<Runtime>>,
     draining: AtomicBool,
     halt: AtomicBool,
@@ -196,6 +229,16 @@ impl CoreInner {
             .map(|rt| rt.stats())
             .unwrap_or_default()
     }
+
+    /// Wakes every parked executor. Passing through `work_mx` first orders
+    /// the caller's update (a push, the halt flag) against an executor that
+    /// is between its re-check under the lock and its wait: either the
+    /// executor sees the update, or it is already waiting when the
+    /// notification fires.
+    fn wake_executors(&self) {
+        drop(self.work_mx.lock().expect("nothing panics under work_mx"));
+        self.work_cv.notify_all();
+    }
 }
 
 /// Outcome of [`ServerCore::shutdown`].
@@ -209,6 +252,8 @@ pub struct ServerReport {
     pub hung_workers: usize,
     /// Final runtime counter snapshot.
     pub runtime_stats: RuntimeStats,
+    /// Final plan-cache counters and residency.
+    pub plan: PlanStats,
 }
 
 /// The transport-independent futures-as-a-service core.
@@ -233,6 +278,7 @@ impl ServerCore {
             depth: AtomicUsize::new(0),
             tenants: config.tenants.into_iter().map(TenantState::new).collect(),
             admission: config.admission,
+            plans: Arc::new(PlanCache::new()),
             runtime: RwLock::new(Some(rb.build())),
             draining: AtomicBool::new(false),
             halt: AtomicBool::new(false),
@@ -254,15 +300,16 @@ impl ServerCore {
         }
     }
 
-    /// Per-connection state: the reader-owned ingest arena and the shared
-    /// completion/recycle queues.
+    /// Per-connection state: the reader-owned staging buffer and the shared
+    /// completion queue.
     pub fn connection(&self) -> (Ingest, Arc<ConnShared>) {
         (Ingest::new(), Arc::new(ConnShared::new()))
     }
 
     /// Processes one request frame: decode each submission, admit or shed
-    /// it, rebuild accepted DAGs in the connection arena and batch them
-    /// into the injector (one epoch-guard entry per frame).
+    /// it, stage the accepted ones and batch them into the injector (one
+    /// epoch-guard entry per frame). Nothing is built here; the executing
+    /// worker resolves the shape's plan.
     ///
     /// Shed/draining rejections complete immediately on the connection's
     /// completion queue. An `Err` is fatal for the connection; accepted
@@ -343,19 +390,11 @@ impl ServerCore {
             tenant
                 .footprint_inflight
                 .fetch_add(footprint, Ordering::Relaxed);
-            // Arena rebuild: recycle a spent DAG's storage when one has come
-            // back from an executor, otherwise reset the builder in place.
-            match conn.spent.lock().unwrap().pop() {
-                Some(dag) => ingest.builder.recycle(dag),
-                None => ingest.builder.reset(),
-            }
-            let dag = spec.build_into(&mut ingest.builder, &mut ingest.scratch);
             ingest.staging.push(Job {
                 tenant: tid,
                 request_id,
                 spec,
                 footprint,
-                dag: Some(dag),
                 conn: Arc::clone(conn),
                 start: Instant::now(),
             });
@@ -364,11 +403,11 @@ impl ServerCore {
             result = Err(ProtocolError::Malformed("trailing words"));
         }
         if !ingest.staging.is_empty() {
-            inner
-                .depth
-                .fetch_add(ingest.staging.len(), Ordering::Relaxed);
+            let n = ingest.staging.len();
+            conn.outstanding.fetch_add(n, Ordering::Relaxed);
+            inner.depth.fetch_add(n, Ordering::Relaxed);
             inner.queue.push_batch(ingest.staging.drain(..));
-            inner.work_cv.notify_all();
+            inner.wake_executors();
         }
         result
     }
@@ -390,6 +429,11 @@ impl ServerCore {
     /// Panics if `tenant` is out of range.
     pub fn tenant_report(&self, tenant: usize) -> TenantReport {
         self.inner.tenants[tenant].report()
+    }
+
+    /// Plan-cache counters and residency right now.
+    pub fn plan_stats(&self) -> PlanStats {
+        self.inner.plans.stats()
     }
 
     /// Number of tenants in the table.
@@ -420,7 +464,7 @@ impl ServerCore {
         let drained = self.inner.depth.load(Ordering::Relaxed) == 0;
 
         self.inner.halt.store(true, Ordering::Release);
-        self.inner.work_cv.notify_all();
+        self.inner.wake_executors();
         let mut detached = 0usize;
         for h in self.executors.lock().unwrap().drain(..) {
             while !h.is_finished() && Instant::now() < deadline {
@@ -452,6 +496,7 @@ impl ServerCore {
             detached_executors: detached,
             hung_workers,
             runtime_stats,
+            plan: self.inner.plans.stats(),
         }
     }
 }
@@ -464,46 +509,58 @@ fn executor_loop(inner: &CoreInner) {
         } else if inner.halt.load(Ordering::Acquire) {
             return;
         } else {
-            let guard = inner.work_mx.lock().unwrap();
-            let _ = inner
-                .work_cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap();
+            // Re-check under the lock `wake_executors` passes through: a
+            // frame pushed after the failed steal either shows in `depth`
+            // here or finds this thread already waiting.
+            let guard = inner.work_mx.lock().expect("nothing panics under work_mx");
+            if inner.depth.load(Ordering::Relaxed) == 0 && !inner.halt.load(Ordering::Acquire) {
+                let _ = inner
+                    .work_cv
+                    .wait_timeout(guard, Duration::from_millis(1))
+                    .expect("nothing panics under work_mx");
+            }
         }
     }
 }
 
-/// Runs one submission's simulation, taking the DAG out of its cell and
-/// restoring it afterwards; rebuilds from the spec if a previous attempt
-/// consumed the DAG (genuine mid-simulation panic).
-fn simulate_in_cell(
-    cell: &Mutex<Option<Dag>>,
+thread_local! {
+    /// The executing thread's simulator buffers, reused by every run on it
+    /// (and so sized by the largest DAG the thread has run, at most
+    /// `MAX_NODES`). `run_with_scratch` re-initialises every buffer it
+    /// reads, so a scratch left dirty by a run that panicked midway is safe
+    /// to reuse (`wsf-core` pins it:
+    /// `scratch_reused_after_a_mid_run_panic_yields_the_fresh_state_report`).
+    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
+}
+
+/// Executes one submission: the shared plan for `(spec, machine)`, then the
+/// tenant's seeded stealing run against it. The only execution path — pool
+/// task, retry and inline fallback all call it.
+fn simulate(
+    plans: &PlanCache,
     spec: ShapeSpec,
     cfg: SimConfig,
     policy: PolicyConfig,
 ) -> (u64, u64) {
-    let taken = cell.lock().unwrap().take();
-    let dag = taken.unwrap_or_else(|| {
-        let mut b = DagBuilder::new();
-        let mut s = ShapeScratch::new();
-        spec.build_into(&mut b, &mut s)
-    });
-    let sim = ParallelSimulator::new(cfg);
-    let seq = sim.sequential(&dag);
-    let mut sched = PolicyScheduler::new(policy);
-    let report = sim.run_against(&dag, &seq, &mut sched, false);
-    let out = (report.cache_misses(), report.deviations());
-    *cell.lock().unwrap() = Some(dag);
-    out
+    let plan = plans.get_or_build(PlanKey::new(spec, &cfg));
+    SCRATCH.with(|scratch| {
+        let report = ParallelSimulator::new(cfg).run_with_scratch(
+            &plan.dag,
+            &plan.seq,
+            &mut PolicyScheduler::new(policy),
+            false,
+            &mut scratch.borrow_mut(),
+        );
+        (report.cache_misses(), report.deviations())
+    })
 }
 
-fn execute_job(inner: &CoreInner, mut job: Job) {
+fn execute_job(inner: &CoreInner, job: Job) {
     let tenant = &inner.tenants[job.tenant];
     let spec = job.spec;
     let cfg = tenant.spec.sim_config();
     let policy = tenant.spec.policy;
     let before = inner.runtime_stats();
-    let cell: Arc<Mutex<Option<Dag>>> = Arc::new(Mutex::new(job.dag.take()));
 
     let mut attempts = 0usize;
     let (misses, deviations) = loop {
@@ -512,13 +569,13 @@ fn execute_job(inner: &CoreInner, mut job: Job) {
             let guard = inner.runtime.read().unwrap();
             match guard.as_ref() {
                 Some(rt) if rt.live_workers() > 0 && attempts <= MAX_ATTEMPTS => {
-                    let c2 = Arc::clone(&cell);
-                    rt.defer_future(move || simulate_in_cell(&c2, spec, cfg, policy))
+                    let plans = Arc::clone(&inner.plans);
+                    rt.defer_future(move || simulate(&plans, spec, cfg, policy))
                 }
                 // Pool gone, fully degraded, or retries exhausted: simulate
                 // inline on this executor thread. The fault injector only
                 // targets runtime workers, so this always completes.
-                _ => break simulate_in_cell(&cell, spec, cfg, policy),
+                _ => break simulate(&inner.plans, spec, cfg, policy),
             }
         };
         let mut pending = fut;
@@ -544,12 +601,7 @@ fn execute_job(inner: &CoreInner, mut job: Job) {
         .footprint_inflight
         .fetch_sub(job.footprint, Ordering::Relaxed);
 
-    // Return the DAG's storage to the connection arena for recycling.
-    if let Some(dag) = cell.lock().unwrap().take() {
-        if job.conn.is_open() {
-            job.conn.spent.lock().unwrap().push(dag);
-        }
-    }
+    job.conn.outstanding.fetch_sub(1, Ordering::Release);
     job.conn.push_completion(Completion {
         request_id: job.request_id,
         status: STATUS_OK,

@@ -2,13 +2,15 @@
 //!
 //! A TCP/UDS front end that accepts DAG/future submissions from many
 //! concurrent clients over a length-prefixed, versioned flat-`u64` binary
-//! protocol ([`protocol`]), decodes them into a per-connection reusable
-//! [`wsf_dag::DagBuilder`] arena (no steady-state allocation on the ingest
-//! hot path), admits or sheds them by declared block footprint
-//! ([`admission`]), batches accepted work into the runtime's injector via
-//! [`wsf_deque::Injector::push_batch`] — one two-parity epoch-guard entry
-//! per frame — and executes each submission on a shared
-//! [`wsf_runtime::Runtime`] with per-tenant accounting ([`tenant`]).
+//! protocol ([`protocol`]), admits or sheds them by declared block
+//! footprint ([`admission`]), batches accepted work into the runtime's
+//! injector via [`wsf_deque::Injector::push_batch`] — one two-parity
+//! epoch-guard entry per frame, no steady-state allocation on the ingest
+//! hot path — and executes each submission on a shared
+//! [`wsf_runtime::Runtime`] with per-tenant accounting ([`tenant`]). A
+//! shape's DAG and sequential baseline are built once and shared by every
+//! request that names them ([`plan`]); only the tenant's seeded stealing
+//! run is computed per request.
 //!
 //! Layering:
 //!
@@ -16,7 +18,9 @@
 //!   free after warm-up).
 //! * [`admission`] — the reject-vs-queue decision.
 //! * [`tenant`] — per-tenant policy/machine specs and accounting.
-//! * [`core`] — ingest → admit → arena-build → batch-inject → execute;
+//! * [`plan`] — the bounded cache of immutable `(DAG, sequential
+//!   baseline)` plans, keyed by shape and machine.
+//! * [`core`] — ingest → admit → batch-inject → resolve plan → execute;
 //!   exactly-once completion delivery under injected worker faults;
 //!   graceful drain-then-stop shutdown.
 //! * [`net`] — TCP/UDS listeners and per-connection reader/writer threads;
@@ -32,6 +36,7 @@ pub mod admission;
 pub mod client;
 pub mod core;
 pub mod net;
+pub mod plan;
 pub mod protocol;
 pub mod tenant;
 
@@ -39,6 +44,7 @@ pub use admission::AdmissionMode;
 pub use client::{BenchClient, LatencyRecorder, ZipfSampler};
 pub use core::{Completion, ConnShared, Ingest, ServerConfig, ServerCore, ServerReport};
 pub use net::Server;
+pub use plan::{PlanStats, PLAN_BUDGET_NODES};
 pub use protocol::{
     frame_request, FrameReader, ProtocolError, COMPLETION_WORDS, MAX_FRAME_WORDS, PROTOCOL_VERSION,
     REQUEST_MAGIC, RESPONSE_MAGIC, STATUS_BAD_SHAPE, STATUS_FAILED, STATUS_OK, STATUS_SHED,

@@ -3,12 +3,15 @@
 //!
 //! Each accepted connection gets two threads:
 //!
-//! * a **reader** that owns the connection's [`Ingest`] arena and
+//! * a **reader** that owns the connection's [`Ingest`] staging buffer and
 //!   [`FrameReader`], accumulates bytes under a short read timeout and
 //!   feeds whole frames to [`ServerCore::ingest_frame`]. The timeout means
 //!   the reader re-checks the server's stop flag every few tens of
 //!   milliseconds, so a hung client — connected but never sending a whole
-//!   frame — cannot wedge shutdown.
+//!   frame — cannot wedge shutdown. Between frames it waits while
+//!   `CONN_WINDOW` of the connection's accepted submissions are still
+//!   executing, so a burst backs up into the socket rather than into the
+//!   tenant's admission budget.
 //! * a **writer** that drains the connection's completion queue and writes
 //!   batched response frames (one frame per drain, any number of
 //!   completions each).
@@ -34,6 +37,14 @@ use crate::protocol::{frame_bytes, FrameReader, PROTOCOL_VERSION, RESPONSE_MAGIC
 const IO_TIMEOUT: Duration = Duration::from_millis(50);
 /// Writer wake interval while its completion queue is empty.
 const WRITER_WAIT: Duration = Duration::from_millis(50);
+/// Accepted submissions a connection may have executing before its reader
+/// stops taking frames off the socket. Ingest costs microseconds per frame
+/// and an execution tens to hundreds, so without a window a burst on one
+/// connection is admitted whole and runs into the tenant's shedding budget;
+/// with it the burst waits in the socket and is served in order. Half of
+/// `AdmissionMode::shed_default`'s per-tenant budget: one connection alone
+/// never sheds at the defaults, several still can.
+const CONN_WINDOW: usize = 32;
 
 /// A byte stream over either transport.
 pub enum Stream {
@@ -308,6 +319,11 @@ fn reader_loop(
                 loop {
                     match frames.poll_frame() {
                         Ok(true) => {
+                            while !conn.wait_for_window(CONN_WINDOW, IO_TIMEOUT) {
+                                if stop.load(Ordering::Acquire) {
+                                    break 'outer;
+                                }
+                            }
                             if core
                                 .ingest_frame(&mut ingest, conn, frames.words())
                                 .is_err()

@@ -58,7 +58,6 @@ pub struct TenantState {
     pub(crate) footprint_inflight: AtomicU64,
     pub(crate) completed: AtomicU64,
     pub(crate) shed: AtomicU64,
-    pub(crate) failed: AtomicU64,
     pub(crate) misses: AtomicU64,
     pub(crate) deviations: AtomicU64,
     pub(crate) stats: Mutex<RuntimeStats>,
@@ -72,7 +71,6 @@ impl TenantState {
             footprint_inflight: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             deviations: AtomicU64::new(0),
             stats: Mutex::new(RuntimeStats::default()),
@@ -84,7 +82,7 @@ impl TenantState {
         TenantReport {
             completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
+            failed: 0,
             misses: self.misses.load(Ordering::Relaxed),
             deviations: self.deviations.load(Ordering::Relaxed),
             inflight: self.inflight.load(Ordering::Relaxed),
@@ -100,7 +98,10 @@ pub struct TenantReport {
     pub completed: u64,
     /// Submissions rejected by admission control.
     pub shed: u64,
-    /// Submissions that exhausted execution retries.
+    /// Always 0: a submission that exhausts its retries on the pool is
+    /// simulated inline by its executor and counted `completed`, so no
+    /// accepted submission can fail. The field stays because report
+    /// consumers sum it.
     pub failed: u64,
     /// Sum of per-submission simulated cache misses (deterministic).
     pub misses: u64,

@@ -2,29 +2,26 @@
 //!
 //! This extends the simulator's counting-allocator proof
 //! (`crates/core/tests/alloc_free.rs`) to the full decode → admit →
-//! arena-build → `push_batch` path: a counting global allocator tracks
-//! *this thread's* allocations while the test plays the connection-reader
+//! stage → `push_batch` path: a counting global allocator tracks *this
+//! thread's* allocations while the test plays the connection-reader
 //! role — feeding raw frame bytes through a [`FrameReader`] into
 //! [`ServerCore::ingest_frame`]. After warm-up, a full ingest round must
 //! allocate nothing at all on the ingest thread, round after round — only
 //! possible if every buffer is reused: the frame reader's byte and word
-//! arenas, the [`DagBuilder`]'s node/thread pools (recycled from completed
-//! submissions), the job staging buffer, and the injector's epoch-recycled
-//! segments.
+//! arenas, the job staging buffer, and the injector's epoch-recycled
+//! segments. (Ingest builds no DAG: the executing worker resolves the
+//! shape's shared plan.)
 //!
-//! Warm-up is adaptive rather than a fixed count: the recycled DAG
-//! node-buffers rotate through differently-sized thread roles across the
-//! mixed shapes, so capacities saturate gradually (each round can grow at
-//! most a few buffers), and the injector's segment free-list only proves
-//! reuse once pushes have crossed a segment boundary (every `SEG_CAP`
-//! submissions). The test therefore warms until a long streak of
-//! zero-allocation rounds — long enough to span segment-boundary
-//! crossings — and only then asserts the steady state.
+//! Warm-up is adaptive rather than a fixed count: the injector's segment
+//! free-list only proves reuse once pushes have crossed a segment boundary
+//! (every `SEG_CAP` submissions). The test therefore warms until a long
+//! streak of zero-allocation rounds — long enough to span
+//! segment-boundary crossings — and only then asserts the steady state.
 //!
 //! Executor-side work (the future cell, completion records) happens on
-//! other threads and is deliberately out of scope: the claim under test is
-//! the *ingest* path, per the counting-allocator convention of measuring
-//! only the current thread.
+//! other threads and is out of scope here, per the counting-allocator
+//! convention of measuring only the current thread;
+//! `tests/plan_cache.rs` bounds the pool side of a warm hit.
 
 use std::time::{Duration, Instant};
 
@@ -42,7 +39,7 @@ use counting_alloc::thread_allocs as allocs;
 /// reached: > `SEG_CAP` (64) / submissions-per-round (3), so the streak is
 /// guaranteed to span at least one injector segment-boundary crossing.
 const ZERO_STREAK: u32 = 30;
-/// Warm-up bound; saturating every recycled buffer takes tens of rounds.
+/// Warm-up bound; the streak itself takes `ZERO_STREAK` rounds.
 const MAX_WARMUP_ROUNDS: u32 = 400;
 
 #[test]
@@ -72,13 +69,9 @@ fn ingest_path_is_allocation_free_in_steady_state() {
     let mut reader = FrameReader::new();
     let mut drained: Vec<Completion> = Vec::with_capacity(16);
 
-    // One full ingest round. Each frame's completion is awaited before the
-    // next frame is ingested, so the spent DAG is deterministically back in
-    // the connection's recycle pool when ingest needs it — under pipelined
-    // load the recycle hit is timing-dependent (a miss builds with fresh
-    // buffers), and this test asserts the recycling path itself, not the
-    // executor's race with the ingest thread. Only the ingest calls are
-    // inside the measurement window.
+    // One full ingest round, each frame's completion awaited before the
+    // next frame is ingested. Only the ingest calls are inside the
+    // measurement window.
     let mut round = || -> u64 {
         let mut count = 0;
         for bytes in &frames {
@@ -126,7 +119,7 @@ fn ingest_path_is_allocation_free_in_steady_state() {
         assert_eq!(
             steady, 0,
             "steady-state ingest round {i} allocated {steady} times on the reader \
-             thread; decode → admit → arena-build → push_batch must reuse every buffer"
+             thread; decode → admit → stage → push_batch must reuse every buffer"
         );
     }
 

@@ -1,6 +1,7 @@
 //! End-to-end server tests over real sockets: round-trip correctness
 //! against a local replay over TCP and over a Unix domain socket, in-frame
-//! load shedding at the tenant budget, graceful shutdown with a hung client
+//! load shedding at the tenant budget, a burst on one connection paced by
+//! the reader instead of shed, graceful shutdown with a hung client
 //! attached, and exactly-once completion delivery under injected worker
 //! kills.
 //!
@@ -14,14 +15,15 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wsf_core::{ParallelSimulator, PolicyScheduler};
-use wsf_dag::DagBuilder;
 use wsf_runtime::{FaultPlan, FaultSpec};
 use wsf_server::{
     AdmissionMode, BenchClient, Completion, Server, ServerConfig, TenantSpec, STATUS_OK,
     STATUS_SHED,
 };
-use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
+use wsf_workloads::submission::ShapeSpec;
+
+mod common;
+use common::local_replay;
 
 fn env_fault_seed() -> u64 {
     std::env::var("WSF_FAULT_SEED")
@@ -41,19 +43,6 @@ fn two_tenant_config() -> ServerConfig {
         ],
         fault_hooks: None,
     }
-}
-
-/// Executes `spec` locally under `tenant`'s deterministic simulator
-/// config — the ground truth a server completion must match.
-fn local_replay(tenant: &TenantSpec, spec: ShapeSpec) -> (u64, u64) {
-    let mut b = DagBuilder::new();
-    let mut s = ShapeScratch::new();
-    let dag = spec.build_into(&mut b, &mut s);
-    let sim = ParallelSimulator::new(tenant.sim_config());
-    let seq = sim.sequential(&dag);
-    let mut sched = PolicyScheduler::new(tenant.policy);
-    let report = sim.run_against(&dag, &seq, &mut sched, false);
-    (report.cache_misses(), report.deviations())
 }
 
 fn collect(client: &mut BenchClient, want: usize) -> Vec<Completion> {
@@ -184,6 +173,35 @@ fn one_frame_over_tenant_budget_sheds_the_excess() {
 }
 
 #[test]
+fn a_burst_on_one_connection_is_paced_not_shed() {
+    // Ingest costs microseconds a frame and an execution far more, so a
+    // burst of one-submission frames would be admitted whole and run into
+    // the tenant budget. The reader's connection window holds it in the
+    // socket instead: at the default budgets one connection never sheds.
+    const N: u64 = 600;
+    let config = ServerConfig {
+        admission: AdmissionMode::shed_default(),
+        ..two_tenant_config()
+    };
+    let server = Server::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let mut client = BenchClient::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+
+    let spec = ShapeSpec::Mergesort { leaves: 64 };
+    for id in 1..=N {
+        client.submit_batch(0, &[(id, spec)]).expect("submit");
+    }
+    let completions = collect(&mut client, N as usize);
+    let ids: BTreeSet<u64> = completions.iter().map(|c| c.request_id).collect();
+    assert_eq!(ids, (1..=N).collect::<BTreeSet<u64>>(), "one reply each");
+    assert!(completions.iter().all(|c| c.status == STATUS_OK));
+
+    let tenant = server.core().tenant_report(0);
+    assert_eq!((tenant.completed, tenant.shed), (N, 0));
+    let report = server.shutdown(Duration::from_secs(10));
+    assert!(report.drained);
+}
+
+#[test]
 fn hung_client_cannot_wedge_shutdown() {
     let server = Server::bind_tcp("127.0.0.1:0", two_tenant_config()).expect("bind");
     let addr = server.tcp_addr().unwrap();
@@ -217,9 +235,10 @@ fn exactly_once_completions_under_injected_worker_kills() {
     let seed = env_fault_seed();
     // Three of the four workers get killed mid-run; a few task panics and
     // injector stalls ride along. The horizon is well under the task count
-    // so every drawn fault actually fires.
+    // so every drawn fault actually fires, and past the first pass so some
+    // fire while the second runs.
     let spec = FaultSpec {
-        horizon: 24,
+        horizon: 48,
         panics: 2,
         kills: 3,
         stall_period: 5,
@@ -239,21 +258,31 @@ fn exactly_once_completions_under_injected_worker_kills() {
     let addr = server.tcp_addr().unwrap();
     let mut client = BenchClient::connect_tcp(addr).expect("connect");
 
+    // The mix goes through twice: the first pass builds the three plans
+    // (every later request hits them), the second runs on hits alone.
     let shapes = ShapeSpec::smoke_mix();
-    const TOTAL: u64 = 40;
+    const PASS: u64 = 40;
+    const TOTAL: u64 = 2 * PASS;
+    let mut completions = Vec::new();
     let mut sent = 0u64;
-    while sent < TOTAL {
-        let batch: Vec<(u64, ShapeSpec)> = (0..8)
-            .map(|i| {
-                let id = sent + i + 1;
-                (id, shapes[id as usize % shapes.len()])
-            })
-            .collect();
-        client.submit_batch(0, &batch).expect("submit");
-        sent += batch.len() as u64;
+    for pass in 1..=2 {
+        let built_before = server.core().plan_stats().misses;
+        while sent < pass * PASS {
+            let batch: Vec<(u64, ShapeSpec)> = (0..8)
+                .map(|i| {
+                    let id = sent + i + 1;
+                    (id, shapes[id as usize % shapes.len()])
+                })
+                .collect();
+            client.submit_batch(0, &batch).expect("submit");
+            sent += batch.len() as u64;
+        }
+        completions.extend(collect(&mut client, PASS as usize));
+        if pass == 2 {
+            let built = server.core().plan_stats().misses - built_before;
+            assert_eq!(built, 0, "second pass built a plan under seed {seed}");
+        }
     }
-
-    let completions = collect(&mut client, TOTAL as usize);
     let ids: BTreeSet<u64> = completions.iter().map(|c| c.request_id).collect();
     assert_eq!(
         ids.len(),
@@ -265,9 +294,9 @@ fn exactly_once_completions_under_injected_worker_kills() {
         (1..=TOTAL).collect::<BTreeSet<u64>>(),
         "lost completions under seed {seed}"
     );
-    // Every submission must still succeed: kills fire before the task body
-    // runs (the DAG survives for retry), and the executor falls back to
-    // inline simulation once the pool degrades.
+    // Every submission must still succeed: a retry resolves the same shared
+    // plan, and the executor falls back to inline simulation once the pool
+    // degrades.
     for c in &completions {
         assert_eq!(
             c.status, STATUS_OK,
@@ -275,9 +304,11 @@ fn exactly_once_completions_under_injected_worker_kills() {
             c.request_id
         );
     }
-    // Simulation results stay deterministic even when computed on a retry.
+    // Simulation results stay deterministic even when computed on a retry,
+    // from a plan built by another request (both passes are checked).
     let tenant = TenantSpec::default_with_seed(5);
-    for c in completions.iter().take(6) {
+    let checked = completions.iter().take(6);
+    for c in checked.chain(completions.iter().skip(PASS as usize).take(6)) {
         let spec = shapes[c.request_id as usize % shapes.len()];
         let (misses, deviations) = local_replay(&tenant, spec);
         assert_eq!(
@@ -297,4 +328,8 @@ fn exactly_once_completions_under_injected_worker_kills() {
         report.drained,
         "drain must survive worker deaths (seed {seed})"
     );
+    // Faults fire before a task's body, so each submission resolved its
+    // plan exactly once however many attempts it took.
+    assert_eq!(report.plan.hits + report.plan.misses, TOTAL);
+    assert_eq!(report.plan.resident_plans, shapes.len() as u64);
 }
