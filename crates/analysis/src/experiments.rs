@@ -168,6 +168,26 @@ mod tests {
     }
 
     #[test]
+    fn e10_results_are_ok_under_every_spawn_policy() {
+        let tables = e10_runtime(Scale::Quick);
+        let [table] = &tables[..] else {
+            panic!("E10 renders one table, got {}", tables.len())
+        };
+        let column = |name: &str| table.headers.iter().position(|h| h == name).expect(name);
+        let (policy, ok) = (column("policy"), column("result ok"));
+        for row in &table.rows {
+            assert_eq!(row[ok], "true", "kernel result mismatch: {row:?}");
+        }
+        // Quick scale runs one thread count: one row per spawn policy.
+        let policies: Vec<&str> = table.rows.iter().map(|r| r[policy].as_str()).collect();
+        let expected: Vec<String> = wsf_runtime::SpawnPolicy::ALL
+            .iter()
+            .map(|p| p.to_string())
+            .collect();
+        assert_eq!(policies, expected);
+    }
+
+    #[test]
     fn registry_ids_are_unique_and_runnable() {
         let reg = registry();
         assert_eq!(reg.len(), 21);

@@ -1,20 +1,24 @@
 //! E10, E18, E20, E21: the experiments that drive real machinery — the
 //! work-stealing pool, the crash-recovery streaming engine, the TCP server
-//! and the hardware-validation loop.
+//! and the hardware-validation loop. Their tables are counts and verdicts;
+//! speed numbers come from the standalone `benchmark/` crate.
 
 use super::suites::{thm12_family, verdict_row, VERDICT_COLUMNS, WS_VS_PARSIMONIOUS};
 use super::Scale;
 use crate::sweeps::capacity_sweep;
 use crate::table::Table;
-use crate::validate::{validate_trace, BoundFamily, TraceValidation};
+use crate::validate::{validate_trace, BoundFamily};
 use std::sync::Arc;
 use wsf_core::{ForkPolicy, ParallelSimulator};
-use wsf_dag::{Dag, DagBuilder};
+use wsf_dag::DagBuilder;
 use wsf_runtime::{Runtime, SpawnPolicy};
 use wsf_workloads::{backpressure, dag_exec, runtime_apps, sort, stencil};
 
-/// E10 — the real runtime: the same kernels on OS threads, child-first vs
-/// helper-first, with the runtime's own steal/inline counters.
+/// E10 — the real runtime: the closure kernels of
+/// [`wsf_workloads::runtime_apps`] on OS threads, child-first vs
+/// helper-first, with the runtime's own steal/inline counters. The suite
+/// families (mergesort, stencils, batched pipeline) run on the real pool
+/// from their own DAGs in E21.
 pub fn e10_runtime(scale: Scale) -> Vec<Table> {
     let mut t = Table::new(
         "E10 — real work-stealing runtime (structured single-touch futures)",
@@ -31,43 +35,29 @@ pub fn e10_runtime(scale: Scale) -> Vec<Table> {
     );
     let fib_n = scale.pick(12u64, 20);
     let sum_len = scale.pick(10_000usize, 400_000);
-    let sort_len = scale.pick(2_000u64, 40_000);
-    let (grid_rows, grid_cols) = scale.pick((4usize, 16usize), (16, 64));
-    let stream_items = scale.pick(200usize, 5_000);
+    let pipeline_items = scale.pick(256usize, 10_000);
     for &threads in &scale.pick(vec![2usize], vec![1, 2, 4]) {
         for policy in SpawnPolicy::ALL {
             let rt = Arc::new(Runtime::builder().threads(threads).policy(policy).build());
             let data: Arc<Vec<u64>> = Arc::new((0..sum_len as u64).collect());
 
-            let sort_input: Vec<u64> = (0..sort_len)
-                .map(|i| i.wrapping_mul(2_654_435_761) % 100_000)
-                .collect();
-            let mut sort_expected = sort_input.clone();
-            sort_expected.sort_unstable();
-
             let start = std::time::Instant::now();
             let fib_val = runtime_apps::fib(&rt, fib_n);
             let sum_val = runtime_apps::sum(&rt, &data, 0, data.len(), 512);
             let mr = runtime_apps::map_reduce(&rt, 32, |w| w as u64, |a, b| a + b);
-            let sorted = runtime_apps::merge_sort(&rt, sort_input, 256);
-            let grid = runtime_apps::stencil(&rt, grid_rows, grid_cols, 4);
-            let exchange = runtime_apps::stencil_exchange(&rt, grid_rows, grid_cols, 4);
-            let stream = runtime_apps::streaming_pipeline(&rt, stream_items, 8);
+            let piped = runtime_apps::pipeline(&rt, pipeline_items);
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
 
-            let last = stream_items as u64 - 1;
             let ok = fib_val == fib_reference(fib_n)
                 && sum_val == data.iter().sum::<u64>()
                 && mr == Some((0..32u64).sum())
-                && sorted == sort_expected
-                && grid.len() == grid_rows
-                // The per-neighbour-copy exchange must reproduce the
-                // snapshot stencil's grid exactly.
-                && exchange == grid
-                && stream.last().copied() == Some(last * last + 1);
+                && piped
+                    .iter()
+                    .copied()
+                    .eq((0..pipeline_items as u64).map(|x| x * x + 1));
             let stats = rt.stats();
             t.push_row(vec![
-                "fib+sum+map_reduce+sort+stencil+exchange+stream".to_string(),
+                "fib+sum+map_reduce+pipeline".to_string(),
                 policy.to_string(),
                 threads.to_string(),
                 ok.to_string(),
@@ -140,10 +130,7 @@ pub fn e18_streaming_epochs(scale: Scale) -> Vec<Table> {
     let (window, work) = (4usize, 2usize);
     // Ragged final epoch: the last barrier commits fewer items.
     let len = epoch_items as u64 * epochs - 3;
-    let fault_seed: u64 = std::env::var("WSF_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let fault_seed = wsf_runtime::fault_seed_from_env().unwrap_or(1);
 
     let source = SeededStream::new(0x5eed_0018, len);
     let stages = mix_stages(stages_n, 18);
@@ -305,14 +292,13 @@ fn e20_shape_label(spec: &wsf_workloads::submission::ShapeSpec) -> String {
 /// cell on this process's simulator — the per-tenant deterministic-seed
 /// contract means the server's misses and deviations must equal the
 /// replay's exactly, no matter how submissions interleaved across
-/// executors on the way there. The tables keep only replay-determined
-/// columns (latency and throughput are printed to stderr), so they render
-/// byte-identically at every `--threads` setting and across runs.
+/// executors on the way there. The tables hold only replay-determined
+/// columns, so they render byte-identically at every `--threads` setting
+/// and across runs; served latency and throughput are measured by
+/// `benchmark/` (`loadgen.latency_*`, `throughput_per_s`), not here.
 pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
     use std::time::{Duration, Instant};
-    use wsf_server::{
-        AdmissionMode, BenchClient, LatencyRecorder, Server, ServerConfig, ZipfSampler, STATUS_OK,
-    };
+    use wsf_server::{AdmissionMode, BenchClient, Server, ServerConfig, ZipfSampler, STATUS_OK};
     use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
 
     let tenants = e20_tenants(scale);
@@ -358,7 +344,6 @@ pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
         .map(|k| (zipf.sample(), k % shapes.len()))
         .collect();
 
-    let started = Instant::now();
     let mut staged: Vec<Vec<(u64, ShapeSpec)>> = vec![Vec::new(); tenants.len()];
     for (k, &(t, s)) in schedule.iter().enumerate() {
         staged[t].push((k as u64 + 1, shapes[s]));
@@ -385,7 +370,6 @@ pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
             .recv_completions(&mut completions, Duration::from_secs(5))
             .expect("recv completions");
     }
-    let wall = started.elapsed();
 
     // Ground truth: one local replay per (tenant, shape) cell.
     let replay: Vec<Vec<(u64, u64)>> = tenants
@@ -410,7 +394,6 @@ pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
     // Check every completion against its cell's replay; aggregate per cell.
     let mut subs = vec![vec![0u64; shapes.len()]; tenants.len()];
     let mut matched = vec![vec![true; shapes.len()]; tenants.len()];
-    let mut latency = LatencyRecorder::new();
     for c in &completions {
         let k = (c.request_id - 1) as usize;
         let (t, s) = schedule[k];
@@ -423,7 +406,6 @@ pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
         {
             matched[t][s] = false;
         }
-        latency.record(c.micros);
     }
 
     let mut per_cell = Table::new(
@@ -505,17 +487,6 @@ pub fn e20_futures_service(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    // Latency and throughput are measured wall-clock quantities — honest
-    // but machine-dependent, so they go to stderr, never into the tables.
-    eprintln!(
-        "E20: {total} submissions in {wall:.2?} ({:.0} DAGs/sec), latency p50 {} us, \
-         p99 {} us, p999 {} us",
-        total as f64 / wall.as_secs_f64().max(1e-9),
-        latency.quantile(0.50),
-        latency.quantile(0.99),
-        latency.quantile(0.999),
-    );
-
     let report = server.shutdown(Duration::from_secs(30));
     assert!(report.drained, "E20 server failed to drain at shutdown");
     vec![per_cell, summary]
@@ -531,150 +502,19 @@ fn fib_reference(n: u64) -> u64 {
     a
 }
 
-/// One validated pool execution of the hardware-validation loop (E21):
-/// a preset-family DAG run on the real work-stealing pool at `processors`
-/// workers, its touch trace replayed and checked against the theorem
-/// bounds. Produced by [`e21_cells`]; the `hw_validate` bench bin archives
-/// these (with perf counters where available) in `BENCH_simulator.json`.
-#[derive(Clone, Debug)]
-pub struct HwValidationCell {
-    /// The workload family (`mergesort`, `stencil`, …).
-    pub family: &'static str,
-    /// Nodes in the DAG.
-    pub nodes: usize,
-    /// Distinct memory blocks of the DAG.
-    pub blocks: usize,
-    /// Pool workers the DAG was executed on.
-    pub processors: usize,
-    /// Which theorem's bounds apply (Thm 16/18 for the super-final
-    /// exchange stencils, Thm 12 otherwise).
-    pub bound_family: BoundFamily,
-    /// The trace-replay verdict over the executed schedule.
-    pub validation: TraceValidation,
-    /// Tasks acquired by steal during the execution (trace provenance).
-    pub steal_tasks: u64,
-    /// Chains respawned by the fault-rescue sweep (0 without injection).
-    pub rescued: usize,
-}
-
-/// The E21 workload matrix: the four Theorem-12 suite families (the
-/// exchange stencil twice, once per bound family), each sized so the
-/// theorem bounds exceed the node count — which makes every verdict
-/// structurally "yes" on *any* executed schedule, keeping the table
-/// byte-deterministic while the measured numbers vary run to run.
-pub fn e21_matrix(scale: Scale) -> Vec<(&'static str, Arc<Dag>, BoundFamily)> {
-    let (sort_shape, st, ex, bp) = scale.pick(
-        (
-            (64usize, 8usize),
-            (3usize, 2, 3),
-            (3usize, 2),
-            (3usize, 12, 4, 1),
-        ),
-        ((512, 16), (8, 8, 4), (4, 8), (4, 48, 8, 1)),
-    );
-    vec![
-        (
-            "mergesort",
-            Arc::new(sort::mergesort(sort_shape.0, sort_shape.1)),
-            BoundFamily::Thm12,
-        ),
-        (
-            "stencil",
-            Arc::new(stencil::stencil(st.0, st.1, st.2)),
-            BoundFamily::Thm12,
-        ),
-        (
-            "stencil_exchange/1",
-            Arc::new(stencil::stencil_exchange(ex.0, ex.1, 1)),
-            BoundFamily::Thm16,
-        ),
-        (
-            "stencil_exchange/2",
-            Arc::new(stencil::stencil_exchange(ex.0, ex.1, 2)),
-            BoundFamily::Thm18,
-        ),
-        (
-            "batched_pipeline",
-            Arc::new(backpressure::batched_pipeline(bp.0, bp.1, bp.2, bp.3)),
-            BoundFamily::Thm12,
-        ),
-    ]
-}
-
-/// Runs and validates one E21 cell: `dag` executed on a fresh traced pool
-/// of `processors` workers, `C = 16` per-worker private LRU caches. The
-/// `hw_validate` bin calls this directly so it can bracket each execution
-/// with a hardware miss counter.
-pub fn e21_cell(
-    family: &'static str,
-    dag: &Arc<Dag>,
-    processors: usize,
-    bound_family: BoundFamily,
-) -> HwValidationCell {
-    let c = 16usize;
-    let rt = Arc::new(
-        Runtime::builder()
-            .threads(processors)
-            .policy(SpawnPolicy::ChildFirst)
-            .touch_trace(4 * dag.num_nodes() + 64)
-            .build(),
-    );
-    let report = dag_exec::run_dag_on_pool(&rt, dag, ForkPolicy::FutureFirst);
-    let trace = rt.touch_trace().expect("tracing enabled");
-    let validation = validate_trace(
-        dag,
-        &trace,
-        ForkPolicy::FutureFirst,
-        c,
-        processors as u64,
-        bound_family,
-    );
-    // The structural determinism guarantee: with `nodes` at or below both
-    // bounds, no executed schedule can violate them (deviations and extra
-    // misses are each at most one per node).
-    assert!(
-        dag.num_nodes() as u64 <= validation.deviation_bound
-            && dag.num_nodes() as u64 <= validation.miss_bound,
-        "{family}: shape too large for deterministic verdicts \
-         ({} nodes, bounds {} / {})",
-        dag.num_nodes(),
-        validation.deviation_bound,
-        validation.miss_bound,
-    );
-    HwValidationCell {
-        family,
-        nodes: dag.num_nodes(),
-        blocks: dag.block_space(),
-        processors,
-        bound_family,
-        validation,
-        steal_tasks: trace.steal_tasks(),
-        rescued: report.rescued,
-    }
-}
-
-/// Runs the E21 matrix — every [`e21_matrix`] family on real pools at
-/// `P ∈ {1, 2, 4}` with tracing on — and validates each executed schedule.
-pub fn e21_cells(scale: Scale) -> Vec<HwValidationCell> {
-    let mut cells = Vec::new();
-    for (family, dag, bound_family) in e21_matrix(scale) {
-        for p in [1usize, 2, 4] {
-            cells.push(e21_cell(family, &dag, p, bound_family));
-        }
-    }
-    cells
-}
-
 /// E21 — the hardware-validation loop: the Theorem-12/16/18 suite
-/// families executed on the *real* work-stealing pool at `P ∈ {1, 2, 4}`,
+/// families executed on the *real* work-stealing pool at `P ∈ {1, 2, 4}`
+/// (a fresh traced pool per cell, `C = 16` per-worker private LRU caches),
 /// their block-touch traces replayed through the cache simulator and
 /// checked against the theorem bounds — bound verdicts over executed
 /// schedules rather than simulated ones.
 ///
-/// The table is byte-deterministic at any `--threads` (shapes are sized so
-/// the bounds exceed the node count; see [`e21_matrix`]); the run-varying
-/// measurements — deviations, extra misses, steals — go to stderr, and the
-/// `hw_validate` bench bin archives them in `BENCH_simulator.json`.
+/// The matrix is the four Theorem-12 suite families, the exchange stencil
+/// twice (once per bound family), each sized so the theorem bounds exceed
+/// the node count — which makes every verdict structurally "yes" on *any*
+/// executed schedule, keeping the table byte-deterministic at any
+/// `--threads` while the measured numbers — deviations, extra misses,
+/// steals — vary run to run and go to stderr.
 pub fn e21_hw_validate(scale: Scale) -> Vec<Table> {
     let columns = [
         "family",
@@ -693,38 +533,104 @@ pub fn e21_hw_validate(scale: Scale) -> Vec<Table> {
         "E21 / hardware-validation loop — executed schedules vs Theorems 12/16/18 (C = 16)",
         &columns,
     );
-    for cell in e21_cells(scale) {
-        let v = &cell.validation;
-        eprintln!(
-            "E21 {} P={}: deviations={} extra_misses={} runtime_misses={} \
-             steal_tasks={} rescued={} coverage={}",
-            cell.family,
-            cell.processors,
-            v.deviations,
-            v.extra_misses,
-            v.runtime_misses,
-            cell.steal_tasks,
-            cell.rescued,
-            v.coverage_ok,
-        );
-        t.push_row(vec![
-            cell.family.to_string(),
-            cell.nodes.to_string(),
-            cell.blocks.to_string(),
-            cell.bound_family.label().to_string(),
-            cell.processors.to_string(),
-            v.span.to_string(),
-            v.seq_misses.to_string(),
-            v.deviation_bound.to_string(),
-            v.miss_bound.to_string(),
-            match v.p1_exact {
-                Some(true) => "exact",
-                Some(false) => "DIVERGED",
-                None => "-",
-            }
-            .to_string(),
-            if v.within { "yes" } else { "NO" }.to_string(),
-        ]);
+    let c = 16usize;
+    let (sort_shape, st, ex, bp) = scale.pick(
+        (
+            (64usize, 8usize),
+            (3usize, 2, 3),
+            (3usize, 2),
+            (3usize, 12, 4, 1),
+        ),
+        ((512, 16), (8, 8, 4), (4, 8), (4, 48, 8, 1)),
+    );
+    let matrix = [
+        (
+            "mergesort",
+            sort::mergesort(sort_shape.0, sort_shape.1),
+            BoundFamily::Thm12,
+        ),
+        (
+            "stencil",
+            stencil::stencil(st.0, st.1, st.2),
+            BoundFamily::Thm12,
+        ),
+        (
+            "stencil_exchange/1",
+            stencil::stencil_exchange(ex.0, ex.1, 1),
+            BoundFamily::Thm16,
+        ),
+        (
+            "stencil_exchange/2",
+            stencil::stencil_exchange(ex.0, ex.1, 2),
+            BoundFamily::Thm18,
+        ),
+        (
+            "batched_pipeline",
+            backpressure::batched_pipeline(bp.0, bp.1, bp.2, bp.3),
+            BoundFamily::Thm12,
+        ),
+    ];
+    for (family, dag, bound_family) in matrix {
+        let dag = Arc::new(dag);
+        for processors in [1usize, 2, 4] {
+            let rt = Arc::new(
+                Runtime::builder()
+                    .threads(processors)
+                    .policy(SpawnPolicy::ChildFirst)
+                    .touch_trace(4 * dag.num_nodes() + 64)
+                    .build(),
+            );
+            let report = dag_exec::run_dag_on_pool(&rt, &dag, ForkPolicy::FutureFirst);
+            let trace = rt.touch_trace().expect("tracing enabled");
+            let v = validate_trace(
+                &dag,
+                &trace,
+                ForkPolicy::FutureFirst,
+                c,
+                processors as u64,
+                bound_family,
+            );
+            // The structural determinism guarantee: with `nodes` at or
+            // below both bounds, no executed schedule can violate them
+            // (deviations and extra misses are each at most one per node).
+            assert!(
+                dag.num_nodes() as u64 <= v.deviation_bound
+                    && dag.num_nodes() as u64 <= v.miss_bound,
+                "{family}: shape too large for deterministic verdicts \
+                 ({} nodes, bounds {} / {})",
+                dag.num_nodes(),
+                v.deviation_bound,
+                v.miss_bound,
+            );
+            eprintln!(
+                "E21 {family} P={processors}: deviations={} extra_misses={} runtime_misses={} \
+                 steal_tasks={} rescued={} coverage={}",
+                v.deviations,
+                v.extra_misses,
+                v.runtime_misses,
+                trace.steal_tasks(),
+                report.rescued,
+                v.coverage_ok,
+            );
+            t.push_row(vec![
+                family.to_string(),
+                dag.num_nodes().to_string(),
+                dag.block_space().to_string(),
+                bound_family.label().to_string(),
+                processors.to_string(),
+                v.span.to_string(),
+                v.seq_misses.to_string(),
+                v.deviation_bound.to_string(),
+                v.miss_bound.to_string(),
+                match v.p1_exact {
+                    Some(true) => "exact",
+                    Some(false) => "DIVERGED",
+                    None => "-",
+                }
+                .to_string(),
+                if v.within { "yes" } else { "NO" }.to_string(),
+            ]);
+        }
     }
     vec![t]
 }

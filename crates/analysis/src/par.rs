@@ -8,19 +8,18 @@
 //! assembled from the ordered results exactly as the sequential loops would
 //! have pushed them.
 //!
-//! The worker count comes from [`set_threads`], the `WSF_THREADS`
-//! environment variable, or the machine's available parallelism, in that
-//! order. `threads() == 1` runs cells inline with no thread machinery at
-//! all.
+//! The worker count comes from [`set_threads`] (the harness's `--threads`
+//! flag), else the machine's available parallelism. `threads() == 1` runs
+//! cells inline with no thread machinery at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// 0 = "not set": fall back to `WSF_THREADS`, then available parallelism.
+/// 0 = "not set": fall back to the available parallelism.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the number of worker threads sweeps use. `0` restores the default
-/// resolution order (`WSF_THREADS`, then available parallelism).
+/// (the available parallelism).
 pub fn set_threads(n: usize) {
     THREADS.store(n, Ordering::Relaxed);
 }
@@ -30,13 +29,6 @@ pub fn threads() -> usize {
     let configured = THREADS.load(Ordering::Relaxed);
     if configured > 0 {
         return configured;
-    }
-    if let Some(n) = std::env::var("WSF_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

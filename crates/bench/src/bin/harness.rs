@@ -8,15 +8,19 @@
 //!
 //! With no experiment ids, all experiments run. `--quick` uses the reduced
 //! parameter sweeps (the sizes the test-suite uses); the default is the
-//! full sweep reported in `docs/EXPERIMENTS.md`. `--threads N` (or the
-//! `WSF_THREADS` environment variable) shards the sweeps across N worker
-//! threads; the tables are byte-identical at every thread count.
+//! full sweep reported in `docs/EXPERIMENTS.md`. `--threads N` shards the
+//! sweeps across N worker threads (default: the machine's available
+//! parallelism); the tables are byte-identical at every thread count.
 //! `--schedulers` narrows the E19 tournament to an explicit policy list
 //! (`PolicySpec` syntax: `ws-half`, `loaded+half+p16`, `random@7+cache`,
 //! …); `--patience` instead re-enumerates the full grid over a
 //! caller-chosen patience axis. The two compose last-one-wins, and any set
 //! narrower than the default 80-point grid is flagged with a truncation
-//! note. Any other `--flag` is rejected (exit status 2).
+//! note. Any other `--flag`, and any id the registry does not list, is
+//! rejected before anything runs (exit status 2).
+//!
+//! The tables are counts, not timings: speed numbers come from the
+//! standalone `benchmark/` crate (`BENCHMARK.json`), never from here.
 
 use wsf_analysis::{
     experiments, policy_space, policy_space_with, registry, set_threads, PolicySpec, Scale,
@@ -87,6 +91,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
+/// The wanted ids the registry does not list (`all` aside). Checked before
+/// anything runs: a typo must fail the command line, not quietly drop an
+/// experiment from it.
+fn unknown_ids(wanted: &[String]) -> Vec<&str> {
+    let known = registry();
+    wanted
+        .iter()
+        .map(String::as_str)
+        .filter(|w| *w != "all" && !known.iter().any(|(id, _, _)| id == w))
+        .collect()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Options {
@@ -98,6 +114,14 @@ fn main() {
         eprintln!("{e}\n{USAGE}");
         std::process::exit(2);
     });
+    let unknown = unknown_ids(&wanted);
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s) {unknown:?}; known ids:");
+        for (id, description, _) in registry() {
+            eprintln!("  {id:4} {description}");
+        }
+        std::process::exit(2);
+    }
     if let Some(n) = threads {
         set_threads(n);
     }
@@ -122,7 +146,6 @@ fn main() {
         }
     }
 
-    let mut ran = 0;
     for (id, description, runner) in registry() {
         if !run_all && !wanted.iter().any(|w| w == id) {
             continue;
@@ -139,15 +162,6 @@ fn main() {
             println!("{table}");
         }
         println!("_({} finished in {:.2?})_\n", id, start.elapsed());
-        ran += 1;
-    }
-
-    if ran == 0 {
-        eprintln!("no experiment matched; known ids:");
-        for (id, description, _) in registry() {
-            eprintln!("  {id:4} {description}");
-        }
-        std::process::exit(2);
     }
 }
 
@@ -208,6 +222,17 @@ mod tests {
             let err = parse(args).expect_err("unknown flag");
             assert!(err.starts_with("unknown flag"), "{err}");
         }
+    }
+
+    #[test]
+    fn unknown_ids_are_reported_before_anything_runs() {
+        // Before the fix `e1 e99` ran e1 and exited 0: the only check was
+        // "did anything run at all".
+        let wanted = |args: &[&str]| parse(args).expect("valid").wanted;
+        assert_eq!(unknown_ids(&wanted(&["e1", "e99"])), ["e99"]);
+        assert_eq!(unknown_ids(&wanted(&["e01", "-q", "4"])), ["e01", "4"]);
+        assert!(unknown_ids(&wanted(&["all", "E10", "e21"])).is_empty());
+        assert!(unknown_ids(&wanted(&[])).is_empty());
     }
 
     #[test]

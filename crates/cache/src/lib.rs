@@ -68,14 +68,16 @@ pub type BlockId = u32;
 /// Largest capacity at which the scan representation is used; above it the
 /// indexed representation takes over.
 ///
-/// Measured on the reference container (see `BENCH_simulator.json` and the
-/// `cache_model` bench): against the *hash* block index the scan vector
-/// wins up to ~48–64 lines (the whole recency state is a couple of cache
-/// lines and the branch-free scan beats hashing); against the
-/// *direct-mapped* index it only wins below ~16–32, and C = 16 — the
-/// paper's capacity — is a tie. 64 is the conservative ceiling: every toy
-/// capacity keeps the seed representation, and above it the indexed arena
-/// wins decisively (~11x at C = 1024, ~600x at C = 32768, dense index).
+/// The scan vector's whole recency state is a couple of cache lines, so a
+/// branch-free scan beats hashing up to a few dozen lines and ties with
+/// the *direct-mapped* index around C = 16 — the paper's capacity — but
+/// its per-access cost grows with occupancy while the indexed arena's does
+/// not. 64 is the conservative ceiling: every toy capacity keeps the seed
+/// representation, and above it the indexed arena wins decisively. The two
+/// sides of the choice are the per-layer metrics
+/// `cache.lru_scan_c16.ns_per_access` and
+/// `cache.lru_dense_c1024.ns_per_access` of `BENCHMARK.json` (measured by
+/// `benchmark/` on a warm cache at a ~50 % hit ratio).
 pub const SCAN_CROSSOVER: usize = 64;
 
 /// The outcome of a single cache access.

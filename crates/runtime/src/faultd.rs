@@ -125,6 +125,31 @@ pub struct FaultPlan {
     fired_delays: AtomicU64,
 }
 
+/// Parses the text of a `WSF_FAULT_SEED` setting: unset is `None`, a
+/// decimal `u64` is that seed, anything else is an error naming the text.
+fn parse_fault_seed(value: Option<&str>) -> Result<Option<u64>, String> {
+    value
+        .map(|v| {
+            v.parse()
+                .map_err(|e| format!("WSF_FAULT_SEED={v:?} is not a decimal u64 seed: {e}"))
+        })
+        .transpose()
+}
+
+/// The seed `WSF_FAULT_SEED` selects for seeded fault plans (the CI
+/// fault-matrix job sweeps it), `None` when unset. The one place the
+/// variable is read.
+///
+/// # Panics
+///
+/// On a value that is not a decimal `u64`, naming the offending text: a
+/// malformed seed must not silently replay another schedule (or arm
+/// none), or a fault-matrix leg passes vacuously.
+pub fn fault_seed_from_env() -> Option<u64> {
+    let value = std::env::var_os("WSF_FAULT_SEED").map(|v| v.to_string_lossy().into_owned());
+    parse_fault_seed(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// `splitmix64` — the tiny, high-quality mixer used to expand the seed
 /// into draw decisions (deterministic, dependency-free).
 fn splitmix64(state: &mut u64) -> u64 {
@@ -336,6 +361,16 @@ mod tests {
         };
         let plan = FaultPlan::seeded(0, &spec);
         assert_eq!(plan.panic_seqs().len() + plan.kill_seqs().len(), 5);
+    }
+
+    #[test]
+    fn fault_seed_text_is_a_decimal_u64_or_an_error_naming_it() {
+        assert_eq!(parse_fault_seed(None), Ok(None));
+        assert_eq!(parse_fault_seed(Some("7")), Ok(Some(7)));
+        for bad in ["", "0x17", "-1", " 7", "18446744073709551616"] {
+            let err = parse_fault_seed(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("WSF_FAULT_SEED={bad:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use epoch::{
     sequential_reference, Checkpoint, CheckpointStore, EngineError, EngineReport, EpochConfig,
     StreamEngine, StreamSource, StreamStage,
 };
-pub use faultd::{FaultAction, FaultHooks, FaultPlan, FaultSpec};
+pub use faultd::{fault_seed_from_env, FaultAction, FaultHooks, FaultPlan, FaultSpec};
 pub use future::{Future, TaskError, TouchOutcome};
 pub use policy::SpawnPolicy;
 pub use pool::{HungWorker, Runtime, RuntimeBuilder, ShutdownError};

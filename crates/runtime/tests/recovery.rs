@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use wsf_runtime::{
-    sequential_reference, CheckpointStore, EpochConfig, FaultPlan, FaultSpec, Runtime, SpawnPolicy,
-    StreamEngine, StreamSource, StreamStage,
+    fault_seed_from_env, sequential_reference, CheckpointStore, EpochConfig, FaultPlan, FaultSpec,
+    Runtime, SpawnPolicy, StreamEngine, StreamSource, StreamStage,
 };
 
 /// Order-sensitive pipeline stage: a reordered or replayed fold changes
@@ -50,13 +50,6 @@ fn config() -> EpochConfig {
     }
 }
 
-fn env_fault_seed() -> u64 {
-    std::env::var("WSF_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 /// The fingerprint a fault-free run of `len` items commits (the ground
 /// truth faulted runs must reproduce byte-for-byte).
 fn baseline_fingerprint(len: u64) -> u64 {
@@ -68,7 +61,7 @@ fn baseline_fingerprint(len: u64) -> u64 {
 
 #[test]
 fn kill_worker_mid_epoch_recovers_exactly_once() {
-    let seed = env_fault_seed();
+    let seed = fault_seed_from_env().unwrap_or(1);
     let len = 96u64; // 6 epochs of 16
     let reference = sequential_reference(&stages(), &source(len), 16);
     let clean_fp = baseline_fingerprint(len);
@@ -140,7 +133,7 @@ fn kill_worker_mid_epoch_recovers_exactly_once() {
 fn restore_resumes_from_last_committed_checkpoint() {
     // Phase 1: a worker is killed mid-stream; the process "crashes" after
     // 3 committed epochs and persists its checkpoint log.
-    let seed = env_fault_seed();
+    let seed = fault_seed_from_env().unwrap_or(1);
     let len = 80u64; // 5 epochs of 16
     let words = {
         let spec = FaultSpec {
@@ -189,7 +182,7 @@ fn restore_resumes_from_last_committed_checkpoint() {
 fn all_workers_dead_degrades_to_inline_commits() {
     // Kill the only worker early: the engine must shrink to zero workers
     // and keep committing inline on the driver thread rather than abort.
-    let seed = env_fault_seed();
+    let seed = fault_seed_from_env().unwrap_or(1);
     let spec = FaultSpec {
         horizon: 4,
         panics: 0,

@@ -20,7 +20,7 @@ use std::time::Duration;
 use wsf_analysis::validate::{validate_trace, BoundFamily};
 use wsf_core::{ForkPolicy, SequentialExecutor};
 use wsf_dag::Dag;
-use wsf_runtime::{FaultPlan, FaultSpec, Runtime, SpawnPolicy, TouchTrace};
+use wsf_runtime::{fault_seed_from_env, FaultPlan, FaultSpec, Runtime, SpawnPolicy, TouchTrace};
 use wsf_workloads::dag_exec::run_dag_on_pool;
 use wsf_workloads::{backpressure, sort, stencil};
 
@@ -143,13 +143,6 @@ fn parallel_traces_satisfy_universal_relations_and_bounds() {
     }
 }
 
-fn env_fault_seed() -> u64 {
-    std::env::var("WSF_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
 #[test]
 fn faulted_executions_still_produce_bound_conformant_traces() {
     // Worker kills and task panics lose chain tasks; the rescue sweep
@@ -157,7 +150,7 @@ fn faulted_executions_still_produce_bound_conformant_traces() {
     // still sit within the theorem bounds (which hold for *any* executed
     // schedule of these shapes: deviations and extra misses are each at
     // most one per node).
-    let seed = env_fault_seed();
+    let seed = fault_seed_from_env().unwrap_or(1);
     let dag = Arc::new(sort::mergesort(256, 8));
     let spec = FaultSpec {
         horizon: 32,

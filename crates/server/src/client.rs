@@ -3,12 +3,11 @@
 //! [`BenchClient`] is a blocking client over TCP or UDS with reusable
 //! encode/decode buffers — what E20 and the end-to-end tests talk to the
 //! server through. [`ZipfSampler`] draws skewed tenant ranks (weighted
-//! `1/r^s`, matching multi-tenant traffic) and [`LatencyRecorder`]
-//! aggregates nearest-rank latency quantiles for E20's stderr report.
+//! `1/r^s`, matching multi-tenant traffic) for E20's scripted mix.
 //!
-//! Load generation (closed and open loops, pacing, windows) is not here:
-//! it lives in the standalone `benchmark/` crate, which speaks the
-//! [`crate::protocol`] directly.
+//! Load generation and latency measurement (closed and open loops,
+//! pacing, windows, quantiles) are not here: they live in the standalone
+//! `benchmark/` crate, which speaks the [`crate::protocol`] directly.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -173,50 +172,6 @@ impl ZipfSampler {
     }
 }
 
-/// Sorted-sample latency aggregator (microseconds).
-#[derive(Default)]
-pub struct LatencyRecorder {
-    samples: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, micros: u64) {
-        self.samples.push(micros);
-    }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) by nearest-rank on the sorted
-    /// samples; 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        self.samples.sort_unstable();
-        let rank = ((self.samples.len() as f64 * q).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,17 +188,5 @@ mod tests {
             "rank 0 should dominate rank 7: {counts:?}"
         );
         assert_eq!(counts.iter().sum::<usize>(), 4000);
-    }
-
-    #[test]
-    fn latency_quantiles_nearest_rank() {
-        let mut l = LatencyRecorder::new();
-        for v in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-            l.record(v);
-        }
-        assert_eq!(l.quantile(0.50), 50);
-        assert_eq!(l.quantile(0.99), 100);
-        assert_eq!(l.quantile(0.999), 100);
-        assert_eq!(LatencyRecorder::new().quantile(0.5), 0);
     }
 }

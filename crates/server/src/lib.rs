@@ -26,8 +26,8 @@
 //! * [`net`] — TCP/UDS listeners and per-connection reader/writer threads;
 //!   hung clients cannot wedge shutdown.
 //! * [`client`] — a reference blocking client plus the zipfian tenant
-//!   sampler and latency recorder E20 uses; load generation lives in the
-//!   standalone `benchmark/` crate.
+//!   sampler E20 uses; load generation and latency measurement live in
+//!   the standalone `benchmark/` crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,7 +41,7 @@ pub mod protocol;
 pub mod tenant;
 
 pub use admission::AdmissionMode;
-pub use client::{BenchClient, LatencyRecorder, ZipfSampler};
+pub use client::{BenchClient, ZipfSampler};
 pub use core::{Completion, ConnShared, Ingest, ServerConfig, ServerCore, ServerReport};
 pub use net::Server;
 pub use plan::{PlanStats, PLAN_BUDGET_NODES};

@@ -15,7 +15,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wsf_runtime::{FaultPlan, FaultSpec};
+use wsf_runtime::{fault_seed_from_env, FaultPlan, FaultSpec};
 use wsf_server::{
     AdmissionMode, BenchClient, Completion, Server, ServerConfig, TenantSpec, STATUS_OK,
     STATUS_SHED,
@@ -24,13 +24,6 @@ use wsf_workloads::submission::ShapeSpec;
 
 mod common;
 use common::local_replay;
-
-fn env_fault_seed() -> u64 {
-    std::env::var("WSF_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
 
 fn two_tenant_config() -> ServerConfig {
     ServerConfig {
@@ -232,7 +225,7 @@ fn hung_client_cannot_wedge_shutdown() {
 
 #[test]
 fn exactly_once_completions_under_injected_worker_kills() {
-    let seed = env_fault_seed();
+    let seed = fault_seed_from_env().unwrap_or(1);
     // Three of the four workers get killed mid-run; a few task panics and
     // injector stalls ride along. The horizon is well under the task count
     // so every drawn fault actually fires, and past the first pass so some

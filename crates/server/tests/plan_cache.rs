@@ -17,7 +17,7 @@ use std::sync::{Arc, Barrier, RwLock};
 use std::time::{Duration, Instant};
 
 use wsf_core::ForkPolicy;
-use wsf_runtime::{FaultHooks, FaultPlan, FaultSpec};
+use wsf_runtime::{fault_seed_from_env, FaultHooks, FaultPlan, FaultSpec};
 use wsf_server::{
     frame_request, AdmissionMode, Completion, ConnShared, FrameReader, Ingest, PlanStats,
     ServerConfig, ServerCore, TenantSpec, PLAN_BUDGET_NODES, STATUS_OK,
@@ -39,7 +39,7 @@ static ALLOC_WINDOW: RwLock<()> = RwLock::new(());
 /// early in the run): retries and the inline fallback must go through the
 /// same plans as everything else.
 fn fault_hooks() -> Option<Arc<dyn FaultHooks>> {
-    let seed = std::env::var("WSF_FAULT_SEED").ok()?.parse().ok()?;
+    let seed = fault_seed_from_env()?;
     let spec = FaultSpec {
         horizon: 40,
         panics: 2,

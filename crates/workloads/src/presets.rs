@@ -76,7 +76,7 @@ pub fn batched_pipeline(scale: BlockScale) -> Dag {
 /// One preset family: its name and its scaled builder.
 pub type Family = (&'static str, fn(BlockScale) -> Dag);
 
-/// Every preset family as a `(name, builder)` pair, for tests and benches
+/// Every preset family as a `(name, builder)` pair, for the tests
 /// that sweep the whole suite.
 pub const FAMILIES: [Family; 4] = [
     ("mergesort", mergesort),

@@ -4,7 +4,9 @@
 //! These exercise the structured single-touch discipline on real threads:
 //! every future handle is touched exactly once (the API enforces it), and
 //! the same kernels exist as DAGs in [`crate::apps`] so simulator and
-//! runtime results can be compared side by side.
+//! runtime results can be compared side by side. The suite families
+//! (mergesort, stencils, batched pipeline) have no closure version: the
+//! real pool executes their own DAGs through [`crate::dag_exec`].
 
 use std::sync::Arc;
 use wsf_runtime::Runtime;
@@ -50,157 +52,6 @@ where
         })
         .collect();
     futures.into_iter().map(|f| f.touch()).reduce(combine)
-}
-
-/// Parallel mergesort: the left half is sorted by a future, the right half
-/// inline, then the two sorted runs are merged — the runtime counterpart of
-/// the [`crate::sort::mergesort`] DAG family.
-pub fn merge_sort(rt: &Arc<Runtime>, mut data: Vec<u64>, grain: usize) -> Vec<u64> {
-    let grain = grain.max(1);
-    if data.len() <= grain {
-        data.sort_unstable();
-        return data;
-    }
-    let right_half = data.split_off(data.len() / 2);
-    let rt2 = Arc::clone(rt);
-    let left = rt.spawn_future(move || merge_sort(&rt2, data, grain));
-    let right = merge_sort(rt, right_half, grain);
-    merge(left.touch(), right)
-}
-
-fn merge(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// A 2D stencil sweep on the real runtime: `steps` Jacobi-style iterations
-/// over a `rows × cols` grid, one future per row per step, each row
-/// averaging itself with both neighbours. Unlike the one-sided wavefront
-/// the DAG model needs ([`crate::stencil::stencil`]), the runtime does the
-/// full both-neighbours exchange — each row future gets its own snapshot
-/// handle, so every future is still touched exactly once.
-pub fn stencil(rt: &Arc<Runtime>, rows: usize, cols: usize, steps: usize) -> Vec<Vec<u64>> {
-    let rows = rows.max(1);
-    let cols = cols.max(1);
-    let mut grid: Arc<Vec<Vec<u64>>> = Arc::new(
-        (0..rows)
-            .map(|r| (0..cols).map(|c| ((r * cols + c) % 97) as u64).collect())
-            .collect(),
-    );
-    for _ in 0..steps {
-        let futures: Vec<_> = (0..rows)
-            .map(|r| {
-                let grid = Arc::clone(&grid);
-                rt.spawn_future(move || {
-                    (0..cols)
-                        .map(|c| {
-                            let up = grid[r.saturating_sub(1)][c];
-                            let down = grid[(r + 1).min(grid.len() - 1)][c];
-                            (up + grid[r][c] + down) / 3
-                        })
-                        .collect::<Vec<u64>>()
-                })
-            })
-            .collect();
-        grid = Arc::new(futures.into_iter().map(|f| f.touch()).collect());
-    }
-    Arc::try_unwrap(grid).unwrap_or_else(|g| (*g).clone())
-}
-
-/// The symmetric-exchange stencil on the real runtime: the same Jacobi
-/// update as [`stencil`], but instead of giving every row future a
-/// snapshot of the whole grid, each row publishes one *boundary-copy
-/// future per neighbour per step* (an up copy and a down copy), and each
-/// row's update future touches exactly the two copies its neighbours
-/// published for it. Every future — row updates and boundary copies alike
-/// — is touched exactly once, mirroring the per-`(neighbour, step)`
-/// boundary blocks of the [`crate::stencil::stencil_exchange`] DAG family
-/// (the last row of futures is touched by the caller, which plays the
-/// super final node). Produces the same grid as [`stencil`], which E10
-/// asserts.
-pub fn stencil_exchange(
-    rt: &Arc<Runtime>,
-    rows: usize,
-    cols: usize,
-    steps: usize,
-) -> Vec<Vec<u64>> {
-    let rows = rows.max(1);
-    let cols = cols.max(1);
-    let mut grid: Vec<Arc<Vec<u64>>> = (0..rows)
-        .map(|r| Arc::new((0..cols).map(|c| ((r * cols + c) % 97) as u64).collect()))
-        .collect();
-    for _ in 0..steps {
-        // Publish the per-neighbour boundary copies for this step.
-        let mut up_copy: Vec<Option<wsf_runtime::Future<Vec<u64>>>> = Vec::with_capacity(rows);
-        let mut down_copy: Vec<Option<wsf_runtime::Future<Vec<u64>>>> = Vec::with_capacity(rows);
-        for (r, row) in grid.iter().enumerate() {
-            let for_upper = Arc::clone(row);
-            up_copy.push((r > 0).then(|| rt.spawn_future(move || (*for_upper).clone())));
-            let for_lower = Arc::clone(row);
-            down_copy.push((r + 1 < rows).then(|| rt.spawn_future(move || (*for_lower).clone())));
-        }
-        // Row updates: each future touches its two neighbours' copies.
-        let futures: Vec<_> = (0..rows)
-            .map(|r| {
-                let up = if r > 0 { down_copy[r - 1].take() } else { None };
-                let down = if r + 1 < rows {
-                    up_copy[r + 1].take()
-                } else {
-                    None
-                };
-                let mine = Arc::clone(&grid[r]);
-                rt.spawn_future(move || {
-                    let up = up.map(|f| f.touch());
-                    let down = down.map(|f| f.touch());
-                    (0..mine.len())
-                        .map(|c| {
-                            let u = up.as_ref().map_or(mine[c], |row| row[c]);
-                            let d = down.as_ref().map_or(mine[c], |row| row[c]);
-                            (u + mine[c] + d) / 3
-                        })
-                        .collect::<Vec<u64>>()
-                })
-            })
-            .collect();
-        grid = futures.into_iter().map(|f| Arc::new(f.touch())).collect();
-    }
-    grid.into_iter()
-        .map(|row| Arc::try_unwrap(row).unwrap_or_else(|r| (*r).clone()))
-        .collect()
-}
-
-/// A streaming pipeline with bounded backpressure: at most `window` item
-/// futures are in flight at once; when the window is full the oldest
-/// future is touched (FIFO — the Figure 5(a) order) before the next item
-/// is spawned. The runtime counterpart of
-/// [`crate::backpressure::batched_pipeline`].
-pub fn streaming_pipeline(rt: &Arc<Runtime>, items: usize, window: usize) -> Vec<u64> {
-    let window = window.max(1);
-    let mut inflight = std::collections::VecDeque::with_capacity(window);
-    let mut out = Vec::with_capacity(items);
-    for i in 0..items as u64 {
-        if inflight.len() == window {
-            let f: wsf_runtime::Future<u64> = inflight.pop_front().expect("window is non-empty");
-            out.push(f.touch());
-        }
-        inflight.push_back(rt.spawn_future(move || i * i + 1));
-    }
-    while let Some(f) = inflight.pop_front() {
-        out.push(f.touch());
-    }
-    out
 }
 
 /// A two-stage pipeline: a producer future computes a batch, a transformer
@@ -252,73 +103,6 @@ mod tests {
         for rt in runtimes() {
             let result = map_reduce(&rt, 16, |w| w as u64 * 10, |a, b| a + b);
             assert_eq!(result, Some((0..16u64).map(|w| w * 10).sum()));
-        }
-    }
-
-    #[test]
-    fn merge_sort_matches_std_sort() {
-        let data: Vec<u64> = (0..2_000u64).map(|i| (i * 7919) % 1_000).collect();
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        for rt in runtimes() {
-            assert_eq!(merge_sort(&rt, data.clone(), 32), expected);
-        }
-    }
-
-    #[test]
-    fn stencil_matches_sequential_reference() {
-        let (rows, cols, steps) = (8usize, 16usize, 4usize);
-        // Sequential reference with the same update rule.
-        let mut reference: Vec<Vec<u64>> = (0..rows)
-            .map(|r| (0..cols).map(|c| ((r * cols + c) % 97) as u64).collect())
-            .collect();
-        for _ in 0..steps {
-            reference = (0..rows)
-                .map(|r| {
-                    (0..cols)
-                        .map(|c| {
-                            let up = reference[r.saturating_sub(1)][c];
-                            let down = reference[(r + 1).min(rows - 1)][c];
-                            (up + reference[r][c] + down) / 3
-                        })
-                        .collect()
-                })
-                .collect();
-        }
-        for rt in runtimes() {
-            assert_eq!(stencil(&rt, rows, cols, steps), reference);
-        }
-    }
-
-    #[test]
-    fn stencil_exchange_matches_snapshot_stencil() {
-        // The per-neighbour-copy exchange computes the same grid as the
-        // snapshot formulation (both clamp missing neighbours to self).
-        let (rows, cols, steps) = (8usize, 16usize, 4usize);
-        for rt in runtimes() {
-            assert_eq!(
-                stencil_exchange(&rt, rows, cols, steps),
-                stencil(&rt, rows, cols, steps)
-            );
-        }
-        // Degenerate shapes: one row has no neighbours to exchange with.
-        for rt in runtimes() {
-            assert_eq!(
-                stencil_exchange(&rt, 1, 4, 3),
-                stencil(&rt, 1, 4, 3),
-                "single-row exchange"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_pipeline_bounds_the_window_and_keeps_order() {
-        for rt in runtimes() {
-            for window in [1usize, 4, 100] {
-                let out = streaming_pipeline(&rt, 50, window);
-                let expected: Vec<u64> = (0..50u64).map(|i| i * i + 1).collect();
-                assert_eq!(out, expected, "window={window}");
-            }
         }
     }
 

@@ -29,9 +29,8 @@
 //!   super final node, Theorem 16); at `steps > 1` the downward copies are
 //!   touched by *child* rows, which leaves the plain local-touch class
 //!   (Definition 3) — the super-final family the Theorem 16/18 bounds are
-//!   about, measured in E16. The real-runtime counterpart is
-//!   [`crate::runtime_apps::stencil_exchange`] (one future handle per
-//!   `(neighbour, step)`), validated in E10.
+//!   about, measured in E16. On the real pool the same DAG is executed
+//!   by [`crate::dag_exec`] and validated in E21.
 //!
 //! Rows never alias each other's interior or boundary blocks:
 //! [`stencil_into`] numbers them in closed form (the count is what
