@@ -429,7 +429,7 @@ pub fn e7_lemma4(scale: Scale) -> Vec<Table> {
     for (name, dag) in workloads {
         let seq = SequentialExecutor::new(ForkPolicy::FutureFirst).run(&dag);
         let mut pos = vec![usize::MAX; dag.num_nodes()];
-        for (i, n) in seq.order.iter().enumerate() {
+        for (i, n) in seq.order().iter().enumerate() {
             pos[n.index()] = i;
         }
         let mut checked = 0usize;

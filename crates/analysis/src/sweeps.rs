@@ -81,12 +81,12 @@ impl CapacityGrid {
     }
 }
 
-/// The sequential execution's miss-ratio curve: `seq.order` replayed
+/// The sequential execution's miss-ratio curve: `seq.order()` replayed
 /// through one stack-distance profiler. `curve.misses_at(c)` equals the
 /// miss count of a sequential run at `cache_lines = c` exactly.
 pub fn sequential_curve(dag: &Dag, seq: &SeqReport) -> MissRatioCurve {
     let mut sd = StackDistanceSim::with_block_hint(dag.block_space());
-    for &node in &seq.order {
+    for &node in seq.order() {
         sd.access_opt(dag.block_of(node).map(|b| b.0));
     }
     sd.curve()

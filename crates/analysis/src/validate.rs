@@ -186,7 +186,7 @@ pub fn validate_trace(
             .map(|&(n, _)| NodeId(n))
             .collect();
         let external_empty = (1..trace.lanes()).all(|lane| trace.node_trace(lane).is_empty());
-        worker_order == seq.order && external_empty
+        worker_order == seq.order() && external_empty
     });
 
     let within = coverage_ok

@@ -76,6 +76,13 @@ impl<S: ScanRepr> Adaptive<S> {
         matches!(self, Adaptive::Indexed(_))
     }
 
+    /// See [`IndexedCache::rehint`]; the scan representation has no index.
+    pub(crate) fn rehint(&mut self, block_space: usize) {
+        if let Adaptive::Indexed(ix) = self {
+            ix.rehint(block_space);
+        }
+    }
+
     #[inline]
     pub(crate) fn access(&mut self, block: BlockId) -> AccessOutcome {
         match self {

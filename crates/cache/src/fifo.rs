@@ -148,6 +148,11 @@ impl FifoCache {
         self.repr.is_indexed()
     }
 
+    /// Re-declares the dense block range; see [`crate::LruCache::rehint`].
+    pub fn rehint(&mut self, block_space: usize) {
+        self.repr.rehint(block_space);
+    }
+
     /// The block that would be evicted next, if any.
     pub fn next_eviction(&self) -> Option<BlockId> {
         self.repr.front_block()
@@ -200,8 +205,10 @@ mod tests {
 
     #[test]
     fn representation_is_capacity_adaptive() {
-        assert!(!FifoCache::new(SCAN_CROSSOVER).is_indexed());
-        assert!(FifoCache::new(SCAN_CROSSOVER + 1).is_indexed());
+        assert_eq!(SCAN_CROSSOVER, 16);
+        assert!(!FifoCache::new(16).is_indexed());
+        assert!(FifoCache::new(17).is_indexed());
+        assert!(FifoCache::with_block_hint(64, 10_528).is_indexed());
         assert!(!FifoCache::scan(4096).is_indexed());
         assert!(FifoCache::with_block_hint(4096, 64).is_indexed());
     }

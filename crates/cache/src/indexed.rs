@@ -3,10 +3,12 @@
 //!
 //! The scan representations in [`crate::LruCache`] / [`crate::FifoCache`]
 //! cost O(C) per access (a position scan plus a front removal that shifts
-//! the whole vector). That is measurably *faster* than any linked structure
-//! at the paper's C = 16, but it caps sweeps at toy capacities. This module
-//! provides the large-C representation both policies switch to above
-//! [`crate::SCAN_CROSSOVER`]: every resident block owns a slot in a
+//! the whole vector). That ties with this module's direct-mapped flavor at
+//! C = 16 and is measurably faster below it (the paper's C = 8), but costs
+//! twice as much per access at the served tenants' C = 64 and caps sweeps
+//! at toy capacities (see [`crate::SCAN_CROSSOVER`] for the numbers). This
+//! module provides the representation both policies switch to above the
+//! crossover: every resident block owns a slot in a
 //! fixed-size arena, slots are chained in recency (LRU at the head, MRU at
 //! the tail — insertion order for FIFO), and a [`BlockIndex`] maps a block
 //! id to its slot in O(1). Access, eviction and clearing are all
@@ -24,7 +26,10 @@
 //!   generation-stamped entries so [`IndexedCache::clear`] is O(1) instead
 //!   of O(block space). The optional `stride` divides keys first, which
 //!   lets a set-associative cache index only the blocks of its own set
-//!   without paying the full block space per set.
+//!   without paying the full block space per set. A cache reused across
+//!   DAGs ([`IndexedCache::rehint`]) grows the index and its growth limit
+//!   to each new declared space, so a larger DAG never pushes it onto the
+//!   hash flavor.
 
 use crate::{AccessOutcome, BlockId};
 use std::collections::HashMap;
@@ -94,16 +99,34 @@ impl DenseIndex {
         debug_assert!(stride > 0);
         let keys = space.div_ceil(stride.max(1) as usize);
         debug_assert!(keys <= DENSE_SPACE_LIMIT, "caller checks the ceiling");
-        // Blocks moderately past the declared range still index densely
-        // (the declaration is a hint, not a contract); far outliers
-        // trigger the hash migration.
-        let limit = (2 * keys).clamp(4_096, DENSE_SPACE_LIMIT);
         DenseIndex {
             entries: vec![(0, NIL); keys],
             stride: stride.max(1),
             generation: 1,
-            limit,
+            limit: Self::limit_for(keys),
         }
+    }
+
+    /// The growth limit of an index declared for `keys` keys: blocks
+    /// moderately past the declared range still index densely (the
+    /// declaration is a hint, not a contract); far outliers trigger the
+    /// hash migration.
+    fn limit_for(keys: usize) -> usize {
+        (2 * keys).clamp(4_096, DENSE_SPACE_LIMIT)
+    }
+
+    /// Grows the index to cover blocks `0..space` and raises its growth
+    /// limit to match. Never shrinks; a space past the ceiling changes
+    /// nothing (its outliers migrate to hashing as before).
+    fn grow(&mut self, space: usize) {
+        let keys = space.div_ceil(self.stride as usize);
+        if keys > DENSE_SPACE_LIMIT {
+            return;
+        }
+        if keys > self.entries.len() {
+            self.entries.resize(keys, (0, NIL));
+        }
+        self.limit = self.limit.max(Self::limit_for(keys));
     }
 
     #[inline]
@@ -317,6 +340,22 @@ impl IndexedCache {
             self.parked = Some(dense);
         }
         self.index.insert(block, slot);
+    }
+
+    /// Re-declares the dense block range as `0..space`: the direct-mapped
+    /// index — the live one, or the one parked by a hash migration until
+    /// the next [`IndexedCache::clear`] — grows to cover it, so no block
+    /// inside the new space triggers a migration. Allocates only when the
+    /// space grows and leaves residency untouched. A cache without a
+    /// direct-mapped flavor (built unhinted, or hinted past the ceiling)
+    /// keeps hashing.
+    pub(crate) fn rehint(&mut self, space: usize) {
+        match (&mut self.index, &mut self.parked) {
+            (BlockIndex::Dense(dense), _) | (_, Some(BlockIndex::Dense(dense))) => {
+                dense.grow(space)
+            }
+            _ => {}
+        }
     }
 
     #[inline]
@@ -572,6 +611,49 @@ mod tests {
         assert!(c.access(60_000_000, true).is_miss());
         assert!(matches!(c.index, BlockIndex::Hash(_)));
         assert!(c.contains(1) && c.contains(60_000_000));
+    }
+
+    #[test]
+    fn rehinted_dense_index_never_migrates_inside_the_new_space() {
+        // Declared for 8 blocks, the index's growth limit is 4,096 keys: a
+        // reused cache re-declared for a larger DAG must index that DAG's
+        // whole space directly instead of migrating at its first block past
+        // the old limit.
+        let space = 1 << 20;
+        let mut c = IndexedCache::new_dense(4, 8, 1);
+        c.rehint(space);
+        for b in (0..space as u32).step_by(4_099).chain([space as u32 - 1]) {
+            assert!(c.access(b, true).is_miss());
+            assert!(matches!(c.index, BlockIndex::Dense(_)), "block {b}");
+        }
+        // A smaller re-declaration keeps the grown space.
+        c.rehint(8);
+        assert!(c.access(space as u32 - 2, true).is_miss());
+        assert!(matches!(c.index, BlockIndex::Dense(_)));
+
+        // Mid-migration the parked dense index is the one that grows, and
+        // the next clear brings it back covering the new space.
+        let mut c = IndexedCache::new_dense(4, 8, 1);
+        c.access(50_000_000, true);
+        assert!(matches!(c.index, BlockIndex::Hash(_)));
+        c.rehint(space);
+        assert!(c.contains(50_000_000), "residency survives a rehint");
+        c.clear();
+        assert!(c.access(space as u32 - 1, true).is_miss());
+        assert!(matches!(c.index, BlockIndex::Dense(_)));
+    }
+
+    #[test]
+    fn rehint_past_the_ceiling_or_without_a_dense_flavor_changes_nothing() {
+        let mut c = IndexedCache::new_dense(4, 8, 1);
+        c.rehint(u32::MAX as usize);
+        match &c.index {
+            BlockIndex::Dense(d) => assert_eq!((d.entries.len(), d.limit), (8, 4_096)),
+            BlockIndex::Hash(_) => unreachable!("built dense"),
+        }
+        let mut c = IndexedCache::new_hash(4);
+        c.rehint(64);
+        assert!(matches!(c.index, BlockIndex::Hash(_)) && c.parked.is_none());
     }
 
     #[test]

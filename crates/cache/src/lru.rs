@@ -165,6 +165,16 @@ impl LruCache {
         self.repr.is_indexed()
     }
 
+    /// Re-declares the dense block range as `0..block_space` for a cache
+    /// reused on a new workload: a direct-mapped index grows (never
+    /// shrinks) to cover it, so blocks inside it keep the direct-mapped
+    /// path. Allocates only when the space grows; residency and outcomes
+    /// are unchanged. A no-op for the scan representation and for caches
+    /// without a direct-mapped index.
+    pub fn rehint(&mut self, block_space: usize) {
+        self.repr.rehint(block_space);
+    }
+
     /// The least recently used resident block, if any.
     pub fn lru_block(&self) -> Option<BlockId> {
         self.repr.front_block()
@@ -229,9 +239,11 @@ mod tests {
 
     #[test]
     fn representation_is_capacity_adaptive() {
-        assert!(!LruCache::new(SCAN_CROSSOVER).is_indexed());
-        assert!(LruCache::new(SCAN_CROSSOVER + 1).is_indexed());
+        assert_eq!(SCAN_CROSSOVER, 16);
+        assert!(!LruCache::new(16).is_indexed());
+        assert!(LruCache::new(17).is_indexed());
         assert!(!LruCache::with_block_hint(16, 1 << 20).is_indexed());
+        assert!(LruCache::with_block_hint(64, 10_528).is_indexed());
         assert!(LruCache::with_block_hint(4096, 64).is_indexed());
         assert!(!LruCache::scan(4096).is_indexed());
     }

@@ -58,6 +58,12 @@ impl SetAssociativeCache {
         }
     }
 
+    /// Re-declares the dense block range of every set's index (each keyed
+    /// by `block / sets`); see [`LruCache::rehint`].
+    pub(crate) fn rehint(&mut self, block_space: usize) {
+        self.sets.iter_mut().for_each(|s| s.rehint(block_space));
+    }
+
     /// The number of sets.
     pub fn num_sets(&self) -> usize {
         self.sets.len()

@@ -118,6 +118,15 @@ impl CacheSim {
         }
     }
 
+    /// Re-declares the dense block range as `0..block_space`, for a cache
+    /// reused on a new workload (a `wsf_core::SimScratch` calls it on every
+    /// reset): the direct-mapped index grows to the new space instead of
+    /// migrating to hashing mid-run. Allocates only when the space grows;
+    /// behavior is unchanged (see [`LruCache::rehint`]).
+    pub fn rehint(&mut self, block_space: usize) {
+        on_cache!(mut self, c => c.rehint(block_space));
+    }
+
     /// Accesses `block`, updating the statistics.
     #[inline]
     pub fn access(&mut self, block: BlockId) -> AccessOutcome {
@@ -190,7 +199,8 @@ impl CacheSim {
     /// O(1) for every representation (the indexed caches clear by bumping
     /// an index generation), and never releases storage — a
     /// `wsf_core::SimScratch` resetting its processors between runs reuses
-    /// the arena and index buffers as-is.
+    /// the arena and index buffers, growing the index only through
+    /// [`CacheSim::rehint`].
     pub fn reset(&mut self) {
         self.flush();
         self.stats = CacheStats::default();

@@ -32,11 +32,13 @@ fn assert_lockstep<A: Cache, B: Cache>(a: &mut A, b: &mut B, trace: &[u32]) {
     assert_eq!(res_a, res_b, "final residency (in order) diverged");
 }
 
-/// Capacities on both sides of the crossover, block ids spilling past the
-/// declared dense space, and traces long enough to force evictions.
+/// Capacities on both sides of the crossover (a fixed range, so it keeps
+/// covering 16/17 and the served tenants' C = 64 whatever the constant),
+/// block ids spilling past the declared dense space, and traces long enough
+/// to force evictions.
 fn trace_strategy() -> impl Strategy<Value = (usize, usize, Vec<u32>)> {
     (
-        1usize..(3 * SCAN_CROSSOVER),
+        1usize..=192,
         1usize..200,
         proptest::collection::vec(0u32..300, 1..600),
     )
@@ -92,6 +94,27 @@ proptest! {
                 prop_assert!(dense.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn rehint_mid_trace_preserves_equivalence((capacity, space, trace) in trace_strategy()) {
+        // A reused cache re-declared for a larger block space mid-stream
+        // (what `SimScratch` does between DAGs, minus the clear) must keep
+        // every outcome and the residency order of the scan reference.
+        let half = trace.len() / 2;
+        let grown = 8 * space + 4_096;
+        let mut scan = LruCache::scan(capacity);
+        let mut lru = LruCache::with_block_hint(capacity, space);
+        assert_lockstep(&mut scan, &mut lru, &trace[..half]);
+        lru.rehint(grown);
+        let wide: Vec<u32> = trace[half..].iter().map(|&b| b * 31 % grown as u32).collect();
+        assert_lockstep(&mut scan, &mut lru, &wide);
+
+        let mut scan = FifoCache::scan(capacity);
+        let mut fifo = FifoCache::with_block_hint(capacity, space);
+        assert_lockstep(&mut scan, &mut fifo, &trace[..half]);
+        fifo.rehint(grown);
+        assert_lockstep(&mut scan, &mut fifo, &wide);
     }
 
     #[test]

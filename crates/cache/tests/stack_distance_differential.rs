@@ -80,9 +80,9 @@ fn assert_differential(ops: &[TraceOp], block_space: usize) {
 /// with a flush inserted at each third to exercise residency clears.
 fn workload_ops(dag: &Dag, flushes: bool) -> (Vec<TraceOp>, usize) {
     let seq = SequentialExecutor::new(ForkPolicy::FutureFirst).run(dag);
-    let third = (seq.order.len() / 3).max(1);
-    let mut ops = Vec::with_capacity(seq.order.len() + 2);
-    for (i, &node) in seq.order.iter().enumerate() {
+    let third = (seq.order().len() / 3).max(1);
+    let mut ops = Vec::with_capacity(seq.order().len() + 2);
+    for (i, &node) in seq.order().iter().enumerate() {
         if flushes && i > 0 && i % third == 0 {
             ops.push(TraceOp::Flush);
         }

@@ -34,7 +34,7 @@
 //! let dag = b.finish().unwrap();
 //!
 //! let seq = SequentialExecutor::new(ForkPolicy::FutureFirst).run(&dag);
-//! assert_eq!(seq.order.len(), dag.num_nodes());
+//! assert_eq!(seq.order().len(), dag.num_nodes());
 //!
 //! let par = ParallelSimulator::new(SimConfig::new(2, 8, ForkPolicy::FutureFirst)).run(&dag);
 //! assert!(par.completed);

@@ -115,8 +115,8 @@ impl ParallelSimulator {
             self.config.cache_lines,
             dag.block_space(),
         );
-        seq.predecessors_into(&mut scratch.seq_prev);
         scratch.tracker.reset(dag);
+        let seq_prev = seq.predecessors();
         let SimScratch {
             procs,
             nonempty,
@@ -125,7 +125,6 @@ impl ParallelSimulator {
             resident,
             stolen,
             enabled,
-            seq_prev,
             tracker,
             ..
         } = scratch;
@@ -398,7 +397,7 @@ mod tests {
 
         let trace = report.trace.unwrap();
         let order: Vec<NodeId> = trace.iter().map(|e| e.node).collect();
-        assert_eq!(order, seq.order);
+        assert_eq!(order, seq.order());
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl ReadyTracker {
     /// Creates a tracker for `dag` with nothing executed yet.
     pub fn new(dag: &Dag) -> Self {
         ReadyTracker {
-            remaining: dag.in_degrees(),
+            remaining: dag.in_degrees().to_vec(),
             executed: vec![false; dag.num_nodes()],
             executed_count: 0,
         }
@@ -94,8 +94,7 @@ impl ReadyTracker {
     /// heap traffic.
     pub fn reset(&mut self, dag: &Dag) {
         self.remaining.clear();
-        self.remaining
-            .extend(dag.node_ids().map(|id| dag.node(id).in_degree() as u32));
+        self.remaining.extend_from_slice(dag.in_degrees());
         self.executed.clear();
         self.executed.resize(dag.num_nodes(), false);
         self.executed_count = 0;

@@ -7,16 +7,36 @@ use wsf_dag::NodeId;
 ///
 /// The sequential execution defines both the baseline cache-miss count and
 /// the node order against which *deviations* of parallel executions are
-/// counted.
+/// counted. The order's predecessor table is computed once, here, so every
+/// parallel run against the same baseline (a served plan's, a sweep's)
+/// reads it instead of rebuilding it.
 #[derive(Clone, Debug)]
 pub struct SeqReport {
     /// The nodes in execution order.
-    pub order: Vec<NodeId>,
+    order: Vec<NodeId>,
+    /// `prev[n]`: the node executed immediately before `n` in `order`.
+    prev: Vec<Option<NodeId>>,
     /// Cache statistics of the single processor.
     pub cache: CacheStats,
 }
 
 impl SeqReport {
+    /// The report of a sequential execution that ran `order` with `cache`
+    /// statistics; derives the predecessor table.
+    pub fn new(order: Vec<NodeId>, cache: CacheStats) -> Self {
+        let len = order.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut prev = vec![None; len];
+        for pair in order.windows(2) {
+            prev[pair[1].index()] = Some(pair[0]);
+        }
+        SeqReport { order, prev, cache }
+    }
+
+    /// The nodes in execution order.
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
     /// Number of cache misses of the sequential execution.
     pub fn cache_misses(&self) -> u64 {
         self.cache.misses
@@ -25,26 +45,8 @@ impl SeqReport {
     /// For every node, the node executed immediately before it in the
     /// sequential order (`None` for the first node). Indexed by
     /// `NodeId::index`.
-    pub fn predecessors(&self) -> Vec<Option<NodeId>> {
-        let mut prev = Vec::new();
-        self.predecessors_into(&mut prev);
-        prev
-    }
-
-    /// Writes the predecessor table into `prev` (cleared first), reusing its
-    /// storage. See [`SeqReport::predecessors`].
-    pub fn predecessors_into(&self, prev: &mut Vec<Option<NodeId>>) {
-        let max_index = self
-            .order
-            .iter()
-            .map(|n| n.index())
-            .max()
-            .map_or(0, |m| m + 1);
-        prev.clear();
-        prev.resize(max_index, None);
-        for pair in self.order.windows(2) {
-            prev[pair[1].index()] = Some(pair[0]);
-        }
+    pub fn predecessors(&self) -> &[Option<NodeId>] {
+        &self.prev
     }
 }
 
@@ -138,14 +140,14 @@ mod tests {
     use super::*;
 
     fn seq(order: &[u32]) -> SeqReport {
-        SeqReport {
-            order: order.iter().map(|&i| NodeId(i)).collect(),
-            cache: CacheStats {
+        SeqReport::new(
+            order.iter().map(|&i| NodeId(i)).collect(),
+            CacheStats {
                 hits: 0,
                 misses: 3,
                 silent: 0,
             },
-        }
+        )
     }
 
     #[test]
@@ -201,24 +203,21 @@ mod tests {
         assert_eq!(report.additional_misses(&s), 2);
         assert_eq!(report.miss_delta(&s), 2);
 
-        let expensive_seq = SeqReport {
-            order: vec![],
-            cache: CacheStats {
+        let expensive_seq = SeqReport::new(
+            vec![],
+            CacheStats {
                 hits: 0,
                 misses: 100,
                 silent: 0,
             },
-        };
+        );
         assert_eq!(report.additional_misses(&expensive_seq), 0);
         assert_eq!(report.miss_delta(&expensive_seq), -95);
     }
 
     #[test]
     fn empty_order_has_no_predecessors() {
-        let s = SeqReport {
-            order: vec![],
-            cache: CacheStats::default(),
-        };
+        let s = SeqReport::new(vec![], CacheStats::default());
         assert!(s.predecessors().is_empty());
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! A [`SimScratch`] owns every buffer [`crate::ParallelSimulator`] needs
 //! during a run: the per-processor deques and caches, the readiness
-//! tracker, the sequential-predecessor table, the steal-candidate list and
-//! the set of processors with non-empty deques. A sweep that simulates the
+//! tracker, the steal-candidate list and the set of processors with
+//! non-empty deques. (The sequential-predecessor table belongs to the
+//! [`crate::SeqReport`] and the initial in-degrees to the DAG, both
+//! computed once when they are built.) A sweep that simulates the
 //! same (or similarly sized) DAGs over and over passes one scratch to
 //! [`crate::ParallelSimulator::run_with_scratch`] and pays for allocation
 //! only until every buffer reaches its steady-state capacity — after that,
@@ -121,7 +123,6 @@ pub struct SimScratch {
     /// Staging buffer for multi-entry steals ([`crate::StealAmount::Half`]).
     pub(crate) stolen: Vec<NodeId>,
     pub(crate) enabled: Vec<NodeId>,
-    pub(crate) seq_prev: Vec<Option<NodeId>>,
     pub(crate) tracker: ReadyTracker,
     /// The `(policy, lines)` the current `procs` caches were built with.
     cache_config: Option<(CachePolicy, usize)>,
@@ -138,14 +139,15 @@ impl SimScratch {
     /// configuration matches.
     ///
     /// `block_space` is the DAG's dense block range (see
-    /// `wsf_dag::Dag::block_space`): it seeds the direct-mapped block→slot
-    /// index of large-capacity caches. It is a pre-sizing hint only — the
-    /// caches stay correct for any block id — so a scratch built for one
-    /// DAG is reused as-is for another with the same `(policy, lines)`; the
-    /// per-run [`wsf_cache::CacheSim::reset`] is O(1) (a generation bump)
-    /// and keeps the arena and index buffers allocated, preserving the
-    /// allocation-free steady state that `crates/core/tests/alloc_free.rs`
-    /// locks in.
+    /// `wsf_dag::Dag::block_space`): it sizes the direct-mapped block→slot
+    /// index of caches above the scan crossover. A scratch built for one
+    /// DAG keeps its caches for another with the same `(policy, lines)`:
+    /// the per-run [`wsf_cache::CacheSim::reset`] is O(1) (a generation
+    /// bump) and [`wsf_cache::CacheSim::rehint`] grows the index to the new
+    /// DAG's space, so a larger DAG stays on the direct-mapped path instead
+    /// of migrating to the hash index mid-run. Both allocate only when the
+    /// space grows, preserving the allocation-free steady state that
+    /// `crates/core/tests/alloc_free.rs` locks in.
     pub(crate) fn reset_procs(
         &mut self,
         p_count: usize,
@@ -169,6 +171,7 @@ impl SimScratch {
                 proc.current = None;
                 proc.last_completed = None;
                 proc.cache.reset();
+                proc.cache.rehint(block_space);
                 proc.stats = ProcStats::default();
             }
         }

@@ -84,10 +84,7 @@ impl SequentialExecutor {
             dag.num_nodes(),
             "sequential execution did not reach every node"
         );
-        SeqReport {
-            order,
-            cache: cache.stats(),
-        }
+        SeqReport::new(order, cache.stats())
     }
 }
 
@@ -117,14 +114,14 @@ mod tests {
         let dag = nested_two_futures();
         for policy in ForkPolicy::ALL {
             let report = SequentialExecutor::new(policy).run(&dag);
-            assert_eq!(report.order.len(), dag.num_nodes());
-            let mut sorted: Vec<_> = report.order.iter().map(|n| n.index()).collect();
+            assert_eq!(report.order().len(), dag.num_nodes());
+            let mut sorted: Vec<_> = report.order().iter().map(|n| n.index()).collect();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), dag.num_nodes());
             // Execution order must respect dependencies.
             let mut pos = vec![usize::MAX; dag.num_nodes()];
-            for (i, n) in report.order.iter().enumerate() {
+            for (i, n) in report.order().iter().enumerate() {
                 pos[n.index()] = i;
             }
             for id in dag.node_ids() {
@@ -142,7 +139,7 @@ mod tests {
         let fork = dag.forks().next().unwrap();
         let left = dag.left_child(fork).unwrap();
         let right = dag.right_child(fork).unwrap();
-        let pos = |n: NodeId| report.order.iter().position(|&x| x == n).unwrap();
+        let pos = |n: NodeId| report.order().iter().position(|&x| x == n).unwrap();
         assert!(
             pos(left) < pos(right),
             "future thread runs before the parent continuation"
@@ -156,7 +153,7 @@ mod tests {
         let fork = dag.forks().next().unwrap();
         let left = dag.left_child(fork).unwrap();
         let right = dag.right_child(fork).unwrap();
-        let pos = |n: NodeId| report.order.iter().position(|&x| x == n).unwrap();
+        let pos = |n: NodeId| report.order().iter().position(|&x| x == n).unwrap();
         assert!(
             pos(right) < pos(left),
             "parent continuation runs before the future thread"
@@ -170,7 +167,7 @@ mod tests {
         // follows the future thread's last node.
         let dag = nested_two_futures();
         let report = SequentialExecutor::new(ForkPolicy::FutureFirst).run(&dag);
-        let pos = |n: NodeId| report.order.iter().position(|&x| x == n).unwrap();
+        let pos = |n: NodeId| report.order().iter().position(|&x| x == n).unwrap();
         for touch in dag.touches() {
             let fp = dag.future_parent(touch).unwrap();
             let lp = dag.local_parent(touch).unwrap();

@@ -79,6 +79,64 @@ fn steady_state_runs_do_not_allocate_per_step() {
 }
 
 #[test]
+fn served_machine_stays_allocation_free_across_growing_block_spaces() {
+    // The served tenants' machine: P = 4, C = 64 — above the scan
+    // crossover, so every cache is a direct-mapped arena that the scratch
+    // re-hints with each DAG's block space — stealing half. Small → large
+    // → small through one scratch: once the first pass has grown every
+    // buffer, switching DAGs (a re-hint each way) allocates nothing beyond
+    // the report.
+    use wsf_core::{ForkPolicy, PolicyConfig, PolicyScheduler};
+    use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
+
+    let sim = ParallelSimulator::new(SimConfig::new(4, 64, ForkPolicy::FutureFirst));
+    let build = |spec: ShapeSpec| {
+        spec.build_into(&mut wsf_dag::DagBuilder::new(), &mut ShapeScratch::new())
+    };
+    let small = build(ShapeSpec::Stencil {
+        rows: 16,
+        width: 64,
+        steps: 8,
+    });
+    let large = build(ShapeSpec::Pipeline {
+        stages: 8,
+        items: 256,
+        window: 8,
+        work: 4,
+    });
+    assert!(
+        large.block_space() > 4_096 && small.block_space() < 2_048,
+        "the large space must exceed the small one's initial growth limit"
+    );
+    let (seq_small, seq_large) = (sim.sequential(&small), sim.sequential(&large));
+    let mut scratch = SimScratch::new();
+
+    let mut pass = || -> Vec<u64> {
+        [
+            (&small, &seq_small),
+            (&large, &seq_large),
+            (&small, &seq_small),
+        ]
+        .into_iter()
+        .map(|(dag, seq)| {
+            let mut sched = PolicyScheduler::new(PolicyConfig::ws_half(1));
+            let before = allocs();
+            let report = sim.run_with_scratch(dag, seq, &mut sched, false, &mut scratch);
+            let count = allocs() - before;
+            assert!(report.completed);
+            count
+        })
+        .collect()
+    };
+    let _warm = pass();
+    let steady = pass();
+    assert!(
+        steady.iter().all(|&n| n == steady[0] && n <= 4),
+        "small → large → small allocated {steady:?}; a re-hint may allocate only on growth"
+    );
+}
+
+#[test]
 fn stack_distance_reset_is_allocation_free_in_steady_state() {
     // The one-pass profiler's `reset()` is a generation bump: re-profiling
     // the same trace through one warmed profiler must allocate nothing at
@@ -93,7 +151,7 @@ fn stack_distance_reset_is_allocation_free_in_steady_state() {
     let profile = |sd: &mut StackDistanceSim| -> u64 {
         let before = allocs();
         sd.reset();
-        for &node in &seq.order {
+        for &node in seq.order() {
             sd.access_opt(dag.block_of(node).map(|b| b.0));
         }
         allocs() - before

@@ -39,6 +39,9 @@ pub struct DagBuilder {
     /// One past the largest block id ever assigned (maintained by
     /// [`DagBuilder::set_block`] so `finish` needs no extra node pass).
     block_space: u32,
+    /// Per-node in-degree, counted as edges are connected (the finished
+    /// DAG's [`Dag::in_degrees`]).
+    in_deg: Vec<u32>,
     /// Pool of empty per-thread node buffers reclaimed by
     /// [`DagBuilder::recycle`]; [`DagBuilder::fork`] draws from it so a
     /// recycled builder creates threads without allocating.
@@ -70,6 +73,7 @@ impl DagBuilder {
             threads: Vec::with_capacity(threads.max(1)),
             sync_only: Vec::with_capacity(nodes),
             block_space: 0,
+            in_deg: Vec::with_capacity(nodes),
             spare: Vec::new(),
         };
         let main = ThreadData::new(ThreadId::MAIN, None, None);
@@ -83,6 +87,7 @@ impl DagBuilder {
     pub fn reserve(&mut self, nodes: usize, threads: usize) {
         self.nodes.reserve(nodes);
         self.sync_only.reserve(nodes);
+        self.in_deg.reserve(nodes);
         self.threads.reserve(threads);
     }
 
@@ -135,6 +140,7 @@ impl DagBuilder {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(NodeData::new(thread));
         self.sync_only.push(false);
+        self.in_deg.push(0);
         self.threads[thread.index()].push_node(id);
         id
     }
@@ -142,6 +148,7 @@ impl DagBuilder {
     fn connect(&mut self, from: NodeId, to: NodeId, kind: EdgeKind) {
         self.nodes[from.index()].push_out(Edge::new(to, kind));
         self.nodes[to.index()].push_in(Edge::new(from, kind));
+        self.in_deg[to.index()] += 1;
     }
 
     fn check_thread(&self, thread: ThreadId) -> Result<(), DagError> {
@@ -421,6 +428,7 @@ impl DagBuilder {
             threads: Vec::new(),
             sync_only: Vec::new(),
             block_space: 0,
+            in_deg: Vec::new(),
             spare: Vec::new(),
         }
     }
@@ -436,6 +444,7 @@ impl DagBuilder {
             nodes,
             threads,
             sync_only,
+            in_deg,
             ..
         } = dag;
         let old = std::mem::replace(&mut self.threads, threads);
@@ -446,6 +455,7 @@ impl DagBuilder {
         }
         self.nodes = nodes;
         self.sync_only = sync_only;
+        self.in_deg = in_deg;
         self.reset();
     }
 
@@ -455,6 +465,7 @@ impl DagBuilder {
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.sync_only.clear();
+        self.in_deg.clear();
         self.block_space = 0;
         let mut threads = std::mem::take(&mut self.threads);
         for t in threads.drain(..) {
@@ -524,6 +535,7 @@ impl DagBuilder {
             super_final,
             sync_only: self.sync_only,
             block_space,
+            in_deg: self.in_deg,
         };
         crate::validate::validate(&dag)?;
         Ok(dag)
@@ -586,6 +598,7 @@ mod tests {
         // The super final node is not a counted touch.
         assert_eq!(dag.num_touches(), 0);
         assert!(dag.is_sync_only(dag.final_node()));
+        assert_eq!(dag.in_degrees()[dag.final_node().index()], 2);
     }
 
     #[test]
@@ -719,6 +732,12 @@ mod tests {
         assert_eq!(dag2.num_threads(), 2);
         assert_eq!(dag2.num_touches(), 1);
         assert!(dag2.check_edge_invariants());
+        // The recycled in-degree table restarts from zero.
+        let degs: Vec<u32> = dag2
+            .node_ids()
+            .map(|id| dag2.node(id).in_degree() as u32)
+            .collect();
+        assert_eq!(dag2.in_degrees(), degs);
     }
 
     #[test]

@@ -29,6 +29,10 @@ pub struct Dag {
     /// One past the largest block id any node accesses (0 when no node
     /// accesses memory), computed once at build time.
     pub(crate) block_space: u32,
+    /// In-degree of every node, indexed by node id: maintained by the
+    /// builder edge by edge, so executors copy it instead of walking
+    /// `nodes`.
+    pub(crate) in_deg: Vec<u32>,
 }
 
 impl Dag {
@@ -250,10 +254,12 @@ impl Dag {
         self.node(node).in_edges().iter().copied()
     }
 
-    /// In-degree of each node, as a vector indexed by node id. Used by the
-    /// executors to track readiness.
-    pub fn in_degrees(&self) -> Vec<u32> {
-        self.nodes.iter().map(|n| n.in_degree() as u32).collect()
+    /// In-degree of each node, indexed by node id. The executors copy it to
+    /// initialise their readiness counters; it is stored at build time, so
+    /// the copy is the whole cost.
+    #[inline]
+    pub fn in_degrees(&self) -> &[u32] {
+        &self.in_deg
     }
 
     /// True if `node` is a fork.

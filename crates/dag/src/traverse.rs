@@ -23,7 +23,7 @@ pub fn is_topological_by_id(dag: &Dag) -> bool {
 /// Returns `None` if the graph contains a cycle (impossible for
 /// builder-produced DAGs, but checked for robustness).
 pub fn topo_order(dag: &Dag) -> Option<Vec<NodeId>> {
-    let mut in_deg = dag.in_degrees();
+    let mut in_deg = dag.in_degrees().to_vec();
     let mut order = Vec::with_capacity(dag.num_nodes());
     let mut stack: Vec<NodeId> = dag
         .node_ids()

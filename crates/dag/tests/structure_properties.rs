@@ -50,6 +50,11 @@ proptest! {
         let dag = build_fork_join(&shape);
         let order = topo_order(&dag).expect("builder DAGs are acyclic");
         prop_assert_eq!(order.len(), dag.num_nodes());
+        // The stored in-degree table Kahn's algorithm starts from agrees
+        // with the edge lists it was counted from.
+        for id in dag.node_ids() {
+            prop_assert_eq!(dag.in_degrees()[id.index()] as usize, dag.node(id).in_degree());
+        }
         let sp = span(&dag) as usize;
         prop_assert!(sp >= 1 && sp <= dag.num_nodes());
         // Work is at least the span, parallelism at least 1.

@@ -97,7 +97,7 @@ fn p1_traces_are_byte_identical_to_the_sequential_executor() {
             }
             let seq = SequentialExecutor::new(policy).run(&dag);
             let expected: Vec<(u32, Option<u32>)> = seq
-                .order
+                .order()
                 .iter()
                 .map(|&n| (n.0, dag.block_of(n).map(|b| b.0)))
                 .collect();

@@ -173,6 +173,75 @@ fn miss_hit_and_replay_agree_and_plans_are_shared_per_machine() {
     assert_eq!(shutdown_clean(core), want, "the report carries the same");
 }
 
+/// `(misses, deviations)` of the default tenants (seeds 1–4, in order) on
+/// the smoke mix and on `serve_medium`'s three shapes, recorded while every
+/// served C = 64 cache still ran on the scan representation. Absolute, unlike
+/// the replay comparisons above: a change that moved the server and the
+/// local replay alike would pass those and fail this. Listed by ascending
+/// block space, so each worker's reused scratch sees growing spaces.
+const SERVED: [(ShapeSpec, [(u64, u64); 4]); 6] = [
+    (
+        ShapeSpec::Stencil {
+            rows: 8,
+            width: 16,
+            steps: 4,
+        },
+        [(204, 12), (236, 14), (204, 12), (172, 11)],
+    ),
+    (
+        ShapeSpec::Mergesort { leaves: 32 },
+        [(192, 4), (192, 3), (192, 3), (192, 3)],
+    ),
+    (
+        ShapeSpec::Pipeline {
+            stages: 4,
+            items: 16,
+            window: 4,
+            work: 2,
+        },
+        [(212, 28); 4],
+    ),
+    (
+        ShapeSpec::Stencil {
+            rows: 16,
+            width: 64,
+            steps: 8,
+        },
+        [(7_992, 30), (7_928, 30), (7_928, 30), (7_928, 28)],
+    ),
+    (
+        ShapeSpec::Mergesort { leaves: 512 },
+        [(5_120, 4), (5_120, 3), (5_120, 3), (5_120, 3)],
+    ),
+    (
+        ShapeSpec::Pipeline {
+            stages: 8,
+            items: 256,
+            window: 8,
+            work: 4,
+        },
+        [(10_528, 480); 4],
+    ),
+];
+
+#[test]
+fn served_outputs_equal_the_recorded_constants() {
+    let _shared = ALLOC_WINDOW.read().unwrap();
+    let core = server((1..=4).map(TenantSpec::default_with_seed).collect());
+    let mut conn = Conn::new(&core);
+    let mut last_space = 0;
+    for (spec, want) in SERVED {
+        let space = build(spec).block_space();
+        assert!(space > last_space, "{spec:?}: spaces ascend");
+        last_space = space;
+        for (t, &want) in want.iter().enumerate() {
+            let got = conn.round_trip(&core, t, spec);
+            assert_eq!(got, want, "tenant seed {} {spec:?}", t + 1);
+        }
+    }
+    shutdown_clean(core);
+}
+
 #[test]
 fn residency_stays_within_budget_and_evicts_least_recently_hit() {
     let _shared = ALLOC_WINDOW.read().unwrap();

@@ -184,7 +184,11 @@ pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) ->
         rt: Arc::clone(rt),
         dag: Arc::clone(dag),
         policy,
-        remaining: dag.in_degrees().into_iter().map(AtomicU32::new).collect(),
+        remaining: dag
+            .in_degrees()
+            .iter()
+            .map(|&d| AtomicU32::new(d))
+            .collect(),
         claimed: (0..dag.num_nodes())
             .map(|_| AtomicBool::new(false))
             .collect(),
@@ -282,7 +286,7 @@ mod tests {
                 .iter()
                 .map(|(n, _)| *n)
                 .collect();
-            let seq_order: Vec<u32> = seq.order.iter().map(|n| n.0).collect();
+            let seq_order: Vec<u32> = seq.order().iter().map(|n| n.0).collect();
             assert_eq!(runtime_order, seq_order, "policy {policy:?}");
         }
     }

@@ -61,7 +61,7 @@ mod tests {
         // parent in the sequential order (Lemma 4).
         let dag = fig4(5, 3);
         let seq = SequentialExecutor::new(ForkPolicy::FutureFirst).run(&dag);
-        let pos = |n: NodeId| seq.order.iter().position(|&x| x == n).unwrap();
+        let pos = |n: NodeId| seq.order().iter().position(|&x| x == n).unwrap();
         for touch in dag.touches() {
             let fp = dag.future_parent(touch).unwrap();
             let lp = dag.local_parent(touch).unwrap();

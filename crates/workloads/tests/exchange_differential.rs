@@ -17,7 +17,7 @@ fn trace(rows: usize, width: usize, steps: usize) -> (Vec<u32>, usize) {
     let dag = stencil_exchange(rows, width, steps);
     let seq = SequentialExecutor::new(ForkPolicy::FutureFirst).run(&dag);
     let trace = seq
-        .order
+        .order()
         .iter()
         .filter_map(|&n| dag.block_of(n))
         .map(|b| b.0)

@@ -54,7 +54,7 @@ proptest! {
         let dag = random_single_touch(&config);
         for policy in ForkPolicy::ALL {
             let seq = SequentialExecutor::new(policy).with_cache_lines(8).run(&dag);
-            prop_assert_eq!(seq.order.len(), dag.num_nodes());
+            prop_assert_eq!(seq.order().len(), dag.num_nodes());
 
             let sim = ParallelSimulator::new(SimConfig {
                 processors: 1,
@@ -119,7 +119,7 @@ proptest! {
         prop_assert!(classify(&dag).is_structured_single_touch());
         for policy in ForkPolicy::ALL {
             let seq = SequentialExecutor::new(policy).with_cache_lines(16).run(&dag);
-            prop_assert_eq!(seq.order.len(), dag.num_nodes());
+            prop_assert_eq!(seq.order().len(), dag.num_nodes());
             for p in [1usize, 2, 4, 8, 16] {
                 let report = ParallelSimulator::new(SimConfig {
                     processors: p,
