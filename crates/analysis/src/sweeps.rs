@@ -28,7 +28,7 @@ use wsf_cache::{MissRatioCurve, StackDistanceSim};
 use wsf_core::{
     bounds, ExecutionReport, ForkPolicy, ParallelSimulator, SeqReport, SimConfig, SimScratch,
 };
-use wsf_dag::{span, Dag};
+use wsf_dag::{classify, span, Dag};
 use wsf_workloads::random::{random_single_touch, RandomConfig};
 
 /// The cache capacities a locality sweep evaluates.
@@ -307,6 +307,12 @@ pub fn seed_sweep_cells(config: &SweepConfig) -> Vec<SweepCell> {
             seed,
             ..RandomConfig::default()
         });
+        let class = classify(&dag);
+        assert!(
+            class.is_structured_single_touch(),
+            "seed {seed}: {:?}",
+            class.violations
+        );
         let sp = span(&dag);
         let touches = dag.touches().count() as u64;
         let mut scratch = SimScratch::new();

@@ -16,6 +16,9 @@ fn simulate(nodes: usize, processors: usize) {
         "generator fell far short of the target: {} nodes",
         dag.num_nodes()
     );
+    // Near-linear classification: a per-thread whole-DAG search would take
+    // seconds to minutes at this size.
+    assert!(wsf_dag::classify(&dag).is_structured_single_touch());
     let config = SimConfig {
         processors,
         cache_lines: 16,

@@ -10,16 +10,32 @@
 //! * plus a fork-join (Cilk-style, properly nested) check, since Section 4
 //!   observes that fork-join programs are structured single-touch
 //!   computations.
+//!
+//! # Cost
+//!
+//! Every clause asks whether one node descends from another: a touch from
+//! its fork's right child, a touch's local parent from the fork.
+//! [`crate::validate()`], run by every `finish*`, guarantees two
+//! invariants: node ids are a topological order, and a thread's nodes
+//! form exactly its continuation chain. So for two nodes `a`, `b` of one
+//! thread, `b` descends from `a` iff `a.index() <= b.index()`. In a
+//! local-touch DAG every question has that form, and classification is
+//! one pass over the threads and their touches, O(nodes + threads). Only
+//! a question across threads (passed futures, exchange stencils,
+//! unstructured DAGs) searches the graph, bounded to the ids between the
+//! two nodes (see [`crate::traverse::is_descendant`]). The fork-join check
+//! groups child threads by parent in one pass and orders fork and touch
+//! by id, which within the parent thread is their continuation order.
 
 use crate::dag::Dag;
 use crate::ids::NodeId;
-use crate::traverse::reachable_from;
+use crate::traverse::Descendants;
 
 /// The outcome of classifying a DAG against the paper's definitions.
 ///
 /// `violations` holds human-readable explanations of which clauses failed,
 /// which makes test failures and misclassified workloads easy to debug.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DagClass {
     /// Definition 1: structured future-parallel computation.
     pub structured: bool,
@@ -62,6 +78,7 @@ pub fn classify(dag: &Dag) -> DagClass {
         super_final: dag.has_super_final_node(),
         violations: Vec::new(),
     };
+    let mut reach = Descendants::new(dag);
 
     for tid in dag.thread_ids().filter(|t| !t.is_main()) {
         let t = dag.thread(tid);
@@ -71,23 +88,22 @@ pub fn classify(dag: &Dag) -> DagClass {
             .right_child(fork)
             .expect("fork has a right child (continuation successor)");
 
-        // Touches of this future thread, excluding super-final sync edges.
-        let touches: Vec<NodeId> = dag
+        // Touches of this future thread, excluding super-final sync edges,
+        // each with whether it descends from the right child.
+        let touches: Vec<(NodeId, bool)> = dag
             .touches_of_thread(tid)
             .into_iter()
             .filter(|&x| !(dag.has_super_final_node() && x == dag.final_node()))
+            .map(|x| (x, reach.query(right, x)))
             .collect();
-
-        let reach_fork = reachable_from(dag, fork);
-        let reach_right = reachable_from(dag, right);
 
         // Definition 1 clause (1): local parents of the touches of t are
         // descendants of the fork v.
-        for &x in &touches {
+        for &(x, _) in &touches {
             let lp = dag
                 .local_parent(x)
                 .expect("touch has a continuation predecessor");
-            if !reach_fork.contains(lp.index()) {
+            if !reach.query(fork, lp) {
                 class.structured = false;
                 class.violations.push(format!(
                     "thread {tid}: local parent {lp} of touch {x} is not a descendant of fork {fork}"
@@ -98,7 +114,7 @@ pub fn classify(dag: &Dag) -> DagClass {
         // Definition 1 clause (2): at least one touch of t is a descendant
         // of the right child of v. A thread synchronized only through the
         // super final node satisfies the barrier clause by Definition 13/17.
-        let has_right_descendant_touch = touches.iter().any(|&x| reach_right.contains(x.index()));
+        let has_right_descendant_touch = touches.iter().any(|&(_, below_right)| below_right);
         let synced_by_super_final = dag.has_super_final_node()
             && dag
                 .node(dag.thread(tid).last())
@@ -120,8 +136,8 @@ pub fn classify(dag: &Dag) -> DagClass {
                 touches.len()
             ));
         }
-        for &x in &touches {
-            if !reach_right.contains(x.index()) {
+        for &(x, below_right) in &touches {
+            if !below_right {
                 class.single_touch = false;
                 class.violations.push(format!(
                     "thread {tid}: touch {x} is not a descendant of the fork's right child {right}"
@@ -131,14 +147,14 @@ pub fn classify(dag: &Dag) -> DagClass {
 
         // Definition 3 / 17: local touch — every touch belongs to the
         // parent thread and is a descendant of the right child.
-        for &x in &touches {
+        for &(x, below_right) in &touches {
             if dag.node(x).thread() != parent {
                 class.local_touch = false;
                 class.violations.push(format!(
                     "thread {tid}: touch {x} is in thread {}, not the parent thread {parent}",
                     dag.node(x).thread()
                 ));
-            } else if !reach_right.contains(x.index()) {
+            } else if !below_right {
                 class.local_touch = false;
                 class.violations.push(format!(
                     "thread {tid}: local touch {x} is not a descendant of the right child {right}"
@@ -160,36 +176,26 @@ pub fn classify(dag: &Dag) -> DagClass {
 /// its child threads are properly nested (LIFO order), as fork-join
 /// (spawn/sync) parallelism requires.
 fn properly_nested(dag: &Dag) -> bool {
-    for parent in dag.thread_ids() {
-        // Position of each node within the parent thread.
-        let nodes = dag.thread(parent).nodes();
-        let mut pos = std::collections::HashMap::with_capacity(nodes.len());
-        for (i, &n) in nodes.iter().enumerate() {
-            pos.insert(n, i);
-        }
-
-        // Collect (fork position, touch position) intervals for children
-        // whose single touch lies in this parent thread.
-        let mut intervals: Vec<(usize, usize)> = Vec::new();
-        for child in dag.thread_ids().filter(|t| !t.is_main()) {
-            if dag.thread(child).parent() != Some(parent) {
-                continue;
-            }
-            let fork = dag.thread(child).fork().expect("child has fork");
-            let touches = dag.touches_of_thread(child);
-            for &x in &touches {
-                if dag.node(x).thread() == parent {
-                    let (Some(&f), Some(&t)) = (pos.get(&fork), pos.get(&x)) else {
-                        return false;
-                    };
-                    intervals.push((f, t));
-                }
+    // (parent, fork, touch) for every touch of a child thread that lies in
+    // its parent thread. The fork is in the parent too (validated), and
+    // node ids order a thread's nodes, so the ids serve as positions.
+    let mut intervals = Vec::new();
+    for child in dag.thread_ids().filter(|t| !t.is_main()) {
+        let t = dag.thread(child);
+        let parent = t.parent().expect("child has a parent");
+        let fork = t.fork().expect("child has fork");
+        for x in dag.touches_of_thread(child) {
+            if dag.node(x).thread() == parent {
+                intervals.push((parent, fork, x));
             }
         }
+    }
+    intervals.sort_unstable_by_key(|&(parent, ..)| parent);
 
-        // Proper nesting: no two intervals cross.
-        for (i, &(f1, t1)) in intervals.iter().enumerate() {
-            for &(f2, t2) in intervals.iter().skip(i + 1) {
+    // Proper nesting: no two intervals of one parent cross.
+    for group in intervals.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(_, f1, t1)) in group.iter().enumerate() {
+            for &(_, f2, t2) in group.iter().skip(i + 1) {
                 let crosses = (f1 < f2 && f2 < t1 && t1 < t2) || (f2 < f1 && f1 < t2 && t2 < t1);
                 if crosses {
                     return false;

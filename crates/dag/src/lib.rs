@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod bitset;
 mod builder;
 mod classify;
 mod dag;
@@ -65,7 +64,6 @@ mod thread;
 pub mod traverse;
 mod validate;
 
-pub use bitset::BitSet;
 pub use builder::{DagBuilder, Fork};
 pub use classify::{classify, is_structured_local_touch, is_structured_single_touch, DagClass};
 pub use dag::Dag;
@@ -74,5 +72,5 @@ pub use error::DagError;
 pub use ids::{Block, NodeId, ThreadId};
 pub use node::NodeData;
 pub use thread::ThreadData;
-pub use traverse::{critical_path, is_descendant, parallelism, reachable_from, span, topo_order};
+pub use traverse::{critical_path, is_descendant, parallelism, span, topo_order};
 pub use validate::validate;

@@ -1,6 +1,5 @@
 //! Traversal utilities: topological order, reachability, span and depth.
 
-use crate::bitset::BitSet;
 use crate::dag::Dag;
 use crate::ids::NodeId;
 
@@ -46,34 +45,77 @@ pub fn topo_order(dag: &Dag) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Returns the set of nodes reachable from `start` (including `start`
-/// itself) following edges forward.
-pub fn reachable_from(dag: &Dag, start: NodeId) -> BitSet {
-    let mut seen = BitSet::new(dag.num_nodes());
-    let mut stack = vec![start];
-    seen.insert(start.index());
-    while let Some(n) = stack.pop() {
-        for e in dag.node(n).out_edges() {
-            if seen.insert(e.node.index()) {
-                stack.push(e.node);
-            }
-        }
-    }
-    seen
+/// Whether `node` is a descendant of `ancestor` (or equal to it).
+///
+/// Rests on two invariants [`crate::validate()`] checks on every finished
+/// DAG: node ids are a topological order, and a thread's nodes are exactly
+/// its continuation chain. So a node never descends from a larger id, and
+/// within one thread `node` descends from `ancestor` iff
+/// `ancestor.index() <= node.index()` — no search. Only a query across
+/// threads searches, depth first from `ancestor`, entering no node with an
+/// id above `node`'s (a path from `ancestor` to `node` visits only ids in
+/// between) and stopping at the first node of `node`'s thread at or before
+/// `node`, from which the continuation chain leads to it.
+pub fn is_descendant(dag: &Dag, ancestor: NodeId, node: NodeId) -> bool {
+    Descendants::new(dag).query(ancestor, node)
 }
 
-/// Whether `node` is a descendant of `ancestor` (or equal to it).
-pub fn is_descendant(dag: &Dag, ancestor: NodeId, node: NodeId) -> bool {
-    // Node-id order is topological, so a node can only be reachable from an
-    // ancestor with a smaller or equal id; this cuts off most negative
-    // queries immediately.
-    if node.index() < ancestor.index() {
-        return false;
+/// [`is_descendant`] for many queries over one DAG: the visited buffer of
+/// the cross-thread search is allocated on the first such query and reused
+/// by every later one, cleared by bumping a generation stamp.
+pub(crate) struct Descendants<'d> {
+    dag: &'d Dag,
+    /// `seen[i] == stamp` iff the current search has visited node `i`.
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<NodeId>,
+}
+
+impl<'d> Descendants<'d> {
+    pub(crate) fn new(dag: &'d Dag) -> Self {
+        Descendants {
+            dag,
+            seen: Vec::new(),
+            stamp: 0,
+            stack: Vec::new(),
+        }
     }
-    if node == ancestor {
-        return true;
+
+    /// Whether `node` is a descendant of `ancestor` (or equal to it).
+    pub(crate) fn query(&mut self, ancestor: NodeId, node: NodeId) -> bool {
+        let dag = self.dag;
+        if node < ancestor {
+            return false;
+        }
+        let thread = dag.node(node).thread();
+        if dag.node(ancestor).thread() == thread {
+            return true;
+        }
+        if self.seen.is_empty() {
+            self.seen = vec![0; dag.num_nodes()];
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.stack.clear();
+        self.stack.push(ancestor);
+        while let Some(n) = self.stack.pop() {
+            for e in dag.node(n).out_edges() {
+                let m = e.node.index();
+                if m > node.index() || self.seen[m] == self.stamp {
+                    continue;
+                }
+                if dag.node(e.node).thread() == thread {
+                    return true;
+                }
+                self.seen[m] = self.stamp;
+                self.stack.push(e.node);
+            }
+        }
+        false
     }
-    reachable_from(dag, ancestor).contains(node.index())
 }
 
 /// Length of the longest weighted path ending at each node (each node's
@@ -228,9 +270,36 @@ mod tests {
         assert!(is_descendant(&d, fork, fork), "node is its own descendant");
         assert!(!is_descendant(&d, touch, fork));
         assert!(!is_descendant(&d, right, left));
+        assert!(d.node_ids().all(|n| is_descendant(&d, d.root(), n)));
+    }
 
-        let from_root = reachable_from(&d, d.root());
-        assert_eq!(from_root.len(), d.num_nodes());
+    #[test]
+    fn cross_thread_queries_search_and_reuse_the_visited_buffer() {
+        // Thread c touches a, which main forked first; main then joins c.
+        let mut b = DagBuilder::new();
+        let main = b.main_thread();
+        let a = b.fork(main);
+        b.chain(a.future_thread, 2);
+        let c = b.fork(main);
+        let c_first = c.future_first;
+        let c_touch = b.touch_thread(c.future_thread, a.future_thread);
+        b.task(main);
+        let join = b.touch_thread(main, c.future_thread);
+        let d = b.finish().unwrap();
+
+        let right = d.right_child(c.node).unwrap();
+
+        let mut reach = Descendants::new(&d);
+        // Many queries through one searcher, so the stamp must isolate them.
+        for _ in 0..3 {
+            assert!(reach.query(a.future_first, c_touch), "a's value reaches c");
+            assert!(reach.query(a.future_first, join), "via c's touch");
+            assert!(reach.query(c.node, c_touch));
+            assert!(!reach.query(a.future_first, c.node), "searched, not found");
+            assert!(!reach.query(c_first, right), "searched, not found");
+            assert!(!reach.query(c_first, a.future_first), "ids run forward");
+        }
+        assert!(is_descendant(&d, a.node, join));
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! `cargo test -p wsf-workloads --release --test scale -- --ignored`).
 
 use wsf_core::{ParallelSimulator, RandomScheduler, SimConfig, SimScratch};
+use wsf_dag::classify;
 use wsf_workloads::presets::{self, BlockScale};
 
-/// Builds every preset family at `scale`, asserts its block budget, and
-/// simulates it once at a capacity deep inside the indexed-cache regime
-/// (C = 4096), so the dense index actually grows to the declared space.
+/// Builds every preset family at `scale`, asserts its block budget and its
+/// class (which also keeps classification near-linear: a per-thread
+/// whole-DAG search would take minutes here), and simulates it once at a
+/// capacity deep inside the indexed-cache regime (C = 4096), so the dense
+/// index actually grows to the declared space.
 fn build_and_simulate(scale: BlockScale, min_blocks: usize) {
     let config = SimConfig {
         processors: 8,
@@ -26,6 +29,16 @@ fn build_and_simulate(scale: BlockScale, min_blocks: usize) {
             "{name}: {} blocks is below the {min_blocks} floor",
             dag.num_blocks()
         );
+        let class = classify(&dag);
+        if name == "stencil_exchange" {
+            assert!(class.structured && class.super_final, "{name}: {class:?}");
+        } else {
+            assert!(
+                class.is_structured_local_touch(),
+                "{name}: {:?}",
+                class.violations
+            );
+        }
         let seq = sim.sequential(&dag);
         let mut sched = RandomScheduler::new(config.seed);
         let report = sim.run_with_scratch(&dag, &seq, &mut sched, false, &mut scratch);
