@@ -149,8 +149,9 @@ struct BoundTable<S, F> {
 
 /// Runs a [`BoundTable`]: each shard's DAG is simulated once per
 /// `(P, scheduler)` under future-first and answers every capacity from
-/// that one [`capacity_sweep`] — sound because the simulator's scheduling
-/// never reads cache state. Rows come out shard-major, then C, then
+/// that one [`capacity_sweep`] — exact because no table's scheduler reads
+/// cache state (`wants_residency` is false for every one of them). Rows
+/// come out shard-major, then C, then
 /// `(P, scheduler)`.
 fn bound_table<S, F>(spec: BoundTable<S, F>) -> Vec<Table>
 where

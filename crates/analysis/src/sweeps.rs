@@ -168,12 +168,17 @@ pub struct CapacitySweep {
 /// *every* capacity come from a single execution per pair — where the
 /// seed experiments re-simulated once per capacity.
 ///
-/// Replacing the per-C loop is sound because the simulator's scheduling
-/// never reads cache state: caches are pure accounting updated at node
-/// completion, so the execution order, deviations, steals and makespan are
-/// identical at every `C`, and the per-processor access traces — hence the
-/// exact per-C miss counts, recovered here via the LRU inclusion property —
-/// are too. The differential suite in
+/// Replacing the per-C loop is exact only for schedulers with
+/// `wants_residency() == false`. Those never read cache state: caches are
+/// pure accounting updated at node completion, so the execution order,
+/// deviations, steals and makespan are identical at every `C`, and the
+/// per-processor access traces — hence the exact per-C miss counts,
+/// recovered here via the LRU inclusion property — are too. A
+/// `prefer_cached` policy probes the thief's cache when it picks a victim,
+/// so its one traced run (at `SimConfig::default()`'s C = 8) chooses
+/// victims from C = 8 residency, and the misses read off the curve at any
+/// other `C` are those of that schedule, not of a run at `C`. The
+/// differential suite in
 /// `crates/cache/tests/stack_distance_differential.rs` holds the curves,
 /// and this module's `capacity_sweep_matches_per_capacity_simulation` holds
 /// every field of the sweep, to per-capacity `ParallelSimulator` runs.

@@ -23,7 +23,7 @@
 //! to the sequential executor's order.
 
 use wsf_cache::replay::{ops_from_blocks, replay, ReplayOp};
-use wsf_cache::{CachePolicy, MissRatioCurve};
+use wsf_cache::MissRatioCurve;
 use wsf_core::{bounds, ForkPolicy, SequentialExecutor};
 use wsf_dag::{span, Dag, NodeId};
 use wsf_runtime::TouchTrace;
@@ -165,12 +165,7 @@ pub fn validate_trace(
     }
 
     // Misses on per-worker private caches, by exact replay.
-    let summary = replay(
-        &lane_ops(trace),
-        CachePolicy::Lru,
-        cache_lines,
-        dag.block_space(),
-    );
+    let summary = replay(&lane_ops(trace), cache_lines, dag.block_space());
     let seq_misses = seq.cache.misses;
     let runtime_misses = summary.total.misses;
     let extra_misses = runtime_misses.saturating_sub(seq_misses);

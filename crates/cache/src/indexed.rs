@@ -1,17 +1,16 @@
 //! O(1)-amortized indexed cache core: a slot arena threaded by an
 //! intrusive doubly-linked recency list, plus a block→slot index.
 //!
-//! The scan representations in [`crate::LruCache`] / [`crate::FifoCache`]
-//! cost O(C) per access (a position scan plus a front removal that shifts
-//! the whole vector). That ties with this module's direct-mapped flavor at
-//! C = 16 and is measurably faster below it (the paper's C = 8), but costs
-//! twice as much per access at the served tenants' C = 64 and caps sweeps
-//! at toy capacities (see [`crate::SCAN_CROSSOVER`] for the numbers). This
-//! module provides the representation both policies switch to above the
-//! crossover: every resident block owns a slot in a
-//! fixed-size arena, slots are chained in recency (LRU at the head, MRU at
-//! the tail — insertion order for FIFO), and a [`BlockIndex`] maps a block
-//! id to its slot in O(1). Access, eviction and clearing are all
+//! The scan representation in [`crate::LruCache`] costs O(C) per access (a
+//! position scan plus a front removal that shifts the whole vector). That
+//! ties with this module's direct-mapped flavor at C = 16 and is measurably
+//! faster below it (the paper's C = 8), but costs twice as much per access
+//! at the served tenants' C = 64 and caps sweeps at toy capacities (see
+//! [`crate::SCAN_CROSSOVER`] for the numbers). This module provides the
+//! representation the LRU cache switches to above the crossover: every
+//! resident block owns a slot in a fixed-size arena, slots are chained in
+//! recency (LRU at the head, MRU at the tail), and a [`BlockIndex`] maps a
+//! block id to its slot in O(1). Access, eviction and clearing are all
 //! O(1) (amortized for the hash index; exact for the dense index), so the
 //! per-access cost is independent of the capacity.
 //!
@@ -24,11 +23,9 @@
 //!   declare a dense block range (everything built on
 //!   `wsf_workloads::block_alloc::BlockAlloc` allocates ids `0..n`), with
 //!   generation-stamped entries so [`IndexedCache::clear`] is O(1) instead
-//!   of O(block space). The optional `stride` divides keys first, which
-//!   lets a set-associative cache index only the blocks of its own set
-//!   without paying the full block space per set. A cache reused across
-//!   DAGs ([`IndexedCache::rehint`]) grows the index and its growth limit
-//!   to each new declared space, so a larger DAG never pushes it onto the
+//!   of O(block space). A cache reused across DAGs
+//!   ([`IndexedCache::rehint`]) grows the index and its growth limit to
+//!   each new declared space, so a larger DAG never pushes it onto the
 //!   hash flavor.
 
 use crate::{AccessOutcome, BlockId};
@@ -79,15 +76,14 @@ pub(crate) type BlockHashMap = HashMap<BlockId, u32, BuildHasherDefault<BlockHas
 
 /// Direct-mapped block→slot index with generation-stamped entries.
 ///
-/// `entries[block / stride]` holds `(generation, slot)`; an entry is live
-/// only if its generation matches the index's current one, so clearing is a
+/// `entries[block]` holds `(generation, slot)`; an entry is live only if
+/// its generation matches the index's current one, so clearing is a
 /// generation bump, not an O(space) wipe. The vector grows on demand, which
 /// keeps the index correct for out-of-range blocks (a declared range is a
 /// pre-sizing hint, not a contract).
 #[derive(Clone, Debug)]
 pub(crate) struct DenseIndex {
     entries: Vec<(u32, u32)>,
-    stride: u32,
     generation: u32,
     /// Largest key count this index may grow to; an insert beyond it makes
     /// the owning [`IndexedCache`] migrate to the hash index instead.
@@ -95,15 +91,12 @@ pub(crate) struct DenseIndex {
 }
 
 impl DenseIndex {
-    fn new(space: usize, stride: u32) -> Self {
-        debug_assert!(stride > 0);
-        let keys = space.div_ceil(stride.max(1) as usize);
-        debug_assert!(keys <= DENSE_SPACE_LIMIT, "caller checks the ceiling");
+    fn new(space: usize) -> Self {
+        debug_assert!(space <= DENSE_SPACE_LIMIT, "caller checks the ceiling");
         DenseIndex {
-            entries: vec![(0, NIL); keys],
-            stride: stride.max(1),
+            entries: vec![(0, NIL); space],
             generation: 1,
-            limit: Self::limit_for(keys),
+            limit: Self::limit_for(space),
         }
     }
 
@@ -119,24 +112,18 @@ impl DenseIndex {
     /// limit to match. Never shrinks; a space past the ceiling changes
     /// nothing (its outliers migrate to hashing as before).
     fn grow(&mut self, space: usize) {
-        let keys = space.div_ceil(self.stride as usize);
-        if keys > DENSE_SPACE_LIMIT {
+        if space > DENSE_SPACE_LIMIT {
             return;
         }
-        if keys > self.entries.len() {
-            self.entries.resize(keys, (0, NIL));
+        if space > self.entries.len() {
+            self.entries.resize(space, (0, NIL));
         }
-        self.limit = self.limit.max(Self::limit_for(keys));
-    }
-
-    #[inline]
-    fn key(&self, block: BlockId) -> usize {
-        (block / self.stride) as usize
+        self.limit = self.limit.max(Self::limit_for(space));
     }
 
     #[inline]
     fn get(&self, block: BlockId) -> Option<u32> {
-        match self.entries.get(self.key(block)) {
+        match self.entries.get(block as usize) {
             Some(&(generation, slot)) if generation == self.generation => Some(slot),
             _ => None,
         }
@@ -144,7 +131,7 @@ impl DenseIndex {
 
     #[inline]
     fn insert(&mut self, block: BlockId, slot: u32) {
-        let key = self.key(block);
+        let key = block as usize;
         if key >= self.entries.len() {
             self.entries.resize(key + 1, (0, NIL));
         }
@@ -153,8 +140,7 @@ impl DenseIndex {
 
     #[inline]
     fn remove(&mut self, block: BlockId) {
-        let key = self.key(block);
-        if let Some(entry) = self.entries.get_mut(key) {
+        if let Some(entry) = self.entries.get_mut(block as usize) {
             entry.0 = 0;
         }
     }
@@ -188,16 +174,15 @@ impl BlockIndex {
         ))
     }
 
-    /// A direct-mapped index for blocks densely covering `0..space` with
-    /// keys divided by `stride`, or `None` when the declared space exceeds
-    /// [`DENSE_SPACE_LIMIT`] keys (callers fall back to [`Self::new_hash`];
-    /// a sparse or sentinel-polluted range must not cost O(largest id)
-    /// memory).
-    pub(crate) fn new_dense(space: usize, stride: u32) -> Option<Self> {
-        if space.div_ceil(stride.max(1) as usize) > DENSE_SPACE_LIMIT {
+    /// A direct-mapped index for blocks densely covering `0..space`, or
+    /// `None` when the declared space exceeds [`DENSE_SPACE_LIMIT`] keys
+    /// (callers fall back to [`Self::new_hash`]; a sparse or
+    /// sentinel-polluted range must not cost O(largest id) memory).
+    pub(crate) fn new_dense(space: usize) -> Option<Self> {
+        if space > DENSE_SPACE_LIMIT {
             return None;
         }
-        Some(BlockIndex::Dense(DenseIndex::new(space, stride)))
+        Some(BlockIndex::Dense(DenseIndex::new(space)))
     }
 
     /// Whether inserting `block` would push a dense index past its growth
@@ -207,7 +192,7 @@ impl BlockIndex {
     pub(crate) fn dense_over_limit(&self, block: BlockId) -> bool {
         match self {
             BlockIndex::Hash(_) => false,
-            BlockIndex::Dense(dense) => dense.key(block) >= dense.limit,
+            BlockIndex::Dense(dense) => block as usize >= dense.limit,
         }
     }
 
@@ -255,13 +240,10 @@ struct Slot {
     next: u32,
 }
 
-/// The shared O(1) core of the indexed LRU and FIFO caches.
+/// The O(1) representation of [`crate::LruCache`] above the crossover.
 ///
-/// The recency list runs from `head` (least recently used / first in) to
-/// `tail` (most recently used / last in). LRU moves a hit slot to the tail;
-/// FIFO leaves it in place — that single boolean is the entire policy
-/// difference, so both [`crate::LruCache`] and [`crate::FifoCache`] wrap
-/// this one type.
+/// The recency list runs from `head` (least recently used) to `tail` (most
+/// recently used); a hit moves its slot to the tail.
 #[derive(Clone, Debug)]
 pub(crate) struct IndexedCache {
     slots: Vec<Slot>,
@@ -297,14 +279,14 @@ impl IndexedCache {
     }
 
     /// An indexed cache over a direct-mapped index pre-sized for blocks in
-    /// `0..space`, with keys divided by `stride` (see [`DenseIndex`]).
+    /// `0..space` (see [`DenseIndex`]).
     ///
     /// Falls back to the hash index when the declared space would exceed
     /// [`DENSE_SPACE_LIMIT`] keys — a sparse or sentinel-polluted block
     /// range must not cost O(largest id) memory.
-    pub(crate) fn new_dense(capacity: usize, space: usize, stride: u32) -> Self {
+    pub(crate) fn new_dense(capacity: usize, space: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        let Some(index) = BlockIndex::new_dense(space, stride) else {
+        let Some(index) = BlockIndex::new_dense(space) else {
             return IndexedCache::new_hash(capacity);
         };
         IndexedCache {
@@ -386,19 +368,18 @@ impl IndexedCache {
         self.tail = slot;
     }
 
-    /// Accesses `block`. On a hit, `move_on_hit` selects LRU (move the slot
-    /// to the recency tail) vs FIFO (leave it in place) semantics.
+    /// Accesses `block`, moving it to the recency tail.
     #[inline]
-    pub(crate) fn access(&mut self, block: BlockId, move_on_hit: bool) -> AccessOutcome {
+    pub(crate) fn access(&mut self, block: BlockId) -> AccessOutcome {
         if let Some(slot) = self.index.get(block) {
-            if move_on_hit && slot != self.tail {
+            if slot != self.tail {
                 self.unlink(slot);
                 self.push_tail(slot);
             }
             return AccessOutcome::Hit;
         }
         let evicted = if self.live == self.capacity {
-            // Reuse the head (LRU / oldest) slot for the new block.
+            // Reuse the head (LRU) slot for the new block.
             let victim = self.head;
             let old = self.slots[victim as usize].block;
             self.index.remove(old);
@@ -441,12 +422,12 @@ impl IndexedCache {
         self.live
     }
 
-    /// The block at the recency head (LRU / next FIFO eviction), if any.
+    /// The block at the recency head (LRU), if any.
     pub(crate) fn head_block(&self) -> Option<BlockId> {
         (self.head != NIL).then(|| self.slots[self.head as usize].block)
     }
 
-    /// The block at the recency tail (MRU / newest), if any.
+    /// The block at the recency tail (MRU), if any.
     pub(crate) fn tail_block(&self) -> Option<BlockId> {
         (self.tail != NIL).then(|| self.slots[self.tail as usize].block)
     }
@@ -472,7 +453,7 @@ impl IndexedCache {
         self.index.clear();
     }
 
-    /// The resident blocks from head (LRU / first-in) to tail (MRU).
+    /// The resident blocks from head (LRU) to tail (MRU).
     pub(crate) fn resident_iter(&self) -> ResidentIter<'_> {
         ResidentIter {
             cache: self,
@@ -509,11 +490,11 @@ mod tests {
     fn lru_semantics_move_hits_to_the_tail() {
         let mut c = IndexedCache::new_hash(3);
         for b in [1, 2, 3] {
-            assert!(c.access(b, true).is_miss());
+            assert!(c.access(b).is_miss());
         }
-        assert!(c.access(1, true).is_hit());
+        assert!(c.access(1).is_hit());
         // 2 is now the LRU block.
-        assert_eq!(c.access(4, true).evicted(), Some(2));
+        assert_eq!(c.access(4).evicted(), Some(2));
         assert_eq!(
             c.resident_iter().collect::<Vec<_>>(),
             vec![3, 1, 4],
@@ -524,73 +505,49 @@ mod tests {
     }
 
     #[test]
-    fn fifo_semantics_ignore_hits() {
-        let mut c = IndexedCache::new_dense(3, 8, 1);
-        for b in [1, 2, 3] {
-            c.access(b, false);
-        }
-        assert!(c.access(1, false).is_hit());
-        // 1 is still first-in despite the hit.
-        assert_eq!(c.access(4, false).evicted(), Some(1));
-        assert!(!c.contains(1));
-    }
-
-    #[test]
     fn clear_is_generation_cheap_and_correct() {
-        let mut c = IndexedCache::new_dense(2, 4, 1);
-        c.access(0, true);
-        c.access(1, true);
+        let mut c = IndexedCache::new_dense(2, 4);
+        c.access(0);
+        c.access(1);
         c.clear();
         assert_eq!(c.len(), 0);
         assert!(!c.contains(0));
-        assert!(c.access(0, true).is_miss(), "cleared entries are dead");
+        assert!(c.access(0).is_miss(), "cleared entries are dead");
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn dense_index_grows_past_the_declared_space() {
-        let mut c = IndexedCache::new_dense(4, 2, 1);
-        assert!(c.access(100, true).is_miss());
-        assert!(c.access(100, true).is_hit());
+        let mut c = IndexedCache::new_dense(4, 2);
+        assert!(c.access(100).is_miss());
+        assert!(c.access(100).is_hit());
         assert!(c.contains(100));
-    }
-
-    #[test]
-    fn strided_dense_index_keys_by_quotient() {
-        // Blocks {0, 4, 8} all belong to set 0 of a 4-set cache; a stride-4
-        // dense index maps them to keys {0, 1, 2}.
-        let mut c = IndexedCache::new_dense(2, 12, 4);
-        c.access(0, true);
-        c.access(4, true);
-        assert!(c.contains(0) && c.contains(4));
-        assert_eq!(c.access(8, true).evicted(), Some(0));
-        assert!(!c.contains(0));
     }
 
     #[test]
     fn absurd_declared_space_falls_back_to_hashing() {
         // A sentinel-high block id must not cost O(largest id) memory.
-        let mut c = IndexedCache::new_dense(4, u32::MAX as usize, 1);
+        let mut c = IndexedCache::new_dense(4, u32::MAX as usize);
         assert!(matches!(c.index, BlockIndex::Hash(_)));
-        assert!(c.access(u32::MAX - 1, true).is_miss());
+        assert!(c.access(u32::MAX - 1).is_miss());
         assert!(c.contains(u32::MAX - 1));
     }
 
     #[test]
     fn far_outlier_blocks_migrate_the_dense_index_to_hash() {
-        let mut c = IndexedCache::new_dense(3, 8, 1);
-        c.access(1, true);
-        c.access(2, true);
+        let mut c = IndexedCache::new_dense(3, 8);
+        c.access(1);
+        c.access(2);
         assert!(matches!(c.index, BlockIndex::Dense(_)));
         // Key far beyond the growth limit: migrate instead of allocating
         // a vector out to the key.
-        assert!(c.access(50_000_000, true).is_miss());
+        assert!(c.access(50_000_000).is_miss());
         assert!(matches!(c.index, BlockIndex::Hash(_)));
         // The migrated index still knows every resident block, and LRU
         // semantics are unbroken.
         assert!(c.contains(1) && c.contains(2) && c.contains(50_000_000));
-        assert!(c.access(1, true).is_hit());
-        assert_eq!(c.access(4, true).evicted(), Some(2), "2 was LRU");
+        assert!(c.access(1).is_hit());
+        assert_eq!(c.access(4).evicted(), Some(2), "2 was LRU");
     }
 
     #[test]
@@ -598,17 +555,17 @@ mod tests {
         // A migration must not permanently demote a reused cache: clear()
         // swaps the constructed dense index back in (the hash map parks
         // for the next migration, so the cycle allocates nothing new).
-        let mut c = IndexedCache::new_dense(3, 8, 1);
-        c.access(1, true);
-        c.access(50_000_000, true);
+        let mut c = IndexedCache::new_dense(3, 8);
+        c.access(1);
+        c.access(50_000_000);
         assert!(matches!(c.index, BlockIndex::Hash(_)));
         c.clear();
         assert!(matches!(c.index, BlockIndex::Dense(_)), "dense restored");
         assert!(c.len() == 0 && !c.contains(1) && !c.contains(50_000_000));
         // The restored dense index works and can migrate again.
-        assert!(c.access(1, true).is_miss());
-        assert!(c.access(1, true).is_hit());
-        assert!(c.access(60_000_000, true).is_miss());
+        assert!(c.access(1).is_miss());
+        assert!(c.access(1).is_hit());
+        assert!(c.access(60_000_000).is_miss());
         assert!(matches!(c.index, BlockIndex::Hash(_)));
         assert!(c.contains(1) && c.contains(60_000_000));
     }
@@ -620,32 +577,32 @@ mod tests {
         // whole space directly instead of migrating at its first block past
         // the old limit.
         let space = 1 << 20;
-        let mut c = IndexedCache::new_dense(4, 8, 1);
+        let mut c = IndexedCache::new_dense(4, 8);
         c.rehint(space);
         for b in (0..space as u32).step_by(4_099).chain([space as u32 - 1]) {
-            assert!(c.access(b, true).is_miss());
+            assert!(c.access(b).is_miss());
             assert!(matches!(c.index, BlockIndex::Dense(_)), "block {b}");
         }
         // A smaller re-declaration keeps the grown space.
         c.rehint(8);
-        assert!(c.access(space as u32 - 2, true).is_miss());
+        assert!(c.access(space as u32 - 2).is_miss());
         assert!(matches!(c.index, BlockIndex::Dense(_)));
 
         // Mid-migration the parked dense index is the one that grows, and
         // the next clear brings it back covering the new space.
-        let mut c = IndexedCache::new_dense(4, 8, 1);
-        c.access(50_000_000, true);
+        let mut c = IndexedCache::new_dense(4, 8);
+        c.access(50_000_000);
         assert!(matches!(c.index, BlockIndex::Hash(_)));
         c.rehint(space);
         assert!(c.contains(50_000_000), "residency survives a rehint");
         c.clear();
-        assert!(c.access(space as u32 - 1, true).is_miss());
+        assert!(c.access(space as u32 - 1).is_miss());
         assert!(matches!(c.index, BlockIndex::Dense(_)));
     }
 
     #[test]
     fn rehint_past_the_ceiling_or_without_a_dense_flavor_changes_nothing() {
-        let mut c = IndexedCache::new_dense(4, 8, 1);
+        let mut c = IndexedCache::new_dense(4, 8);
         c.rehint(u32::MAX as usize);
         match &c.index {
             BlockIndex::Dense(d) => assert_eq!((d.entries.len(), d.limit), (8, 4_096)),
@@ -658,15 +615,15 @@ mod tests {
 
     #[test]
     fn dense_generation_wraparound_resets_entries() {
-        let mut c = IndexedCache::new_dense(2, 4, 1);
+        let mut c = IndexedCache::new_dense(2, 4);
         if let BlockIndex::Dense(d) = &mut c.index {
             d.generation = u32::MAX;
         } else {
             unreachable!();
         }
-        c.access(3, true);
+        c.access(3);
         c.clear();
         assert!(!c.contains(3), "wrapped generation must not resurrect 3");
-        assert!(c.access(3, true).is_miss());
+        assert!(c.access(3).is_miss());
     }
 }

@@ -7,30 +7,32 @@
 //! at most one block. The cache locality of an execution is the number of
 //! cache misses it incurs.
 //!
-//! This crate provides that model ([`LruCache`]) plus two variants used to
-//! check the paper's remark that its upper bounds hold for *all simple
-//! cache replacement policies*: a FIFO cache ([`FifoCache`]) and a
-//! set-associative LRU cache ([`SetAssociativeCache`]). All of them
-//! implement the [`Cache`] trait and can be driven through the
-//! bookkeeping wrapper [`CacheSim`].
+//! This crate provides that model ([`LruCache`], behind the [`Cache`]
+//! trait), the bookkeeping wrapper every simulated processor owns
+//! ([`CacheSim`]), and the one-pass profiler that answers every capacity
+//! at once ([`StackDistanceSim`]). LRU is the only policy: the upper
+//! bounds charge each deviation at most `C` extra misses, which needs a
+//! policy whose miss count on a trace depends on its starting contents by
+//! at most `C` — LRU has that property, FIFO does not (`docs/DESIGN.md`
+//! §2 has the counterexample).
 //!
 //! ## Representations
 //!
 //! The paper's experiments run at C = 8 and 16, where a linear scan of the
 //! recency vector is as fast as any pointer structure. The served tenants
 //! run at C = 64 and the large-capacity sweeps at thousands of lines, where
-//! the scan's O(C) cost dominates, so every policy is
-//! **capacity-adaptive**: at or below [`SCAN_CROSSOVER`] lines it keeps the
-//! seed scan representation, above it it switches to an indexed slot arena
+//! the scan's O(C) cost dominates, so the cache is **capacity-adaptive**:
+//! at or below [`SCAN_CROSSOVER`] lines it keeps the seed scan
+//! representation, above it it switches to an indexed slot arena
 //! (intrusive recency list + block→slot index, hash or direct-mapped — see
 //! the private `indexed` module's docs) with O(1) amortized access and
 //! eviction. The two representations are access-for-access identical;
 //! `tests/differential.rs` proves it property-style.
 //!
 //! ```
-//! use wsf_cache::{Cache, CachePolicy, CacheSim};
+//! use wsf_cache::{Cache, CacheSim};
 //!
-//! let mut sim = CacheSim::new(CachePolicy::Lru, 2);
+//! let mut sim = CacheSim::new(2);
 //! assert!(sim.access(1).is_miss());
 //! assert!(sim.access(2).is_miss());
 //! assert!(sim.access(1).is_hit());
@@ -43,21 +45,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod adaptive;
-mod fifo;
 mod indexed;
 mod lru;
 pub mod replay;
-mod set_assoc;
 mod sim;
 pub mod stack_distance;
 mod stats;
 
-pub use fifo::FifoCache;
 pub use lru::LruCache;
 pub use replay::{replay, replay_curves, ReplayOp, ReplaySummary};
-pub use set_assoc::SetAssociativeCache;
-pub use sim::{CachePolicy, CacheSim, StackDistanceSim};
+pub use sim::{CacheSim, StackDistanceSim};
 pub use stack_distance::{MissRatioCurve, StackDistance};
 pub use stats::CacheStats;
 
@@ -166,16 +163,15 @@ pub trait Cache {
 
 /// Borrowing iterator over a cache's resident blocks.
 ///
-/// Returned by `resident_iter()` on the concrete cache types; the variants
-/// cover the scan representations (contiguous storage) and the indexed
-/// representation (intrusive-list walk).
+/// Returned by [`LruCache::resident_iter`]; the variants cover the scan
+/// representation (contiguous storage) and the indexed representation
+/// (intrusive-list walk).
 pub struct ResidentIter<'a> {
     inner: ResidentIterInner<'a>,
 }
 
 enum ResidentIterInner<'a> {
     Slice(std::slice::Iter<'a, BlockId>),
-    Deque(std::collections::vec_deque::Iter<'a, BlockId>),
     Linked(indexed::ResidentIter<'a>),
 }
 
@@ -183,12 +179,6 @@ impl<'a> ResidentIter<'a> {
     pub(crate) fn slice(blocks: &'a [BlockId]) -> Self {
         ResidentIter {
             inner: ResidentIterInner::Slice(blocks.iter()),
-        }
-    }
-
-    pub(crate) fn deque(blocks: &'a std::collections::VecDeque<BlockId>) -> Self {
-        ResidentIter {
-            inner: ResidentIterInner::Deque(blocks.iter()),
         }
     }
 
@@ -205,7 +195,6 @@ impl Iterator for ResidentIter<'_> {
     fn next(&mut self) -> Option<BlockId> {
         match &mut self.inner {
             ResidentIterInner::Slice(it) => it.next().copied(),
-            ResidentIterInner::Deque(it) => it.next().copied(),
             ResidentIterInner::Linked(it) => it.next(),
         }
     }
@@ -232,12 +221,10 @@ mod trait_tests {
     }
 
     #[test]
-    fn all_policies_implement_the_trait_consistently() {
-        exercise(&mut LruCache::new(4));
+    fn all_representations_implement_the_trait_consistently() {
+        exercise(&mut LruCache::scan(4));
         exercise(&mut LruCache::indexed(4));
-        exercise(&mut FifoCache::new(4));
-        exercise(&mut FifoCache::indexed(4));
-        exercise(&mut SetAssociativeCache::new(2, 2));
+        exercise(&mut LruCache::indexed_dense(4, 16));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fully associative LRU cache — the paper's cache model.
 
-use crate::adaptive::{Adaptive, ScanRepr};
-use crate::{AccessOutcome, BlockId, Cache, ResidentIter};
+use crate::indexed::IndexedCache;
+use crate::{AccessOutcome, BlockId, Cache, ResidentIter, SCAN_CROSSOVER};
 
 /// The seed scan representation: resident blocks ordered from least
 /// recently used (front) to most recently used (back).
@@ -12,14 +12,12 @@ use crate::{AccessOutcome, BlockId, Cache, ResidentIter};
 /// couple of cache lines. Above the crossover it degrades quadratically
 /// with the working set, which is what the indexed representation fixes.
 #[derive(Clone, Debug)]
-pub(crate) struct ScanLru {
+struct ScanLru {
     order: Vec<BlockId>,
     capacity: usize,
 }
 
-impl ScanRepr for ScanLru {
-    const MOVE_ON_HIT: bool = true;
-
+impl ScanLru {
     fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         ScanLru {
@@ -43,41 +41,13 @@ impl ScanRepr for ScanLru {
         self.order.push(block);
         AccessOutcome::Miss { evicted }
     }
-
-    fn contains(&self, block: BlockId) -> bool {
-        self.order.contains(&block)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    fn clear(&mut self) {
-        self.order.clear();
-    }
-
-    fn iter(&self) -> ResidentIter<'_> {
-        ResidentIter::slice(&self.order)
-    }
-
-    fn front(&self) -> Option<BlockId> {
-        self.order.first().copied()
-    }
-
-    fn back(&self) -> Option<BlockId> {
-        self.order.last().copied()
-    }
 }
 
 /// A fully associative cache of `capacity` lines with least-recently-used
 /// replacement.
 ///
-/// The representation is capacity-adaptive (see the private `adaptive` module): at or
-/// below [`crate::SCAN_CROSSOVER`] lines the recency order is a plain vector
+/// The representation is capacity-adaptive: at or below
+/// [`crate::SCAN_CROSSOVER`] lines the recency order is a plain vector
 /// scanned per access (fastest at the paper's C = 16), above it an indexed
 /// slot arena with an intrusive recency list and a block→slot map gives
 /// O(1) amortized access and eviction at any capacity. Both representations
@@ -86,7 +56,14 @@ impl ScanRepr for ScanLru {
 /// `crates/cache/tests/differential.rs` locks in.
 #[derive(Clone, Debug)]
 pub struct LruCache {
-    repr: Adaptive<ScanLru>,
+    repr: Repr,
+}
+
+/// Scan representation at or below the crossover, indexed arena above it.
+#[derive(Clone, Debug)]
+enum Repr {
+    Scan(ScanLru),
+    Indexed(IndexedCache),
 }
 
 impl LruCache {
@@ -97,8 +74,10 @@ impl LruCache {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        LruCache {
-            repr: Adaptive::new(capacity),
+        if capacity <= SCAN_CROSSOVER {
+            LruCache::scan(capacity)
+        } else {
+            LruCache::indexed(capacity)
         }
     }
 
@@ -111,8 +90,10 @@ impl LruCache {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn with_block_hint(capacity: usize, block_space: usize) -> Self {
-        LruCache {
-            repr: Adaptive::with_block_hint(capacity, block_space),
+        if capacity <= SCAN_CROSSOVER {
+            LruCache::scan(capacity)
+        } else {
+            LruCache::indexed_dense(capacity, block_space)
         }
     }
 
@@ -123,7 +104,7 @@ impl LruCache {
     /// Panics if `capacity` is zero.
     pub fn scan(capacity: usize) -> Self {
         LruCache {
-            repr: Adaptive::scan(capacity),
+            repr: Repr::Scan(ScanLru::new(capacity)),
         }
     }
 
@@ -133,7 +114,7 @@ impl LruCache {
     /// Panics if `capacity` is zero.
     pub fn indexed(capacity: usize) -> Self {
         LruCache {
-            repr: Adaptive::indexed(capacity),
+            repr: Repr::Indexed(IndexedCache::new_hash(capacity)),
         }
     }
 
@@ -147,22 +128,13 @@ impl LruCache {
     /// Panics if `capacity` is zero.
     pub fn indexed_dense(capacity: usize, block_space: usize) -> Self {
         LruCache {
-            repr: Adaptive::indexed_dense(capacity, block_space),
-        }
-    }
-
-    /// Indexed representation whose dense index keys blocks by
-    /// `block / stride` — used by the set-associative cache, where one set
-    /// only ever sees blocks congruent to its own index.
-    pub(crate) fn indexed_dense_strided(capacity: usize, block_space: usize, stride: u32) -> Self {
-        LruCache {
-            repr: Adaptive::indexed_dense_strided(capacity, block_space, stride),
+            repr: Repr::Indexed(IndexedCache::new_dense(capacity, block_space)),
         }
     }
 
     /// Whether this cache uses the indexed (O(1)) representation.
     pub fn is_indexed(&self) -> bool {
-        self.repr.is_indexed()
+        matches!(self.repr, Repr::Indexed(_))
     }
 
     /// Re-declares the dense block range as `0..block_space` for a cache
@@ -172,46 +144,72 @@ impl LruCache {
     /// are unchanged. A no-op for the scan representation and for caches
     /// without a direct-mapped index.
     pub fn rehint(&mut self, block_space: usize) {
-        self.repr.rehint(block_space);
+        if let Repr::Indexed(ix) = &mut self.repr {
+            ix.rehint(block_space);
+        }
     }
 
     /// The least recently used resident block, if any.
     pub fn lru_block(&self) -> Option<BlockId> {
-        self.repr.front_block()
+        match &self.repr {
+            Repr::Scan(s) => s.order.first().copied(),
+            Repr::Indexed(ix) => ix.head_block(),
+        }
     }
 
     /// The most recently used resident block, if any.
     pub fn mru_block(&self) -> Option<BlockId> {
-        self.repr.back_block()
+        match &self.repr {
+            Repr::Scan(s) => s.order.last().copied(),
+            Repr::Indexed(ix) => ix.tail_block(),
+        }
     }
 
     /// Borrowing iterator over the resident blocks in recency order (least
     /// recently used first).
     pub fn resident_iter(&self) -> ResidentIter<'_> {
-        self.repr.resident_iter()
+        match &self.repr {
+            Repr::Scan(s) => ResidentIter::slice(&s.order),
+            Repr::Indexed(ix) => ResidentIter::linked(ix.resident_iter()),
+        }
     }
 }
 
 impl Cache for LruCache {
     #[inline]
     fn access(&mut self, block: BlockId) -> AccessOutcome {
-        self.repr.access(block)
+        match &mut self.repr {
+            Repr::Scan(s) => s.access(block),
+            Repr::Indexed(ix) => ix.access(block),
+        }
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.repr.contains(block)
+        match &self.repr {
+            Repr::Scan(s) => s.order.contains(&block),
+            Repr::Indexed(ix) => ix.contains(block),
+        }
     }
 
     fn capacity(&self) -> usize {
-        self.repr.capacity()
+        match &self.repr {
+            Repr::Scan(s) => s.capacity,
+            Repr::Indexed(ix) => ix.capacity(),
+        }
     }
 
     fn len(&self) -> usize {
-        self.repr.len()
+        match &self.repr {
+            Repr::Scan(s) => s.order.len(),
+            Repr::Indexed(ix) => ix.len(),
+        }
     }
 
     fn clear(&mut self) {
-        self.repr.clear()
+        match &mut self.repr {
+            Repr::Scan(s) => s.order.clear(),
+            Repr::Indexed(ix) => ix.clear(),
+        }
     }
 
     fn resident_into(&self, out: &mut Vec<BlockId>) {

@@ -14,7 +14,7 @@
 //! `replay_differential` proptest suite, the runtime analogue of
 //! `stack_distance_differential.rs`).
 
-use crate::sim::{CachePolicy, CacheSim, StackDistanceSim};
+use crate::sim::{CacheSim, StackDistanceSim};
 use crate::stack_distance::MissRatioCurve;
 use crate::stats::CacheStats;
 use crate::BlockId;
@@ -40,19 +40,14 @@ pub struct ReplaySummary {
 }
 
 /// Replays each lane through its own fresh [`CacheSim`] of `capacity`
-/// lines under `policy` (same constructor the sequential executor uses,
-/// with `block_space` as the dense-index hint), returning per-lane and
-/// summed statistics.
-pub fn replay(
-    lanes: &[Vec<ReplayOp>],
-    policy: CachePolicy,
-    capacity: usize,
-    block_space: usize,
-) -> ReplaySummary {
+/// lines (same constructor the sequential executor uses, with
+/// `block_space` as the dense-index hint), returning per-lane and summed
+/// statistics.
+pub fn replay(lanes: &[Vec<ReplayOp>], capacity: usize, block_space: usize) -> ReplaySummary {
     let per_lane: Vec<CacheStats> = lanes
         .iter()
         .map(|ops| {
-            let mut sim = CacheSim::with_block_hint(policy, capacity, block_space);
+            let mut sim = CacheSim::with_block_hint(capacity, block_space);
             for op in ops {
                 match op {
                     ReplayOp::Access(block) => {
@@ -106,10 +101,10 @@ mod tests {
             ops_from_blocks([Some(0), Some(1), Some(0), None, Some(2)]),
             ops_from_blocks([Some(2), Some(2), Some(3)]),
         ];
-        let summary = replay(&lanes, CachePolicy::Lru, 2, 4);
+        let summary = replay(&lanes, 2, 4);
         assert_eq!(summary.per_lane.len(), 2);
 
-        let mut direct = CacheSim::with_block_hint(CachePolicy::Lru, 2, 4);
+        let mut direct = CacheSim::with_block_hint(2, 4);
         for b in [Some(0), Some(1), Some(0), None, Some(2)] {
             direct.access_opt(b);
         }
@@ -127,7 +122,7 @@ mod tests {
             ReplayOp::Flush,
             ReplayOp::Access(Some(0)),
         ]];
-        let summary = replay(&with_flush, CachePolicy::Lru, 4, 1);
+        let summary = replay(&with_flush, 4, 1);
         assert_eq!(summary.total.misses, 2, "flush makes the repeat cold");
     }
 
@@ -139,14 +134,14 @@ mod tests {
         ];
         let curve = replay_curves(&lanes, 10);
         for capacity in [1usize, 2, 4, 6, 8, 64] {
-            let fixed = replay(&lanes, CachePolicy::Lru, capacity, 10);
+            let fixed = replay(&lanes, capacity, 10);
             assert_eq!(curve.stats_at(capacity), fixed.total, "capacity {capacity}");
         }
     }
 
     #[test]
     fn empty_lanes_are_fine() {
-        let summary = replay(&[], CachePolicy::Lru, 4, 4);
+        let summary = replay(&[], 4, 4);
         assert_eq!(summary.total, CacheStats::default());
         assert_eq!(replay_curves(&[], 4).accesses(), 0);
     }

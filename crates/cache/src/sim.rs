@@ -1,89 +1,30 @@
-//! A policy-selectable cache with hit/miss accounting, and the one-pass
-//! stack-distance profiler behind the same driving surface.
+//! A cache with hit/miss accounting, and the one-pass stack-distance
+//! profiler behind the same driving surface.
 
 use crate::stack_distance::{MissRatioCurve, StackDistance};
-use crate::{AccessOutcome, BlockId, Cache, CacheStats, FifoCache, LruCache, SetAssociativeCache};
+use crate::{AccessOutcome, BlockId, Cache, CacheStats, LruCache};
 
-/// Which replacement policy a [`CacheSim`] uses.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Fully associative least-recently-used (the paper's model).
-    #[default]
-    Lru,
-    /// Fully associative first-in-first-out.
-    Fifo,
-    /// Set-associative LRU with the given number of sets; the total
-    /// capacity is still the number of lines passed to [`CacheSim::new`],
-    /// split evenly across sets.
-    SetAssociative {
-        /// Number of sets; must divide the line count.
-        sets: usize,
-    },
-}
-
-enum Inner {
-    Lru(LruCache),
-    Fifo(FifoCache),
-    SetAssoc(SetAssociativeCache),
-}
-
-/// Dispatches a method call to the concrete cache behind [`Inner`].
-///
-/// This used to go through `&mut dyn Cache`, which put a virtual call on
-/// the simulator's per-step path; the macro keeps the three-way `match`
-/// in every method body instead, so each arm calls the concrete type's
-/// method directly and inlines.
-macro_rules! on_cache {
-    ($self:expr, $cache:ident => $body:expr) => {
-        match &$self.inner {
-            Inner::Lru($cache) => $body,
-            Inner::Fifo($cache) => $body,
-            Inner::SetAssoc($cache) => $body,
-        }
-    };
-    (mut $self:expr, $cache:ident => $body:expr) => {
-        match &mut $self.inner {
-            Inner::Lru($cache) => $body,
-            Inner::Fifo($cache) => $body,
-            Inner::SetAssoc($cache) => $body,
-        }
-    };
-}
-
-/// A simulated processor cache: a replacement policy plus hit/miss/silent
-/// accounting. This is the object the execution simulator attaches to each
-/// simulated processor.
+/// A simulated processor cache: a fully associative LRU cache plus
+/// hit/miss/silent accounting. This is the object the execution simulator
+/// attaches to each simulated processor.
 ///
 /// The underlying cache is capacity-adaptive (see the crate docs): give the
 /// constructor a dense-block-range hint with [`CacheSim::with_block_hint`]
 /// to get the direct-mapped index at large capacities — the execution
 /// simulators pass the DAG's block space automatically.
 pub struct CacheSim {
-    inner: Inner,
+    cache: LruCache,
     stats: CacheStats,
 }
 
 impl CacheSim {
-    /// Creates a cache of `lines` lines managed by `policy`.
+    /// Creates a cache of `lines` lines.
     ///
     /// # Panics
-    /// Panics if `lines` is zero, or if a set-associative policy's set count
-    /// does not evenly divide `lines`.
-    pub fn new(policy: CachePolicy, lines: usize) -> Self {
-        assert!(lines > 0, "cache capacity must be positive");
-        let inner = match policy {
-            CachePolicy::Lru => Inner::Lru(LruCache::new(lines)),
-            CachePolicy::Fifo => Inner::Fifo(FifoCache::new(lines)),
-            CachePolicy::SetAssociative { sets } => {
-                assert!(
-                    sets > 0 && lines.is_multiple_of(sets),
-                    "set count must divide the number of lines"
-                );
-                Inner::SetAssoc(SetAssociativeCache::new(sets, lines / sets))
-            }
-        };
+    /// Panics if `lines` is zero.
+    pub fn new(lines: usize) -> Self {
         CacheSim {
-            inner,
+            cache: LruCache::new(lines),
             stats: CacheStats::default(),
         }
     }
@@ -94,26 +35,10 @@ impl CacheSim {
     /// identical either way; only the lookup cost differs.
     ///
     /// # Panics
-    /// Same conditions as [`CacheSim::new`].
-    pub fn with_block_hint(policy: CachePolicy, lines: usize, block_space: usize) -> Self {
-        assert!(lines > 0, "cache capacity must be positive");
-        let inner = match policy {
-            CachePolicy::Lru => Inner::Lru(LruCache::with_block_hint(lines, block_space)),
-            CachePolicy::Fifo => Inner::Fifo(FifoCache::with_block_hint(lines, block_space)),
-            CachePolicy::SetAssociative { sets } => {
-                assert!(
-                    sets > 0 && lines.is_multiple_of(sets),
-                    "set count must divide the number of lines"
-                );
-                Inner::SetAssoc(SetAssociativeCache::with_block_hint(
-                    sets,
-                    lines / sets,
-                    block_space,
-                ))
-            }
-        };
+    /// Panics if `lines` is zero.
+    pub fn with_block_hint(lines: usize, block_space: usize) -> Self {
         CacheSim {
-            inner,
+            cache: LruCache::with_block_hint(lines, block_space),
             stats: CacheStats::default(),
         }
     }
@@ -124,13 +49,13 @@ impl CacheSim {
     /// migrating to hashing mid-run. Allocates only when the space grows;
     /// behavior is unchanged (see [`LruCache::rehint`]).
     pub fn rehint(&mut self, block_space: usize) {
-        on_cache!(mut self, c => c.rehint(block_space));
+        self.cache.rehint(block_space);
     }
 
     /// Accesses `block`, updating the statistics.
     #[inline]
     pub fn access(&mut self, block: BlockId) -> AccessOutcome {
-        let outcome = on_cache!(mut self, c => c.access(block));
+        let outcome = self.cache.access(block);
         if outcome.is_hit() {
             self.stats.hits += 1;
         } else {
@@ -170,28 +95,28 @@ impl CacheSim {
 
     /// Whether `block` is resident.
     pub fn contains(&self, block: BlockId) -> bool {
-        on_cache!(self, c => c.contains(block))
+        self.cache.contains(block)
     }
 
     /// The cache capacity in lines.
     pub fn capacity(&self) -> usize {
-        on_cache!(self, c => c.capacity())
+        self.cache.capacity()
     }
 
     /// Replaces the contents of `out` with the resident blocks (the
     /// borrowing form of [`CacheSim::resident_blocks`]).
     pub fn resident_into(&self, out: &mut Vec<BlockId>) {
-        on_cache!(self, c => c.resident_into(out));
+        self.cache.resident_into(out);
     }
 
     /// The resident blocks.
     pub fn resident_blocks(&self) -> Vec<BlockId> {
-        on_cache!(self, c => c.resident_blocks())
+        self.cache.resident_blocks()
     }
 
     /// Empties the cache but keeps the statistics.
     pub fn flush(&mut self) {
-        on_cache!(mut self, c => c.clear());
+        self.cache.clear();
     }
 
     /// Empties the cache and resets the statistics.
@@ -215,10 +140,9 @@ impl CacheSim {
 /// trace, including interleaved `flush()`es (the profiler's residency
 /// clear mirrors them).
 ///
-/// Only the LRU policy has the inclusion property the one-pass profile
-/// relies on, so there is no policy parameter: this is the one-pass
-/// counterpart of `CacheSim::new(CachePolicy::Lru, c)` for all `c` at
-/// once.
+/// It relies on LRU's inclusion property (a cache of `c` lines holds the
+/// `c` most recently used blocks): this is the one-pass counterpart of
+/// `CacheSim::new(c)` for all `c` at once.
 #[derive(Debug, Default)]
 pub struct StackDistanceSim {
     sd: StackDistance,
@@ -313,8 +237,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lru_policy_counts_hits_and_misses() {
-        let mut sim = CacheSim::new(CachePolicy::Lru, 2);
+    fn counts_hits_and_misses() {
+        let mut sim = CacheSim::new(2);
         sim.access(1);
         sim.access(2);
         sim.access(1);
@@ -330,7 +254,7 @@ mod tests {
 
     #[test]
     fn access_opt_routes_correctly() {
-        let mut sim = CacheSim::new(CachePolicy::Fifo, 2);
+        let mut sim = CacheSim::new(2);
         assert!(sim.access_opt(Some(5)).unwrap().is_miss());
         assert!(sim.access_opt(None).is_none());
         assert_eq!(sim.stats().silent, 1);
@@ -338,33 +262,21 @@ mod tests {
     }
 
     #[test]
-    fn set_associative_policy_constructs() {
-        let mut sim = CacheSim::new(CachePolicy::SetAssociative { sets: 2 }, 4);
+    fn resident_blocks_and_resident_into_agree() {
+        let mut sim = CacheSim::new(4);
         for b in 0..4 {
             sim.access(b);
         }
         assert_eq!(sim.stats().misses, 4);
-        assert_eq!(sim.resident_blocks().len(), 4);
-        let mut buf = Vec::new();
+        let mut buf = vec![99];
         sim.resident_into(&mut buf);
+        assert_eq!(buf, sim.resident_blocks());
         assert_eq!(buf.len(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "set count must divide")]
-    fn bad_set_count_panics() {
-        let _ = CacheSim::new(CachePolicy::SetAssociative { sets: 3 }, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "set count must divide")]
-    fn bad_set_count_panics_with_hint() {
-        let _ = CacheSim::with_block_hint(CachePolicy::SetAssociative { sets: 3 }, 4, 100);
-    }
-
-    #[test]
     fn flush_and_reset() {
-        let mut sim = CacheSim::new(CachePolicy::Lru, 2);
+        let mut sim = CacheSim::new(2);
         sim.access(1);
         sim.flush();
         assert!(!sim.contains(1));
@@ -375,30 +287,19 @@ mod tests {
 
     #[test]
     fn block_hint_matches_plain_behavior_at_large_capacity() {
-        for policy in [
-            CachePolicy::Lru,
-            CachePolicy::Fifo,
-            CachePolicy::SetAssociative { sets: 4 },
-        ] {
-            let lines = 256;
-            let mut plain = CacheSim::new(policy, lines);
-            let mut hinted = CacheSim::with_block_hint(policy, lines, 512);
-            for i in 0..4_000u32 {
-                let b = i.wrapping_mul(2_654_435_761) % 512;
-                assert_eq!(plain.access(b), hinted.access(b), "{policy:?} access {i}");
-            }
-            assert_eq!(plain.stats(), hinted.stats());
+        let lines = 256;
+        let mut plain = CacheSim::new(lines);
+        let mut hinted = CacheSim::with_block_hint(lines, 512);
+        for i in 0..4_000u32 {
+            let b = i.wrapping_mul(2_654_435_761) % 512;
+            assert_eq!(plain.access(b), hinted.access(b), "access {i}");
         }
-    }
-
-    #[test]
-    fn default_policy_is_lru() {
-        assert_eq!(CachePolicy::default(), CachePolicy::Lru);
+        assert_eq!(plain.stats(), hinted.stats());
     }
 
     #[test]
     fn debug_format_mentions_stats() {
-        let sim = CacheSim::new(CachePolicy::Lru, 2);
+        let sim = CacheSim::new(2);
         let s = format!("{sim:?}");
         assert!(s.contains("CacheSim"));
         assert!(s.contains("capacity"));
@@ -410,7 +311,7 @@ mod tests {
         let mut sd = StackDistanceSim::new();
         let mut sims: Vec<CacheSim> = [1usize, 2, 3, 8]
             .iter()
-            .map(|&c| CacheSim::new(CachePolicy::Lru, c))
+            .map(|&c| CacheSim::new(c))
             .collect();
         for &b in &trace {
             sd.access_opt(b);
@@ -427,7 +328,7 @@ mod tests {
     #[test]
     fn stack_distance_sim_flush_and_reset_mirror_cache_sim() {
         let mut sd = StackDistanceSim::with_block_hint(16);
-        let mut sim = CacheSim::with_block_hint(CachePolicy::Lru, 2, 16);
+        let mut sim = CacheSim::with_block_hint(2, 16);
         for &b in &[4u32, 5, 4] {
             sd.access(b);
             sim.access(b);

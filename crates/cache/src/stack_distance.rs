@@ -111,8 +111,7 @@ impl StackDistance {
     /// absurdly large, e.g. polluted by a sentinel-high id). Results are
     /// identical either way; only the lookup cost differs.
     pub fn with_block_hint(block_space: usize) -> Self {
-        let index =
-            BlockIndex::new_dense(block_space, 1).unwrap_or_else(|| BlockIndex::new_hash(0));
+        let index = BlockIndex::new_dense(block_space).unwrap_or_else(|| BlockIndex::new_hash(0));
         Self::with_index(index)
     }
 

@@ -1,5 +1,5 @@
 //! Differential property tests: the indexed O(1) representations must be
-//! **access-for-access identical** to the seed scan representations — not
+//! **access-for-access identical** to the seed scan representation — not
 //! just the same miss counts, but the same [`AccessOutcome`] (including
 //! which block each miss evicts) at every single step, across random
 //! traces, capacities straddling the crossover, and block ranges both
@@ -10,7 +10,7 @@
 //! matter which representation the capacity selects.
 
 use proptest::prelude::*;
-use wsf_cache::{AccessOutcome, Cache, FifoCache, LruCache, SCAN_CROSSOVER};
+use wsf_cache::{AccessOutcome, Cache, LruCache, SCAN_CROSSOVER};
 
 /// Runs `trace` through `a` and `b`, asserting identical outcomes step by
 /// step and identical final residency.
@@ -59,17 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn indexed_fifo_matches_scan_fifo((capacity, space, trace) in trace_strategy()) {
-        let mut scan = FifoCache::scan(capacity);
-        let mut hashed = FifoCache::indexed(capacity);
-        assert_lockstep(&mut scan, &mut hashed, &trace);
-
-        let mut scan = FifoCache::scan(capacity);
-        let mut dense = FifoCache::indexed_dense(capacity, space);
-        assert_lockstep(&mut scan, &mut dense, &trace);
-    }
-
-    #[test]
     fn adaptive_constructor_matches_forced_scan((capacity, _space, trace) in trace_strategy()) {
         // Whatever representation `new` picks must reproduce the scan
         // outcomes exactly.
@@ -109,12 +98,6 @@ proptest! {
         lru.rehint(grown);
         let wide: Vec<u32> = trace[half..].iter().map(|&b| b * 31 % grown as u32).collect();
         assert_lockstep(&mut scan, &mut lru, &wide);
-
-        let mut scan = FifoCache::scan(capacity);
-        let mut fifo = FifoCache::with_block_hint(capacity, space);
-        assert_lockstep(&mut scan, &mut fifo, &trace[..half]);
-        fifo.rehint(grown);
-        assert_lockstep(&mut scan, &mut fifo, &wide);
     }
 
     #[test]

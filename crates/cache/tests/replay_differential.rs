@@ -10,9 +10,7 @@
 //! approximation of it.
 
 use proptest::prelude::*;
-use wsf_cache::{
-    replay, replay_curves, CachePolicy, CacheSim, CacheStats, ReplayOp, StackDistanceSim,
-};
+use wsf_cache::{replay, replay_curves, CacheSim, CacheStats, ReplayOp, StackDistanceSim};
 
 /// The capacities the curve is probed at: both sides of the
 /// indexed-representation crossover, the paper's C = 16 (±1), and the
@@ -23,14 +21,13 @@ const CAPACITIES: [usize; 9] = [1, 2, 15, 16, 17, 64, 256, 4096, 32768];
 /// must reproduce field-for-field.
 fn direct_per_lane(
     lanes: &[Vec<ReplayOp>],
-    policy: CachePolicy,
     capacity: usize,
     block_space: usize,
 ) -> Vec<CacheStats> {
     lanes
         .iter()
         .map(|ops| {
-            let mut sim = CacheSim::with_block_hint(policy, capacity, block_space);
+            let mut sim = CacheSim::with_block_hint(capacity, block_space);
             for op in ops {
                 match *op {
                     ReplayOp::Access(block) => {
@@ -45,28 +42,26 @@ fn direct_per_lane(
 }
 
 fn assert_replay_differential(lanes: &[Vec<ReplayOp>], block_space: usize) {
-    // Fixed-capacity replay vs direct simulation, both policies.
-    for policy in [CachePolicy::Lru, CachePolicy::Fifo] {
-        for capacity in CAPACITIES {
-            let summary = replay(lanes, policy, capacity, block_space);
-            let direct = direct_per_lane(lanes, policy, capacity, block_space);
-            assert_eq!(
-                summary.per_lane, direct,
-                "replay diverged from direct simulation ({policy:?}, C = {capacity})"
-            );
-            assert_eq!(
-                summary.total,
-                direct.iter().copied().sum::<CacheStats>(),
-                "total is not the lane sum ({policy:?}, C = {capacity})"
-            );
-        }
+    // Fixed-capacity replay vs direct simulation.
+    for capacity in CAPACITIES {
+        let summary = replay(lanes, capacity, block_space);
+        let direct = direct_per_lane(lanes, capacity, block_space);
+        assert_eq!(
+            summary.per_lane, direct,
+            "replay diverged from direct simulation (C = {capacity})"
+        );
+        assert_eq!(
+            summary.total,
+            direct.iter().copied().sum::<CacheStats>(),
+            "total is not the lane sum (C = {capacity})"
+        );
     }
 
     // One-pass curve vs the per-capacity LRU replays, and vs hand-driven
     // per-lane profilers merged the same way.
     let curve = replay_curves(lanes, block_space);
     for capacity in CAPACITIES {
-        let fixed = replay(lanes, CachePolicy::Lru, capacity, block_space);
+        let fixed = replay(lanes, capacity, block_space);
         assert_eq!(
             curve.stats_at(capacity),
             fixed.total,
@@ -130,7 +125,7 @@ fn empty_and_silent_only_lanes_replay_exactly() {
         vec![ReplayOp::Flush, ReplayOp::Access(None), ReplayOp::Flush],
     ];
     assert_replay_differential(&lanes, 4);
-    let summary = replay(&lanes, CachePolicy::Lru, 16, 4);
+    let summary = replay(&lanes, 16, 4);
     assert_eq!(summary.total.misses, 0, "silent lanes cannot miss");
     assert_eq!(summary.total.silent, 6);
 }

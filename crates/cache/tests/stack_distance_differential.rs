@@ -14,7 +14,7 @@
 #![recursion_limit = "512"]
 
 use proptest::prelude::*;
-use wsf_cache::{BlockId, CachePolicy, CacheSim, StackDistanceSim};
+use wsf_cache::{BlockId, CacheSim, StackDistanceSim};
 use wsf_core::{ForkPolicy, SequentialExecutor};
 use wsf_dag::Dag;
 use wsf_workloads::{apps, backpressure, sort, stencil};
@@ -43,7 +43,7 @@ fn assert_differential(ops: &[TraceOp], block_space: usize) {
     let mut sd_hash = StackDistanceSim::new();
     let mut sims: Vec<CacheSim> = CAPACITIES
         .iter()
-        .map(|&c| CacheSim::with_block_hint(CachePolicy::Lru, c, block_space))
+        .map(|&c| CacheSim::with_block_hint(c, block_space))
         .collect();
     for op in ops {
         match *op {

@@ -99,7 +99,9 @@ pub fn unstructured_additional_misses(
 
 /// Acar, Blelloch and Blumofe's bridge between the two measures: the number
 /// of additional cache misses of a work-stealing execution is at most `C`
-/// times its number of deviations (for any simple replacement policy).
+/// times its number of deviations. That needs LRU's property that a
+/// cache's misses on a trace depend on its starting contents by at most
+/// `C` (FIFO lacks it; `docs/DESIGN.md` §2).
 pub fn misses_from_deviations(cache_lines: u64, deviations: u64) -> u64 {
     cache_lines.saturating_mul(deviations)
 }

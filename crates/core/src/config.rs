@@ -1,18 +1,14 @@
 //! Configuration of the execution simulator.
 
 use crate::policy::ForkPolicy;
-use wsf_cache::CachePolicy;
 
 /// Configuration of a simulated parallel execution.
 #[derive(Copy, Clone, Debug)]
 pub struct SimConfig {
     /// Number of simulated processors `P`.
     pub processors: usize,
-    /// Cache lines per processor `C`.
+    /// Lines of each processor's fully associative LRU cache, `C`.
     pub cache_lines: usize,
-    /// Cache replacement policy (the paper's model is fully associative
-    /// LRU).
-    pub cache_policy: CachePolicy,
     /// Which child of a fork is executed first.
     pub fork_policy: ForkPolicy,
     /// Seed for the default random steal scheduler.
@@ -29,7 +25,6 @@ impl Default for SimConfig {
         SimConfig {
             processors: 2,
             cache_lines: 8,
-            cache_policy: CachePolicy::Lru,
             fork_policy: ForkPolicy::FutureFirst,
             seed: 0x5eed,
             max_steps: None,

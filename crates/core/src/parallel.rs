@@ -66,11 +66,10 @@ impl ParallelSimulator {
     }
 
     /// The sequential baseline execution matching this simulator's fork
-    /// policy, cache policy and cache size.
+    /// policy and cache size.
     pub fn sequential(&self, dag: &Dag) -> SeqReport {
         SequentialExecutor::new(self.config.fork_policy)
             .with_cache_lines(self.config.cache_lines)
-            .with_cache_policy(self.config.cache_policy)
             .run(dag)
     }
 
@@ -109,12 +108,7 @@ impl ParallelSimulator {
         scratch: &mut SimScratch,
     ) -> ExecutionReport {
         let p_count = self.config.processors.max(1);
-        scratch.reset_procs(
-            p_count,
-            self.config.cache_policy,
-            self.config.cache_lines,
-            dag.block_space(),
-        );
+        scratch.reset_procs(p_count, self.config.cache_lines, dag.block_space());
         scratch.tracker.reset(dag);
         let seq_prev = seq.predecessors();
         let SimScratch {

@@ -22,7 +22,7 @@ pub enum ForkPolicy {
 }
 
 impl ForkPolicy {
-    /// All policies, in the order they are reported by the benches.
+    /// All policies, in the order the experiment tables report them.
     pub const ALL: [ForkPolicy; 2] = [ForkPolicy::FutureFirst, ForkPolicy::ParentFirst];
 
     /// A short label used in experiment tables.

@@ -14,7 +14,7 @@
 
 use crate::ready::ReadyTracker;
 use crate::report::ProcStats;
-use wsf_cache::{CachePolicy, CacheSim};
+use wsf_cache::CacheSim;
 use wsf_dag::NodeId;
 use wsf_deque::SimDeque;
 
@@ -124,8 +124,8 @@ pub struct SimScratch {
     pub(crate) stolen: Vec<NodeId>,
     pub(crate) enabled: Vec<NodeId>,
     pub(crate) tracker: ReadyTracker,
-    /// The `(policy, lines)` the current `procs` caches were built with.
-    cache_config: Option<(CachePolicy, usize)>,
+    /// The line count the current `procs` caches were built with.
+    cache_lines: Option<usize>,
 }
 
 impl SimScratch {
@@ -135,36 +135,30 @@ impl SimScratch {
     }
 
     /// Prepares the per-processor state for a run with `p_count` processors
-    /// and the given cache configuration, reusing existing storage when the
-    /// configuration matches.
+    /// and caches of `lines` lines, reusing existing storage when both
+    /// match.
     ///
     /// `block_space` is the DAG's dense block range (see
     /// `wsf_dag::Dag::block_space`): it sizes the direct-mapped block→slot
     /// index of caches above the scan crossover. A scratch built for one
-    /// DAG keeps its caches for another with the same `(policy, lines)`:
+    /// DAG keeps its caches for another with the same `lines`:
     /// the per-run [`wsf_cache::CacheSim::reset`] is O(1) (a generation
     /// bump) and [`wsf_cache::CacheSim::rehint`] grows the index to the new
     /// DAG's space, so a larger DAG stays on the direct-mapped path instead
     /// of migrating to the hash index mid-run. Both allocate only when the
     /// space grows, preserving the allocation-free steady state that
     /// `crates/core/tests/alloc_free.rs` locks in.
-    pub(crate) fn reset_procs(
-        &mut self,
-        p_count: usize,
-        policy: CachePolicy,
-        lines: usize,
-        block_space: usize,
-    ) {
-        if self.cache_config != Some((policy, lines)) || self.procs.len() != p_count {
+    pub(crate) fn reset_procs(&mut self, p_count: usize, lines: usize, block_space: usize) {
+        if self.cache_lines != Some(lines) || self.procs.len() != p_count {
             self.procs.clear();
             self.procs.extend((0..p_count).map(|_| Proc {
                 deque: SimDeque::new(),
                 current: None,
                 last_completed: None,
-                cache: CacheSim::with_block_hint(policy, lines, block_space),
+                cache: CacheSim::with_block_hint(lines, block_space),
                 stats: ProcStats::default(),
             }));
-            self.cache_config = Some((policy, lines));
+            self.cache_lines = Some(lines);
         } else {
             for proc in &mut self.procs {
                 proc.deque.clear();
@@ -203,12 +197,12 @@ mod tests {
     #[test]
     fn reset_procs_reuses_matching_config() {
         let mut scratch = SimScratch::new();
-        scratch.reset_procs(4, CachePolicy::Lru, 8, 64);
+        scratch.reset_procs(4, 8, 64);
         scratch.procs[2].stats.steals = 9;
-        scratch.reset_procs(4, CachePolicy::Lru, 8, 64);
+        scratch.reset_procs(4, 8, 64);
         assert_eq!(scratch.procs.len(), 4);
         assert_eq!(scratch.procs[2].stats.steals, 0, "stats cleared on reuse");
-        scratch.reset_procs(2, CachePolicy::Lru, 16, 64);
+        scratch.reset_procs(2, 16, 64);
         assert_eq!(scratch.procs.len(), 2);
         assert_eq!(scratch.procs[0].cache.capacity(), 16);
     }
@@ -216,11 +210,11 @@ mod tests {
     #[test]
     fn reset_procs_reuses_caches_across_differing_block_spaces() {
         // The block-space hint pre-sizes the index; a different hint with
-        // the same (policy, lines) must not force a rebuild.
+        // the same line count must not force a rebuild.
         let mut scratch = SimScratch::new();
-        scratch.reset_procs(2, CachePolicy::Lru, 4096, 64);
+        scratch.reset_procs(2, 4096, 64);
         scratch.procs[0].cache.access(63);
-        scratch.reset_procs(2, CachePolicy::Lru, 4096, 1 << 16);
+        scratch.reset_procs(2, 4096, 1 << 16);
         assert!(!scratch.procs[0].cache.contains(63), "reset cleared it");
         // Blocks far past the original hint still work (index grows).
         assert!(scratch.procs[0].cache.access(60_000).is_miss());

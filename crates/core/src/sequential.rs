@@ -9,7 +9,7 @@
 use crate::policy::ForkPolicy;
 use crate::ready::{schedule_enabled, ReadyTracker};
 use crate::report::SeqReport;
-use wsf_cache::{CachePolicy, CacheSim};
+use wsf_cache::CacheSim;
 use wsf_dag::{Dag, NodeId};
 use wsf_deque::SimDeque;
 
@@ -17,7 +17,6 @@ use wsf_deque::SimDeque;
 #[derive(Copy, Clone, Debug)]
 pub struct SequentialExecutor {
     fork_policy: ForkPolicy,
-    cache_policy: CachePolicy,
     cache_lines: usize,
 }
 
@@ -27,7 +26,6 @@ impl SequentialExecutor {
     pub fn new(fork_policy: ForkPolicy) -> Self {
         SequentialExecutor {
             fork_policy,
-            cache_policy: CachePolicy::Lru,
             cache_lines: 8,
         }
     }
@@ -35,12 +33,6 @@ impl SequentialExecutor {
     /// Sets the number of cache lines `C`.
     pub fn with_cache_lines(mut self, lines: usize) -> Self {
         self.cache_lines = lines;
-        self
-    }
-
-    /// Sets the cache replacement policy.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
         self
     }
 
@@ -60,8 +52,7 @@ impl SequentialExecutor {
         let mut deque: SimDeque<NodeId> = SimDeque::new();
         // Workload blocks are allocated densely from 0, so the DAG's block
         // space selects the direct-mapped cache index at large capacities.
-        let mut cache =
-            CacheSim::with_block_hint(self.cache_policy, self.cache_lines, dag.block_space());
+        let mut cache = CacheSim::with_block_hint(self.cache_lines, dag.block_space());
         let mut order = Vec::with_capacity(dag.num_nodes());
 
         let mut current = Some(dag.root());
@@ -228,9 +219,7 @@ mod tests {
 
     #[test]
     fn builder_accessors() {
-        let e = SequentialExecutor::new(ForkPolicy::ParentFirst)
-            .with_cache_lines(32)
-            .with_cache_policy(CachePolicy::Fifo);
+        let e = SequentialExecutor::new(ForkPolicy::ParentFirst).with_cache_lines(32);
         assert_eq!(e.fork_policy(), ForkPolicy::ParentFirst);
     }
 }

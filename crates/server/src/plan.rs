@@ -4,7 +4,7 @@
 //! The paper counts the deviations and extra misses of a work-stealing
 //! execution *against the sequential execution of the same DAG*. Both the
 //! DAG of a [`ShapeSpec`] and its sequential baseline under
-//! `(ForkPolicy, C, cache policy)` are pure functions of those inputs — no
+//! `(ForkPolicy, C)` are pure functions of those inputs — no
 //! tenant seed, steal policy or processor count reaches them — so a
 //! `Plan` holds exactly that pair and the server's `PlanCache` hands the
 //! same `Arc<Plan>` to every submission with the same `PlanKey`.
@@ -28,11 +28,10 @@
 //! at a time.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use wsf_core::{ParallelSimulator, SeqReport, SimConfig};
+use wsf_core::{ForkPolicy, SeqReport, SequentialExecutor, SimConfig};
 use wsf_dag::{Dag, DagBuilder};
 use wsf_workloads::submission::{ShapeScratch, ShapeSpec, MAX_NODES};
 
@@ -54,52 +53,32 @@ impl Plan {
         let dag = key
             .spec
             .build_into(&mut DagBuilder::new(), &mut ShapeScratch::new());
-        let seq = ParallelSimulator::new(key.machine).sequential(&dag);
+        let seq = SequentialExecutor::new(key.fork_policy)
+            .with_cache_lines(key.cache_lines)
+            .run(&dag);
         Plan { dag, seq }
     }
 }
 
-/// What a [`Plan`] is a pure function of: the shape plus the three machine
-/// parameters the sequential baseline reads (fork policy, cache lines,
-/// cache policy).
-#[derive(Copy, Clone, Debug)]
+/// What a [`Plan`] is a pure function of: the shape plus the two machine
+/// parameters the sequential baseline reads. Everything else about the
+/// tenant's machine (processors, seed, step bound) stays out, so two
+/// tenants that differ only there share a key and no tenant seed enters
+/// the cache.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     spec: ShapeSpec,
-    /// The tenant's machine with everything the baseline does not read
-    /// (processors, seed, step bound) set to fixed values, so two tenants
-    /// that differ only there share a key and no tenant seed enters the
-    /// cache. Kept as the `SimConfig` that `ParallelSimulator::sequential`
-    /// takes rather than as three fields: this crate does not depend on
-    /// `wsf-cache`, so it cannot name the cache policy's type.
-    machine: SimConfig,
+    fork_policy: ForkPolicy,
+    cache_lines: usize,
 }
 
 impl PlanKey {
     pub(crate) fn new(spec: ShapeSpec, cfg: &SimConfig) -> Self {
-        let mut machine = SimConfig::new(1, cfg.cache_lines, cfg.fork_policy);
-        machine.cache_policy = cfg.cache_policy;
-        PlanKey { spec, machine }
-    }
-}
-
-impl PartialEq for PlanKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.spec == other.spec
-            && self.machine.fork_policy == other.machine.fork_policy
-            && self.machine.cache_lines == other.machine.cache_lines
-            && self.machine.cache_policy == other.machine.cache_policy
-    }
-}
-
-impl Eq for PlanKey {}
-
-impl Hash for PlanKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.spec.hash(state);
-        self.machine.fork_policy.hash(state);
-        self.machine.cache_lines.hash(state);
-        // The cache policy's parameters are left to `eq`.
-        std::mem::discriminant(&self.machine.cache_policy).hash(state);
+        PlanKey {
+            spec,
+            fork_policy: cfg.fork_policy,
+            cache_lines: cfg.cache_lines,
+        }
     }
 }
 
@@ -227,7 +206,6 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsf_core::ForkPolicy;
 
     fn key(leaves: u32) -> PlanKey {
         let cfg = SimConfig::new(4, 64, ForkPolicy::FutureFirst).with_seed(leaves as u64);

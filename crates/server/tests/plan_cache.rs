@@ -1,7 +1,7 @@
 //! The plan cache seen from outside the server: every reply — built on a
 //! miss, served from a hit, or rebuilt after an eviction — equals a fresh
 //! local replay; tenants share a resident plan exactly when they agree on
-//! `(fork policy, cache lines, cache policy)`; residency never exceeds
+//! `(fork policy, cache lines)`; residency never exceeds
 //! [`PLAN_BUDGET_NODES`] and the least-recently-hit plan goes first; two
 //! connections racing on a cold key each get one correct completion and
 //! leave one resident plan; and a warm hit's cost in allocations does not

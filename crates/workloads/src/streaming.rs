@@ -2,9 +2,8 @@
 //!
 //! `wsf_runtime`'s [`StreamEngine`](wsf_runtime::StreamEngine) executes an
 //! unbounded item stream through a chain of [`StreamStage`]s with a
-//! commit barrier every N items. This module provides the workload side used by the
-//! crash-recovery experiment (E18) and the streaming benchmarks: a seeded
-//! replayable source and a family of order-sensitive mixing stages whose
+//! commit barrier every N items. This module provides the workload side of
+//! the crash-recovery experiment (E18): a seeded replayable source and a family of order-sensitive mixing stages whose
 //! committed states detect any lost, duplicated, or reordered item —
 //! which is what makes "exactly-once after recovery" checkable as a
 //! simple state equality.

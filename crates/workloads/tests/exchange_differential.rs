@@ -8,7 +8,7 @@
 //! every step interleaved with write-once boundary copies — which is
 //! exactly the reuse pattern the E16 capacity sweep measures.
 
-use wsf_cache::{Cache, FifoCache, LruCache};
+use wsf_cache::{Cache, LruCache};
 use wsf_core::{ForkPolicy, SequentialExecutor};
 use wsf_workloads::stencil::stencil_exchange;
 
@@ -50,25 +50,6 @@ fn exchange_trace_is_identical_under_scan_and_indexed_lru() {
             &format!("lru/dense C={c}"),
             &mut LruCache::scan(c),
             &mut LruCache::indexed_dense(c, space),
-            &t,
-        );
-    }
-}
-
-#[test]
-fn exchange_trace_is_identical_under_scan_and_indexed_fifo() {
-    let (t, space) = trace(6, 16, 5);
-    for c in [8usize, 128] {
-        assert_identical(
-            &format!("fifo/hash C={c}"),
-            &mut FifoCache::scan(c),
-            &mut FifoCache::indexed(c),
-            &t,
-        );
-        assert_identical(
-            &format!("fifo/dense C={c}"),
-            &mut FifoCache::scan(c),
-            &mut FifoCache::indexed_dense(c, space),
             &t,
         );
     }

@@ -51,7 +51,7 @@ pub use wsf_workloads as workloads;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use wsf_cache::{CachePolicy, CacheSim, LruCache};
+    pub use wsf_cache::{CacheSim, LruCache};
     pub use wsf_core::{
         ExecutionReport, ForkPolicy, ParallelSimulator, SequentialExecutor, SimConfig,
     };
