@@ -45,16 +45,13 @@ fn sweeps_and_experiments_are_byte_identical_across_thread_counts() {
     assert_eq!(sequential, oversubscribed);
 
     // Every registered experiment re-assembles its sharded rows in input
-    // order, so its rendered tables must not depend on threads. E18 (the
-    // crash-recovery engine under an injected fault schedule), E20 (a real
-    // TCP server) and E21 (DAGs on the real pool) keep only columns
-    // determined by the commit log, the scripted schedule and the shapes —
-    // run-varying measurements go to stderr — so they are held to the same
-    // bytes. Only E10 is exempt: its table reports wall time.
+    // order, so its rendered tables must not depend on threads. E10 (the
+    // closure kernels on the real pool), E18 (the crash-recovery engine
+    // under an injected fault schedule), E20 (a real TCP server) and E21
+    // (DAGs on the real pool) keep only columns determined by the kernels,
+    // the commit log, the scripted schedule and the shapes — run-varying
+    // measurements go to stderr — so they are held to the same bytes.
     for (id, _, runner) in registry() {
-        if id == "e10" {
-            continue;
-        }
         set_threads(1);
         let sequential: Vec<String> = runner(Scale::Quick).iter().map(|t| t.render()).collect();
         set_threads(4);

@@ -151,7 +151,6 @@ fn main() {
             continue;
         }
         println!("## {} — {}\n", id.to_uppercase(), description);
-        let start = std::time::Instant::now();
         // The tournament takes the policy set as a parameter; every other
         // experiment ignores `--schedulers`/`--patience`.
         let tables = match (&specs, id) {
@@ -161,7 +160,6 @@ fn main() {
         for table in tables {
             println!("{table}");
         }
-        println!("_({} finished in {:.2?})_\n", id, start.elapsed());
     }
 }
 

@@ -24,10 +24,15 @@
 //! the scan's O(C) cost dominates, so the cache is **capacity-adaptive**:
 //! at or below [`SCAN_CROSSOVER`] lines it keeps the seed scan
 //! representation, above it it switches to an indexed slot arena
-//! (intrusive recency list + block→slot index, hash or direct-mapped — see
-//! the private `indexed` module's docs) with O(1) amortized access and
-//! eviction. The two representations are access-for-access identical;
-//! `tests/differential.rs` proves it property-style.
+//! (intrusive recency list + direct-mapped block→slot index — see the
+//! private `indexed` module's docs) with O(1) access and eviction. The two
+//! representations are access-for-access identical; `tests/differential.rs`
+//! proves it property-style.
+//!
+//! Block ids are numbered densely from 0, as the model's workloads number
+//! them, so every block index is a vector indexed by id: the indexed
+//! caches and the profiler accept ids below [`MAX_BLOCK_SPACE`] and panic
+//! on any other.
 //!
 //! ```
 //! use wsf_cache::{Cache, CacheSim};
@@ -79,14 +84,23 @@ pub type BlockId = u32;
 ///
 /// The tie is at C = 16, so C = 8 and 16 (every table experiment) keep the
 /// seed representation and everything larger, including the served
-/// tenants' C = 64, takes the arena. The comparison is against the *dense*
-/// index because the simulators always pass one: `SequentialExecutor` and
-/// `SimScratch` hint every cache with the DAG's block space (see
-/// [`CacheSim::with_block_hint`] and [`CacheSim::rehint`]); only unhinted
-/// constructors fall back to the hash index above the crossover. The
-/// benchmark's per-layer metrics `cache.lru_scan_c16.ns_per_access` and
+/// tenants' C = 64, takes the arena. The arena's index is direct-mapped at
+/// every capacity; `SequentialExecutor` and `SimScratch` hint every cache
+/// with the DAG's block space (see [`CacheSim::with_block_hint`] and
+/// [`CacheSim::rehint`]) so the index is sized before the walk, and an
+/// unhinted cache grows it on demand. The benchmark's per-layer metrics
+/// `cache.lru_scan_c16.ns_per_access` and
 /// `cache.lru_dense_c1024.ns_per_access` track the two sides.
 pub const SCAN_CROSSOVER: usize = 16;
+
+/// The block-id ceiling of every direct-mapped block index: ids must lie
+/// in `0..MAX_BLOCK_SPACE` (2^24; a full index is 128 MB).
+///
+/// A declared block space past it, or an id at or past it reaching an
+/// indexed cache or a [`StackDistance`] profiler, panics. Workload builders
+/// number blocks densely from 0, and the largest shape a server frame may
+/// request declares about 2^21 blocks, an eighth of the ceiling.
+pub const MAX_BLOCK_SPACE: usize = 1 << 24;
 
 /// The outcome of a single cache access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -223,7 +237,7 @@ mod trait_tests {
     #[test]
     fn all_representations_implement_the_trait_consistently() {
         exercise(&mut LruCache::scan(4));
-        exercise(&mut LruCache::indexed(4));
+        exercise(&mut LruCache::indexed_dense(4, 0));
         exercise(&mut LruCache::indexed_dense(4, 16));
     }
 

@@ -68,27 +68,25 @@ enum Repr {
 
 impl LruCache {
     /// Creates an empty cache with `capacity` lines, picking the
-    /// representation by capacity (scan at or below [`crate::SCAN_CROSSOVER`],
-    /// hash-indexed above).
+    /// representation by capacity (scan at or below
+    /// [`crate::SCAN_CROSSOVER`], indexed above). Same as
+    /// [`LruCache::with_block_hint`] with an empty declared space: an
+    /// indexed cache grows its block index as ids arrive.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        if capacity <= SCAN_CROSSOVER {
-            LruCache::scan(capacity)
-        } else {
-            LruCache::indexed(capacity)
-        }
+        LruCache::with_block_hint(capacity, 0)
     }
 
-    /// Like [`LruCache::new`], but workloads with a dense block range
-    /// `0..block_space` (everything built on `BlockAlloc`) get the
-    /// direct-mapped index instead of the hash map when the indexed
-    /// representation is selected. (Disproportionate spaces fall back to
-    /// hashing — see [`LruCache::indexed_dense`].)
+    /// Like [`LruCache::new`], for workloads whose blocks densely cover
+    /// `0..block_space` (everything built on `BlockAlloc`): the indexed
+    /// representation, when selected, pre-sizes its block index for that
+    /// range (see [`LruCache::indexed_dense`]).
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero, or if the indexed representation is
+    /// selected and `block_space` exceeds [`crate::MAX_BLOCK_SPACE`].
     pub fn with_block_hint(capacity: usize, block_space: usize) -> Self {
         if capacity <= SCAN_CROSSOVER {
             LruCache::scan(capacity)
@@ -108,27 +106,17 @@ impl LruCache {
         }
     }
 
-    /// Forces the indexed representation with a hash block index.
+    /// Forces the indexed representation with a direct-mapped block index
+    /// pre-sized for blocks in `0..block_space`. Blocks past the range stay
+    /// correct: the index grows on demand.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn indexed(capacity: usize) -> Self {
-        LruCache {
-            repr: Repr::Indexed(IndexedCache::new_hash(capacity)),
-        }
-    }
-
-    /// Forces the indexed representation with a direct-mapped index
-    /// pre-sized for blocks in `0..block_space`. Blocks outside the range
-    /// stay correct: the index grows on demand, and sentinel-high outliers
-    /// (or an absurdly large declared space) switch it to the hash index
-    /// instead of paying O(largest id) memory.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero, if `block_space` exceeds
+    /// [`crate::MAX_BLOCK_SPACE`], or (on access) for a block id at or past
+    /// it.
     pub fn indexed_dense(capacity: usize, block_space: usize) -> Self {
         LruCache {
-            repr: Repr::Indexed(IndexedCache::new_dense(capacity, block_space)),
+            repr: Repr::Indexed(IndexedCache::new(capacity, block_space)),
         }
     }
 
@@ -138,11 +126,14 @@ impl LruCache {
     }
 
     /// Re-declares the dense block range as `0..block_space` for a cache
-    /// reused on a new workload: a direct-mapped index grows (never
-    /// shrinks) to cover it, so blocks inside it keep the direct-mapped
-    /// path. Allocates only when the space grows; residency and outcomes
-    /// are unchanged. A no-op for the scan representation and for caches
-    /// without a direct-mapped index.
+    /// reused on a new workload: the block index grows (never shrinks) to
+    /// cover it, so the next walk never grows it mid-run. Allocates only
+    /// when the space grows; residency and outcomes are unchanged. A no-op
+    /// for the scan representation.
+    ///
+    /// # Panics
+    /// Panics if the cache is indexed and `block_space` exceeds
+    /// [`crate::MAX_BLOCK_SPACE`].
     pub fn rehint(&mut self, block_space: usize) {
         if let Repr::Indexed(ix) = &mut self.repr {
             ix.rehint(block_space);
@@ -221,7 +212,7 @@ impl Cache for LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SCAN_CROSSOVER;
+    use crate::{MAX_BLOCK_SPACE, SCAN_CROSSOVER};
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
@@ -232,7 +223,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics_indexed() {
-        let _ = LruCache::indexed(0);
+        let _ = LruCache::indexed_dense(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "numbered densely from 0")]
+    fn block_id_at_the_ceiling_panics() {
+        let mut c = LruCache::indexed_dense(4, 0);
+        c.access(MAX_BLOCK_SPACE as BlockId);
+    }
+
+    #[test]
+    #[should_panic(expected = "numbered densely from 0")]
+    fn declared_space_past_the_ceiling_panics() {
+        let _ = LruCache::with_block_hint(64, MAX_BLOCK_SPACE + 1);
     }
 
     #[test]
@@ -247,20 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_high_block_hints_construct_cheaply() {
-        // map_reduce declares a block space of u32::MAX (its accumulator
-        // block is a sentinel-high id); the hint must not allocate O(id).
-        let mut c = LruCache::with_block_hint(256, u32::MAX as usize);
-        assert!(c.is_indexed());
-        assert!(c.access(u32::MAX - 1).is_miss());
-        assert!(c.access(u32::MAX - 1).is_hit());
-    }
-
-    #[test]
     fn evicts_least_recently_used() {
         for mut c in [
             LruCache::scan(3),
-            LruCache::indexed(3),
+            LruCache::indexed_dense(3, 0),
             LruCache::indexed_dense(3, 8),
         ] {
             c.access(1);
@@ -279,7 +273,7 @@ mod tests {
 
     #[test]
     fn lru_and_mru_tracking() {
-        for mut c in [LruCache::scan(3), LruCache::indexed(3)] {
+        for mut c in [LruCache::scan(3), LruCache::indexed_dense(3, 0)] {
             assert_eq!(c.lru_block(), None);
             assert_eq!(c.mru_block(), None);
             c.access(5);
@@ -298,7 +292,7 @@ mod tests {
         // The classic LRU pathology exploited by the paper's lower-bound
         // constructions: cyclically accessing C+1 blocks misses every time.
         let c_lines = 8;
-        for mut c in [LruCache::scan(c_lines), LruCache::indexed(c_lines)] {
+        for mut c in [LruCache::scan(c_lines), LruCache::indexed_dense(c_lines, 0)] {
             let mut misses = 0;
             for round in 0..10 {
                 for b in 0..=(c_lines as BlockId) {
@@ -328,7 +322,7 @@ mod tests {
 
     #[test]
     fn resident_blocks_reports_in_recency_order() {
-        for mut c in [LruCache::scan(4), LruCache::indexed(4)] {
+        for mut c in [LruCache::scan(4), LruCache::indexed_dense(4, 0)] {
             for b in [1, 2, 3] {
                 c.access(b);
             }
@@ -342,7 +336,7 @@ mod tests {
 
     #[test]
     fn clear_resets_both_representations() {
-        for mut c in [LruCache::scan(4), LruCache::indexed(4)] {
+        for mut c in [LruCache::scan(4), LruCache::indexed_dense(4, 0)] {
             c.access(1);
             c.access(2);
             c.clear();

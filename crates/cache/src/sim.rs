@@ -10,7 +10,7 @@ use crate::{AccessOutcome, BlockId, Cache, CacheStats, LruCache};
 ///
 /// The underlying cache is capacity-adaptive (see the crate docs): give the
 /// constructor a dense-block-range hint with [`CacheSim::with_block_hint`]
-/// to get the direct-mapped index at large capacities — the execution
+/// to pre-size the block index at large capacities — the execution
 /// simulators pass the DAG's block space automatically.
 pub struct CacheSim {
     cache: LruCache,
@@ -18,24 +18,23 @@ pub struct CacheSim {
 }
 
 impl CacheSim {
-    /// Creates a cache of `lines` lines.
+    /// Creates a cache of `lines` lines whose block index (above the scan
+    /// crossover) grows as ids arrive.
     ///
     /// # Panics
     /// Panics if `lines` is zero.
     pub fn new(lines: usize) -> Self {
-        CacheSim {
-            cache: LruCache::new(lines),
-            stats: CacheStats::default(),
-        }
+        CacheSim::with_block_hint(lines, 0)
     }
 
     /// Like [`CacheSim::new`], for workloads whose blocks densely cover
-    /// `0..block_space`: capacities above the scan crossover get the
-    /// direct-mapped block index instead of the hash map. Behavior is
-    /// identical either way; only the lookup cost differs.
+    /// `0..block_space`: capacities above the scan crossover pre-size their
+    /// block index for that range. Behavior is identical either way; only
+    /// when the index allocates differs.
     ///
     /// # Panics
-    /// Panics if `lines` is zero.
+    /// Panics if `lines` is zero, or as [`LruCache::with_block_hint`] does
+    /// for a `block_space` past [`crate::MAX_BLOCK_SPACE`].
     pub fn with_block_hint(lines: usize, block_space: usize) -> Self {
         CacheSim {
             cache: LruCache::with_block_hint(lines, block_space),
@@ -45,9 +44,9 @@ impl CacheSim {
 
     /// Re-declares the dense block range as `0..block_space`, for a cache
     /// reused on a new workload (a `wsf_core::SimScratch` calls it on every
-    /// reset): the direct-mapped index grows to the new space instead of
-    /// migrating to hashing mid-run. Allocates only when the space grows;
-    /// behavior is unchanged (see [`LruCache::rehint`]).
+    /// reset): the block index grows to the new space before the run
+    /// instead of during it. Allocates only when the space grows; behavior
+    /// is unchanged (see [`LruCache::rehint`]).
     pub fn rehint(&mut self, block_space: usize) {
         self.cache.rehint(block_space);
     }
@@ -150,12 +149,9 @@ pub struct StackDistanceSim {
 }
 
 impl StackDistanceSim {
-    /// A profiler accepting arbitrary block ids.
+    /// A profiler whose block index grows as ids arrive.
     pub fn new() -> Self {
-        StackDistanceSim {
-            sd: StackDistance::new(),
-            silent: 0,
-        }
+        StackDistanceSim::with_block_hint(0)
     }
 
     /// Like [`StackDistanceSim::new`], for traces whose blocks densely

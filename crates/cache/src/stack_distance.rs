@@ -25,15 +25,15 @@
 //! `live − rank(q) + 1` where `rank(q)` is the number of marked positions
 //! `≤ q` — an O(log n) query. The supporting state reuses the machinery of
 //! [`crate::LruCache`]'s indexed representation (`crates/cache/src/`
-//! `indexed.rs`): the block→position index is the same `BlockIndex` (hash
-//! for sparse spaces, generation-stamped direct-mapped vector for declared
-//! dense ranges, with the sentinel-id migration and parked-index swap),
-//! and the Fenwick / position arrays are generation-stamped themselves, so
-//! [`StackDistance::reset`] is an O(1) generation bump that never releases
-//! storage. Positions are compacted (live blocks renumbered `0..live`)
-//! when the position space fills, which keeps the tree sized by the
-//! *distinct-block* count, not the trace length, and makes the per-access
-//! cost O(log distinct) amortized.
+//! `indexed.rs`): the block→position index is the same generation-stamped
+//! direct-mapped vector, pre-sized by [`StackDistance::with_block_hint`]
+//! and grown on demand past it (ids at or past [`crate::MAX_BLOCK_SPACE`]
+//! panic), and the Fenwick / position arrays are generation-stamped
+//! themselves, so [`StackDistance::reset`] is an O(1) generation bump that
+//! never releases storage. Positions are compacted (live blocks
+//! renumbered `0..live`) when the position space fills, which keeps the
+//! tree sized by the *distinct-block* count, not the trace length, and
+//! makes the per-access cost O(log distinct) amortized.
 //!
 //! ```
 //! use wsf_cache::StackDistance;
@@ -48,7 +48,7 @@
 //! assert_eq!(curve.misses_at(1 << 20), 3);
 //! ```
 
-use crate::indexed::{BlockHashMap, BlockIndex};
+use crate::indexed::DenseIndex;
 use crate::{BlockId, CacheStats};
 use std::fmt::Write as _;
 
@@ -74,12 +74,7 @@ pub struct StackDistance {
     /// newer access of its block). Generation 0 is reserved as "dead".
     pos_block: Vec<(u32, BlockId)>,
     /// Block → its marked (most recent) position.
-    index: BlockIndex,
-    /// Alternate index flavor retained across a dense→hash migration, with
-    /// the same swap-back-on-clear protocol as `IndexedCache` (see
-    /// `indexed.rs`): one sentinel-polluted run through a reused profiler
-    /// does not demote every later run to hash lookups.
-    parked: Option<BlockIndex>,
+    index: DenseIndex,
     /// Next position to assign (== accesses since the last compaction).
     time: u32,
     /// Number of marked positions == distinct blocks currently tracked.
@@ -99,28 +94,24 @@ pub struct StackDistance {
 }
 
 impl StackDistance {
-    /// A profiler with a hash block→position index (works for any block
-    /// ids).
+    /// A profiler whose block→position index grows as ids arrive.
     pub fn new() -> Self {
-        Self::with_index(BlockIndex::new_hash(0))
+        Self::with_block_hint(0)
     }
 
     /// Like [`StackDistance::new`], for traces whose blocks densely cover
-    /// `0..block_space`: the index becomes the direct-mapped vector of
-    /// `indexed.rs` (falling back to hashing when the declared space is
-    /// absurdly large, e.g. polluted by a sentinel-high id). Results are
-    /// identical either way; only the lookup cost differs.
+    /// `0..block_space`: the block→position index is pre-sized for that
+    /// range. Results are identical either way; only when the index
+    /// allocates differs.
+    ///
+    /// # Panics
+    /// Panics if `block_space` exceeds [`crate::MAX_BLOCK_SPACE`]; an
+    /// access to an id at or past it panics too.
     pub fn with_block_hint(block_space: usize) -> Self {
-        let index = BlockIndex::new_dense(block_space).unwrap_or_else(|| BlockIndex::new_hash(0));
-        Self::with_index(index)
-    }
-
-    fn with_index(index: BlockIndex) -> Self {
         StackDistance {
             tree: Vec::new(),
             pos_block: Vec::new(),
-            index,
-            parked: None,
+            index: DenseIndex::new(block_space),
             time: 0,
             live: 0,
             generation: 1,
@@ -160,7 +151,7 @@ impl StackDistance {
         };
         self.fen_add(pos, 1);
         self.pos_block[pos as usize] = (self.generation, block);
-        self.index_insert(block, pos);
+        self.index.insert(block, pos);
         self.time += 1;
         distance
     }
@@ -172,16 +163,6 @@ impl StackDistance {
     pub fn clear(&mut self) {
         self.live = 0;
         self.time = 0;
-        // Restore a parked dense index after a migration, exactly like
-        // `IndexedCache::clear` (the hash map parks in its place).
-        if matches!(
-            (&self.index, &self.parked),
-            (BlockIndex::Hash(_), Some(BlockIndex::Dense(_)))
-        ) {
-            let dense = self.parked.take().expect("matched Some");
-            let hash = std::mem::replace(&mut self.index, dense);
-            self.parked = Some(hash);
-        }
         self.index.clear();
         self.bump_generation();
     }
@@ -279,7 +260,7 @@ impl StackDistance {
             let pos = pos as u32;
             self.fen_add(pos, 1);
             self.pos_block[pos as usize] = (self.generation, block);
-            self.index_insert(block, pos);
+            self.index.insert(block, pos);
         }
         self.time = scratch.len() as u32;
         self.scratch = scratch;
@@ -293,30 +274,6 @@ impl StackDistance {
             self.pos_block.fill((0, 0));
             self.generation = 1;
         }
-    }
-
-    /// Inserts into the block→position index, migrating a dense index to
-    /// the hash flavor first when `block` lies beyond its growth limit —
-    /// the same protocol as `IndexedCache::index_insert`, walking the
-    /// stamped position array instead of a slot arena.
-    fn index_insert(&mut self, block: BlockId, pos: u32) {
-        if self.index.dense_over_limit(block) {
-            let mut map = match self.parked.take() {
-                Some(BlockIndex::Hash(mut map)) => {
-                    map.clear();
-                    map
-                }
-                _ => BlockHashMap::default(),
-            };
-            for (p, &(gen, b)) in self.pos_block.iter().enumerate() {
-                if gen == self.generation {
-                    map.insert(b, p as u32);
-                }
-            }
-            let dense = std::mem::replace(&mut self.index, BlockIndex::Hash(map));
-            self.parked = Some(dense);
-        }
-        self.index.insert(block, pos);
     }
 
     #[inline]
@@ -565,34 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn dense_hint_matches_hash_index() {
+    fn block_hint_changes_no_distance() {
         let trace: Vec<u32> = (0..500u32).map(|i| (i * i + i / 3) % 97).collect();
-        let mut hash = StackDistance::new();
-        let mut dense = StackDistance::with_block_hint(97);
+        let mut grown = StackDistance::new();
+        let mut hinted = StackDistance::with_block_hint(97);
         for &b in &trace {
-            assert_eq!(hash.access(b), dense.access(b));
+            assert_eq!(grown.access(b), hinted.access(b));
         }
-        assert_eq!(hash.curve(), dense.curve());
+        assert_eq!(grown.curve(), hinted.curve());
     }
 
     #[test]
-    fn sentinel_block_migrates_the_dense_index() {
-        // A dense hint plus one sentinel-high id: the index must migrate
-        // to hashing (not allocate O(id) memory) and keep exact distances.
+    #[should_panic(expected = "numbered densely from 0")]
+    fn block_id_at_the_ceiling_panics() {
         let mut sd = StackDistance::with_block_hint(64);
-        sd.access(1);
-        sd.access(u32::MAX - 1);
-        assert_eq!(sd.access(1), Some(2));
-        assert_eq!(sd.access(u32::MAX - 1), Some(2));
-        sd.clear();
-        assert_eq!(sd.access(1), None, "clear drops migrated residency too");
-    }
-
-    #[test]
-    fn absurd_block_hint_falls_back_to_hashing() {
-        let mut sd = StackDistance::with_block_hint(u32::MAX as usize);
-        assert_eq!(sd.access(u32::MAX - 1), None);
-        assert_eq!(sd.access(u32::MAX - 1), Some(1));
+        sd.access(crate::MAX_BLOCK_SPACE as BlockId);
     }
 
     #[test]

@@ -50,8 +50,8 @@ proptest! {
     #[test]
     fn indexed_lru_matches_scan_lru((capacity, space, trace) in trace_strategy()) {
         let mut scan = LruCache::scan(capacity);
-        let mut hashed = LruCache::indexed(capacity);
-        assert_lockstep(&mut scan, &mut hashed, &trace);
+        let mut grown = LruCache::indexed_dense(capacity, 0);
+        assert_lockstep(&mut scan, &mut grown, &trace);
 
         let mut scan = LruCache::scan(capacity);
         let mut dense = LruCache::indexed_dense(capacity, space);
@@ -105,7 +105,7 @@ proptest! {
         // Focused check of the evicted-block payload: collect only the
         // misses-with-eviction and compare the victim sequences.
         let mut scan = LruCache::scan(capacity);
-        let mut indexed = LruCache::indexed(capacity);
+        let mut indexed = LruCache::indexed_dense(capacity, 0);
         let victims = |c: &mut LruCache, t: &[u32]| -> Vec<u32> {
             t.iter()
                 .filter_map(|&b| match c.access(b) {

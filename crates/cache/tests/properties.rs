@@ -145,7 +145,7 @@ proptest! {
     fn start_state_changes_misses_by_at_most_c((capacity, warm_a, warm_b, trace) in start_state_strategy()) {
         for (name, empty) in [
             ("scan", LruCache::scan(capacity)),
-            ("indexed", LruCache::indexed(capacity)),
+            ("indexed", LruCache::indexed_dense(capacity, 0)),
             ("indexed_dense", LruCache::indexed_dense(capacity, 40)),
         ] {
             let a = misses_after_warmup(empty.clone(), &warm_a, &trace);
@@ -165,7 +165,7 @@ proptest! {
 #[test]
 fn fifo_counterexample_trace_moves_lru_by_one_miss() {
     let trace = [0, 1, 2].repeat(1_000);
-    for make in [LruCache::scan, LruCache::indexed] {
+    for make in [LruCache::scan, |c| LruCache::indexed_dense(c, 0)] {
         let a = misses_after_warmup(make(2), &[0, 1], &trace);
         let b = misses_after_warmup(make(2), &[0, 2], &trace);
         assert_eq!((a, b), (2_998, 2_999));

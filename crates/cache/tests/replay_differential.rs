@@ -2,9 +2,9 @@
 //! must be **exactly equal**, access for access, to driving one private
 //! [`CacheSim`] per lane by hand, and [`wsf_cache::replay_curves`] must be
 //! exactly the per-capacity sweep of those replays — on random multi-lane
-//! traces (proptest) with silent accesses, flushes, and the
-//! `u32::MAX - 1` sentinel block id that forces a dense→hash index
-//! migration. The runtime analogue of `stack_distance_differential.rs`:
+//! traces (proptest) with silent accesses, flushes, and block ids past the
+//! declared space that grow the block index mid-replay. The runtime
+//! analogue of `stack_distance_differential.rs`:
 //! this wall is what licenses the hardware-validation loop (E21) to treat
 //! a replayed runtime trace as having *the* simulated miss count, not an
 //! approximation of it.
@@ -85,13 +85,13 @@ fn assert_replay_differential(lanes: &[Vec<ReplayOp>], block_space: usize) {
 }
 
 /// Decodes a raw `(tag, block)` pair, weighted ~8:1:1:1 between plain
-/// accesses, silent instructions, the sentinel id, and flushes (same
-/// decoding as the stack-distance differential suite).
-fn decode_op((tag, block): (u8, u32)) -> ReplayOp {
+/// accesses, silent instructions, ids past the declared `space`, and
+/// flushes (same decoding as the stack-distance differential suite).
+fn decode_op((tag, block): (u8, u32), space: usize) -> ReplayOp {
     match tag {
         0..=7 => ReplayOp::Access(Some(block)),
         8 => ReplayOp::Access(None),
-        9 => ReplayOp::Access(Some(u32::MAX - 1)),
+        9 => ReplayOp::Access(Some(space as u32 + block)),
         _ => ReplayOp::Flush,
     }
 }
@@ -111,7 +111,7 @@ proptest! {
     ) {
         let lanes: Vec<Vec<ReplayOp>> = raw_lanes
             .into_iter()
-            .map(|raw| raw.into_iter().map(decode_op).collect())
+            .map(|raw| raw.into_iter().map(|op| decode_op(op, space)).collect())
             .collect();
         assert_replay_differential(&lanes, space);
     }
@@ -131,13 +131,13 @@ fn empty_and_silent_only_lanes_replay_exactly() {
 }
 
 #[test]
-fn sentinel_block_migrates_the_index_mid_replay() {
-    // A dense run, then the sentinel, then dense again: the replay-side
-    // simulators must survive the dense→hash migration exactly as the
-    // direct ones do (the failure mode PR 4 fixed in the caches proper).
+fn outlier_block_grows_the_index_mid_replay() {
+    // A dense run, then one id far past the declared space, then dense
+    // again: the replay-side simulators must grow their index mid-lane
+    // exactly as the direct ones do.
     let lane: Vec<ReplayOp> = (0..40u32)
         .map(|b| ReplayOp::Access(Some(b % 10)))
-        .chain([ReplayOp::Access(Some(u32::MAX - 1))])
+        .chain([ReplayOp::Access(Some(100_000))])
         .chain((0..40u32).map(|b| ReplayOp::Access(Some(b % 13))))
         .collect();
     assert_replay_differential(&[lane], 10);

@@ -144,10 +144,9 @@ impl SimScratch {
     /// DAG keeps its caches for another with the same `lines`:
     /// the per-run [`wsf_cache::CacheSim::reset`] is O(1) (a generation
     /// bump) and [`wsf_cache::CacheSim::rehint`] grows the index to the new
-    /// DAG's space, so a larger DAG stays on the direct-mapped path instead
-    /// of migrating to the hash index mid-run. Both allocate only when the
-    /// space grows, preserving the allocation-free steady state that
-    /// `crates/core/tests/alloc_free.rs` locks in.
+    /// DAG's space before the run, so the walk never grows it. Both
+    /// allocate only when the space grows, preserving the allocation-free
+    /// steady state that `crates/core/tests/alloc_free.rs` locks in.
     pub(crate) fn reset_procs(&mut self, p_count: usize, lines: usize, block_space: usize) {
         if self.cache_lines != Some(lines) || self.procs.len() != p_count {
             self.procs.clear();

@@ -195,29 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_high_block_ids_run_at_large_capacities() {
-        // apps::map_reduce tags its accumulator with Block(u32::MAX - 1),
-        // making the DAG's declared block space u32::MAX. The dense-index
-        // fast path must fall back to hashing instead of allocating
-        // O(largest id) memory — this used to OOM at any C > the scan
-        // crossover.
-        let mut b = DagBuilder::new();
-        let main = b.main_thread();
-        for blk in [0u32, 1, u32::MAX - 1, 0, u32::MAX - 1] {
-            b.task_block(main, Block(blk));
-        }
-        let dag = b.finish().unwrap();
-        assert_eq!(dag.block_space(), u32::MAX as usize);
-        for lines in [256usize, 4096] {
-            let report = SequentialExecutor::new(ForkPolicy::FutureFirst)
-                .with_cache_lines(lines)
-                .run(&dag);
-            assert_eq!(report.cache.misses, 3, "C={lines}: only cold misses");
-            assert_eq!(report.cache.hits, 2);
-        }
-    }
-
-    #[test]
     fn builder_accessors() {
         let e = SequentialExecutor::new(ForkPolicy::ParentFirst).with_cache_lines(32);
         assert_eq!(e.fork_policy(), ForkPolicy::ParentFirst);

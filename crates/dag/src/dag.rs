@@ -148,11 +148,12 @@ impl Dag {
     ///
     /// Workload builders allocate block ids densely from 0 (see
     /// `wsf_workloads::block_alloc::BlockAlloc`), so this is the *dense
-    /// block range* the cache simulators use to pick a direct-mapped
-    /// block→slot index over a hash map at large capacities. It is
-    /// maintained incrementally as blocks are assigned (no extra build
-    /// pass) and never shrinks on `clear_block`/re-assignment — it may
-    /// over-estimate, which is harmless for a pre-sizing hint.
+    /// block range* the cache simulators pre-size their direct-mapped
+    /// block indexes with; it must not exceed `wsf_cache::MAX_BLOCK_SPACE`
+    /// for a simulation above the scan crossover. It is maintained
+    /// incrementally as blocks are assigned (no extra build pass) and never
+    /// shrinks on `clear_block`/re-assignment — it may over-estimate, which
+    /// is harmless for a pre-sizing hint.
     #[inline]
     pub fn block_space(&self) -> usize {
         self.block_space as usize

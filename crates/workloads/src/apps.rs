@@ -121,9 +121,11 @@ pub fn matmul(tiles: usize, inner: usize) -> Dag {
 }
 
 /// A map-reduce: `ways` independent mapper futures each scanning their own
-/// input blocks, a reducer that touches them in creation order.
+/// input blocks, a reducer that touches them in creation order and folds
+/// each result into one accumulator block, the first id past the mappers'.
 pub fn map_reduce(ways: usize, work_per_way: usize) -> Dag {
     let ways = ways.max(1);
+    let accumulator = Block((ways * work_per_way.max(1)) as u32);
     let mut b = DagBuilder::new();
     let main = b.main_thread();
     let mut futures = Vec::new();
@@ -139,7 +141,7 @@ pub fn map_reduce(ways: usize, work_per_way: usize) -> Dag {
     for t in futures {
         b.touch_thread(main, t);
         let n = b.task(main);
-        b.set_block(n, Block(u32::MAX - 1)); // accumulator block
+        b.set_block(n, accumulator);
     }
     b.finish().expect("map_reduce builds a valid DAG")
 }
@@ -174,6 +176,13 @@ mod tests {
             assert!(class.is_structured_single_touch(), "{:?}", class.violations);
             assert!(class.local_touch);
             assert!(!class.fork_join, "FIFO touch order crosses intervals");
+        }
+    }
+
+    #[test]
+    fn map_reduce_numbers_its_blocks_densely() {
+        for (ways, w) in [(1, 1), (4, 3), (16, 32)] {
+            assert_eq!(map_reduce(ways, w).block_space(), ways * w + 1);
         }
     }
 

@@ -432,6 +432,40 @@ mod tests {
     }
 
     #[test]
+    fn largest_accepted_shapes_fit_under_the_cache_block_ceiling() {
+        // Mergesort at MAX_LEAVES; stencil and pipeline exactly on the
+        // MAX_NODES boundary of their decode checks (one more unit is
+        // refused). A footprint bounds the built DAG's block ids, so no
+        // frame can hand the simulator an id past MAX_BLOCK_SPACE. Each
+        // case is (largest words, index of the word to bump, bumped value).
+        for (largest, word, past) in [
+            ([TAG_MERGESORT, MAX_LEAVES, 0, 0, 0], 1, 2 * MAX_LEAVES),
+            (
+                [TAG_STENCIL, MAX_ROWS, MAX_WIDTH - 2, 1, 0],
+                2,
+                MAX_WIDTH - 1,
+            ),
+            ([TAG_STENCIL, MAX_ROWS, 6, MAX_STEPS, 0], 2, 7),
+            ([TAG_PIPELINE, MAX_STAGES, MAX_ITEMS, 1, 2], 4, 3),
+            (
+                [TAG_PIPELINE, 4, MAX_ITEMS, 1, MAX_WORK - 2],
+                4,
+                MAX_WORK - 1,
+            ),
+        ] {
+            let (spec, _) = ShapeSpec::decode(&largest).expect("on the boundary");
+            let mut over = largest;
+            over[word] = past;
+            assert!(ShapeSpec::decode(&over).is_err(), "{over:?} is past it");
+            assert!(
+                spec.footprint() < wsf_cache::MAX_BLOCK_SPACE as u64,
+                "{spec:?}: footprint {}",
+                spec.footprint()
+            );
+        }
+    }
+
+    #[test]
     fn all_families_are_structured_local_touch() {
         let mut b = DagBuilder::new();
         let mut scratch = ShapeScratch::new();

@@ -41,9 +41,9 @@ fn exchange_trace_is_identical_under_scan_and_indexed_lru() {
     // adaptive crossover.
     for c in [4usize, 16, 64, 256] {
         assert_identical(
-            &format!("lru/hash C={c}"),
+            &format!("lru/grown C={c}"),
             &mut LruCache::scan(c),
-            &mut LruCache::indexed(c),
+            &mut LruCache::indexed_dense(c, 0),
             &t,
         );
         assert_identical(
