@@ -3,7 +3,7 @@
 //! The per-experiment tables in [`crate::experiments`] reproduce specific
 //! figures; this module provides the *bulk* sweep used to study large
 //! random DAG populations: every combination of workload seed, processor
-//! count, fork policy, cache size and steal scheduler is simulated and
+//! count, fork policy, cache size and steal scheduler is measured and
 //! summarized in one table, next to the theorem bound that governs the
 //! cell (Theorem 8/12's `P·T∞²` under future-first, the general
 //! `(P+t)·T∞` shape under parent-first — the regime Theorem 10's lower
@@ -15,10 +15,13 @@
 //! * cells are sharded across threads with [`crate::par::par_map`] and the
 //!   table is assembled from the ordered results, so the output is
 //!   byte-identical at every thread count;
-//! * within one `(seed, policy, cache)` shard the sequential baseline is
-//!   computed once and shared by every `P` and scheduler (it depends on
-//!   neither);
-//! * each shard reuses one [`SimScratch`], so repeated simulations allocate
+//! * each `(seed, policy)` pair runs one [`capacity_sweep`]: the
+//!   sequential baseline is computed once, each `(P, scheduler)` schedule
+//!   is simulated once, traced, and every cache size is read off the
+//!   resulting miss-ratio curves. That is exact because no sweep scheduler
+//!   reads cache state (`docs/DESIGN.md` §4; [`seed_sweep_cells`] asserts
+//!   it);
+//! * each sweep reuses one [`SimScratch`], so repeated simulations allocate
 //!   nothing per step.
 
 use crate::par::par_map;
@@ -92,10 +95,17 @@ pub fn sequential_curve(dag: &Dag, seq: &SeqReport) -> MissRatioCurve {
     sd.curve()
 }
 
-/// A traced parallel execution's aggregate miss-ratio curve: one profiler
-/// per processor, fed that processor's completions in trace order, curves
-/// merged. `curve.misses_at(c)` equals the summed per-processor miss count
-/// of the same execution at `cache_lines = c` exactly.
+/// A traced parallel execution's aggregate miss-ratio curve, profiled one
+/// processor at a time on a single profiler: each processor's
+/// completions, in trace order, form one lane. `curve.misses_at(c)`
+/// equals the summed per-processor miss count of the same execution at
+/// `cache_lines = c` exactly.
+///
+/// Lanes run one after another with a flush between them, so each starts
+/// from a cold cache while the histogram accumulates: that is the merge of
+/// the per-processor curves (merging is a sum, so lane order changes no
+/// count), with one profiler's working set in cache instead of `P`
+/// interleaved ones.
 ///
 /// # Panics
 /// Panics if `rep` carries no trace (run the simulator with
@@ -105,20 +115,14 @@ pub fn parallel_curve(dag: &Dag, rep: &ExecutionReport) -> MissRatioCurve {
         .trace
         .as_ref()
         .expect("parallel_curve needs a traced execution");
-    let mut sims: Vec<StackDistanceSim> = (0..rep.per_proc.len())
-        .map(|_| StackDistanceSim::with_block_hint(dag.block_space()))
-        .collect();
-    for ev in trace {
-        sims[ev.proc].access_opt(dag.block_of(ev.node).map(|b| b.0));
+    let mut sd = StackDistanceSim::with_block_hint(dag.block_space());
+    for proc in 0..rep.per_proc.len() {
+        sd.flush();
+        for ev in trace.iter().filter(|ev| ev.proc == proc) {
+            sd.access_opt(dag.block_of(ev.node).map(|b| b.0));
+        }
     }
-    let mut curve = sims
-        .pop()
-        .map(|sd| sd.curve())
-        .unwrap_or_else(|| StackDistanceSim::new().curve());
-    for sd in &sims {
-        curve.merge(&sd.curve());
-    }
-    curve
+    sd.curve()
 }
 
 /// One `(P, scheduler)` execution of a [`capacity_sweep`]: the
@@ -241,7 +245,9 @@ pub struct SweepConfig {
     pub processors: Vec<usize>,
     /// Fork policies to simulate.
     pub policies: Vec<ForkPolicy>,
-    /// Cache sizes (lines) to simulate.
+    /// Cache sizes (lines) to report. Each is read off one miss-ratio
+    /// curve per `(P, scheduler)` schedule, so a size adds rows, not
+    /// simulations.
     pub cache_lines: Vec<usize>,
     /// Steal schedulers to simulate.
     pub schedulers: Vec<PolicySpec>,
@@ -301,11 +307,21 @@ impl SweepCell {
 /// Runs every `(seed, P, policy, cache, scheduler)` cell of `config` and
 /// returns the rows in deterministic sweep order (seed-major, then policy,
 /// cache, scheduler, P).
+///
+/// # Panics
+/// Panics if a scheduler in `config.schedulers` has `prefer_cached`: every
+/// cache size is read off one [`capacity_sweep`], which is exact only for
+/// schedulers that never read cache state.
 pub fn seed_sweep_cells(config: &SweepConfig) -> Vec<SweepCell> {
+    if let Some(spec) = config.schedulers.iter().find(|s| s.prefer_cached) {
+        panic!(
+            "seed_sweep reads every cache size off one capacity_sweep, which is exact only \
+             for schedulers that never read cache state (docs/DESIGN.md §4); {spec} does"
+        );
+    }
     // One shard per seed: the (expensive) DAG generation happens once per
-    // seed, each (policy, cache) pair computes its sequential baseline
-    // once and shares it across all processor counts and schedulers, and
-    // the whole shard reuses one scratch for all its runs.
+    // seed, and each policy runs one capacity sweep whose curves answer
+    // every cache size.
     let rows = par_map(config.seeds.clone(), |seed| {
         let dag = random_single_touch(&RandomConfig {
             target_nodes: config.target_nodes,
@@ -318,32 +334,24 @@ pub fn seed_sweep_cells(config: &SweepConfig) -> Vec<SweepCell> {
             "seed {seed}: {:?}",
             class.violations
         );
-        let sp = span(&dag);
         let touches = dag.touches().count() as u64;
-        let mut scratch = SimScratch::new();
         let mut rows = Vec::new();
         for &policy in &config.policies {
+            let sweep = capacity_sweep(&dag, policy, &config.processors, &config.schedulers);
             for &cache_lines in &config.cache_lines {
-                let mut seq = None;
-                for &scheduler in &config.schedulers {
-                    for &processors in &config.processors {
-                        let cfg = SimConfig {
-                            processors,
-                            cache_lines,
-                            fork_policy: policy,
-                            ..SimConfig::default()
-                        };
-                        let sim = ParallelSimulator::new(cfg);
-                        let seq = seq.get_or_insert_with(|| sim.sequential(&dag));
-                        let mut sched = scheduler.instantiate(cfg.seed);
-                        let rep = sim.run_with_scratch(&dag, seq, &mut sched, false, &mut scratch);
+                for (s, &scheduler) in config.schedulers.iter().enumerate() {
+                    for (p, &processors) in config.processors.iter().enumerate() {
+                        // `runs` is processors-major.
+                        let run = &sweep.runs[p * config.schedulers.len() + s];
                         let deviation_bound = match policy {
                             ForkPolicy::FutureFirst => {
-                                bounds::thm12_deviations(processors as u64, sp)
+                                bounds::thm12_deviations(processors as u64, sweep.span)
                             }
-                            ForkPolicy::ParentFirst => {
-                                bounds::unstructured_deviations(processors as u64, touches, sp)
-                            }
+                            ForkPolicy::ParentFirst => bounds::unstructured_deviations(
+                                processors as u64,
+                                touches,
+                                sweep.span,
+                            ),
                         };
                         rows.push(SweepCell {
                             seed,
@@ -352,11 +360,12 @@ pub fn seed_sweep_cells(config: &SweepConfig) -> Vec<SweepCell> {
                             scheduler,
                             processors,
                             nodes: dag.num_nodes(),
-                            span: sp,
-                            deviations: rep.deviations(),
-                            steals: rep.steals(),
-                            additional_misses: rep.additional_misses(seq),
-                            makespan: rep.makespan,
+                            span: sweep.span,
+                            deviations: run.deviations,
+                            steals: run.steals,
+                            additional_misses: run
+                                .additional_misses_at(&sweep.seq_curve, cache_lines),
+                            makespan: run.makespan,
                             deviation_bound,
                         });
                     }
@@ -490,6 +499,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn seed_sweep_matches_per_capacity_simulation() {
+        // The exactness oracle of E11: every cell read off the one-pass
+        // sweep equals a fresh simulation configured with `cache_lines = C`,
+        // for both fork policies and capacities on both sides of the
+        // paper's C = 8/16.
+        let config = SweepConfig {
+            target_nodes: 400,
+            seeds: vec![1, 2],
+            processors: vec![2, 4],
+            policies: ForkPolicy::ALL.to_vec(),
+            cache_lines: vec![1, 8, 16, 17, 4096],
+            schedulers: vec![PolicySpec::ws_random(), PolicySpec::parsimonious()],
+        };
+        let mut expected = Vec::new();
+        for &seed in &config.seeds {
+            let dag = random_single_touch(&RandomConfig {
+                target_nodes: config.target_nodes,
+                seed,
+                ..RandomConfig::default()
+            });
+            let sp = span(&dag);
+            let touches = dag.touches().count() as u64;
+            for &policy in &config.policies {
+                for &cache_lines in &config.cache_lines {
+                    for &scheduler in &config.schedulers {
+                        for &processors in &config.processors {
+                            let cfg = SimConfig {
+                                processors,
+                                cache_lines,
+                                fork_policy: policy,
+                                ..SimConfig::default()
+                            };
+                            let sim = ParallelSimulator::new(cfg);
+                            let seq = sim.sequential(&dag);
+                            let mut sched = scheduler.instantiate(cfg.seed);
+                            let rep = sim.run_against(&dag, &seq, &mut sched, false);
+                            expected.push(SweepCell {
+                                seed,
+                                policy,
+                                cache_lines,
+                                scheduler,
+                                processors,
+                                nodes: dag.num_nodes(),
+                                span: sp,
+                                deviations: rep.deviations(),
+                                steals: rep.steals(),
+                                additional_misses: rep.additional_misses(&seq),
+                                makespan: rep.makespan,
+                                deviation_bound: match policy {
+                                    ForkPolicy::FutureFirst => {
+                                        bounds::thm12_deviations(processors as u64, sp)
+                                    }
+                                    ForkPolicy::ParentFirst => bounds::unstructured_deviations(
+                                        processors as u64,
+                                        touches,
+                                        sp,
+                                    ),
+                                },
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let cells = seed_sweep_cells(&config);
+        assert_eq!(cells.len(), expected.len());
+        for (cell, want) in cells.iter().zip(&expected) {
+            assert_eq!(cell, want);
+        }
+        assert!(
+            cells.iter().any(|c| c.additional_misses > 0),
+            "some cell must carry extra misses, or the capacities test nothing"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "docs/DESIGN.md §4")]
+    fn seed_sweep_rejects_schedulers_that_read_the_cache() {
+        seed_sweep_cells(&SweepConfig {
+            target_nodes: 100,
+            seeds: vec![1],
+            schedulers: vec![PolicySpec::parse("random+cache").expect("valid spec")],
+            ..SweepConfig::default()
+        });
     }
 
     #[test]

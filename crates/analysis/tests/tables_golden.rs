@@ -8,6 +8,11 @@
 //! restructured. Any byte change to a title, header or cell fails here. A
 //! deliberate table change re-records the constant of the experiment it
 //! touches (the failure message prints the new list).
+//!
+//! The quick shapes are too small to reach most of the capacity grid, so
+//! an ignored leg pins E11–E17 at `Scale::Full` too (under a second
+//! optimised):
+//! `cargo test --release -p wsf-analysis --test tables_golden -- --ignored`.
 
 use wsf_analysis::{registry, set_threads, Scale};
 
@@ -41,18 +46,30 @@ const GOLDEN: [(&str, u64); 16] = [
     ("e17", 0x2ce9_a499_5e39_c9e3),
 ];
 
-#[test]
-fn quick_tables_match_their_recorded_digests() {
+/// The same digests for the full-scale E11–E17 tables.
+const GOLDEN_FULL: [(&str, u64); 7] = [
+    ("e11", 0x024e_a2f6_7ec5_6184),
+    ("e12", 0x9039_fb5e_509e_0f22),
+    ("e13", 0xa7ff_be80_502e_1b95),
+    ("e14", 0x9037_6303_a3de_1776),
+    ("e15", 0xefb6_0593_f1d0_36be),
+    ("e16", 0xca84_9a3c_fd78_aae5),
+    ("e17", 0x57a4_1cf3_db8d_8919),
+];
+
+/// Renders each experiment of `golden` at `scale` on one thread and
+/// asserts every digest matches.
+fn assert_digests(golden: &[(&'static str, u64)], scale: Scale) {
     set_threads(1);
     let reg = registry();
-    let measured: Vec<(&str, u64)> = GOLDEN
+    let measured: Vec<(&str, u64)> = golden
         .iter()
         .map(|&(id, _)| {
             let (_, _, runner) = reg
                 .iter()
                 .find(|(rid, _, _)| *rid == id)
                 .unwrap_or_else(|| panic!("{id} missing from registry()"));
-            let digest = runner(Scale::Quick)
+            let digest = runner(scale)
                 .iter()
                 .fold(FNV_OFFSET, |h, t| fnv1a(h, t.render().as_bytes()));
             (id, digest)
@@ -64,7 +81,18 @@ fn quick_tables_match_their_recorded_digests() {
         .map(|(id, d)| format!("    (\"{id}\", {d:#018x}),\n"))
         .collect();
     assert!(
-        measured == GOLDEN,
+        measured == golden,
         "rendered tables differ from the recorded digests; measured:\n{listing}"
     );
+}
+
+#[test]
+fn quick_tables_match_their_recorded_digests() {
+    assert_digests(&GOLDEN, Scale::Quick);
+}
+
+#[test]
+#[ignore = "full scale; run optimised with --ignored"]
+fn full_scale_sweep_tables_match_their_recorded_digests() {
+    assert_digests(&GOLDEN_FULL, Scale::Full);
 }

@@ -4,11 +4,11 @@
 //! blocks a real pool execution touched (`wsf_runtime::TouchTrace`). This
 //! module feeds those per-lane sequences back through [`CacheSim`] — one
 //! private simulated cache per lane, exactly how the parallel executor
-//! models per-processor caches — and through [`StackDistanceSim`] for full
-//! per-capacity miss-ratio curves, so an *executed* schedule gets the same
-//! miss accounting as a simulated one.
+//! models per-processor caches — and, lane after lane, through one
+//! [`StackDistanceSim`] for full per-capacity miss-ratio curves, so an
+//! *executed* schedule gets the same miss accounting as a simulated one.
 //!
-//! Replay is defined access-for-access: lane `i`'s ops drive a fresh
+//! Replay is defined access-for-access: lane `i`'s ops drive a cold
 //! simulator exactly as if the worker had called `access_opt`/`flush`
 //! itself, so the result is bit-equal to direct simulation (pinned by the
 //! `replay_differential` proptest suite, the runtime analogue of
@@ -63,15 +63,16 @@ pub fn replay(lanes: &[Vec<ReplayOp>], capacity: usize, block_space: usize) -> R
     ReplaySummary { per_lane, total }
 }
 
-/// Replays each lane through its own [`StackDistanceSim`] and merges the
-/// per-lane curves: the result reports, for every LRU capacity `C` at
-/// once, the total misses the executed schedule would take on per-worker
-/// private caches of `C` lines — the one-pass (Mattson) counterpart of
-/// calling [`replay`] per capacity.
+/// Replays the lanes through one [`StackDistanceSim`], flushed before each
+/// lane, so every lane starts from cold private caches while the histogram
+/// accumulates: the result reports, for every LRU capacity `C` at once,
+/// the total misses the executed schedule would take on per-worker private
+/// caches of `C` lines — the one-pass (Mattson) counterpart of calling
+/// [`replay`] per capacity.
 pub fn replay_curves(lanes: &[Vec<ReplayOp>], block_space: usize) -> MissRatioCurve {
-    let mut merged = StackDistanceSim::new().curve();
+    let mut sim = StackDistanceSim::with_block_hint(block_space);
     for ops in lanes {
-        let mut sim = StackDistanceSim::with_block_hint(block_space);
+        sim.flush();
         for op in ops {
             match op {
                 ReplayOp::Access(block) => {
@@ -80,9 +81,8 @@ pub fn replay_curves(lanes: &[Vec<ReplayOp>], block_space: usize) -> MissRatioCu
                 ReplayOp::Flush => sim.flush(),
             }
         }
-        merged.merge(&sim.curve());
     }
-    merged
+    sim.curve()
 }
 
 /// Convenience: wraps a lane's block sequence (e.g. the `block` halves of

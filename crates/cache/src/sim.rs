@@ -195,7 +195,7 @@ impl StackDistanceSim {
         self.sd.clear();
     }
 
-    /// Forgets residency and all counts; O(1) and allocation-free (see
+    /// Forgets residency and all counts without allocating (see
     /// [`StackDistance::reset`]).
     pub fn reset(&mut self) {
         self.sd.reset();

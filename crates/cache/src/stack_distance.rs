@@ -19,21 +19,34 @@
 //! ## Representation
 //!
 //! [`StackDistance`] assigns each access a monotonically increasing
-//! *position* and keeps, per resident block, its most recent position
-//! ("marked"). A Fenwick tree over positions counts marked positions, so
-//! the stack distance of a repeat access at old position `q` is
-//! `live − rank(q) + 1` where `rank(q)` is the number of marked positions
-//! `≤ q` — an O(log n) query. The supporting state reuses the machinery of
-//! [`crate::LruCache`]'s indexed representation (`crates/cache/src/`
-//! `indexed.rs`): the block→position index is the same generation-stamped
-//! direct-mapped vector, pre-sized by [`StackDistance::with_block_hint`]
-//! and grown on demand past it (ids at or past [`crate::MAX_BLOCK_SPACE`]
-//! panic), and the Fenwick / position arrays are generation-stamped
-//! themselves, so [`StackDistance::reset`] is an O(1) generation bump that
-//! never releases storage. Positions are compacted (live blocks
-//! renumbered `0..live`) when the position space fills, which keeps the
-//! tree sized by the *distinct-block* count, not the trace length, and
-//! makes the per-access cost O(log distinct) amortized.
+//! *position* and keeps, per tracked block, its most recent position
+//! ("marked"). The stack distance of a repeat access at old position `q`
+//! is `live − rank(q) + 1`, where `rank(q)` is the number of marked
+//! positions `≤ q`. The marks are a bitmap of `u64` words, and a plain
+//! Fenwick tree over the words' popcounts answers the prefix: `rank(q)` is
+//! the tree's sum over the words before `q`'s, plus the popcount of `q`'s
+//! word masked to the bits at or below `q`. The tree has one entry per 64
+//! positions (2,048 `u32`s for a 131,072-position space, which fits in L1),
+//! so a query or an update walks O(log(positions / 64)) entries. New
+//! positions are assigned in order, so the word being filled joins the
+//! tree only once it is full: marking a new position sets one bit, and
+//! only a repeat access whose old position lies below that word updates
+//! the tree.
+//!
+//! Liveness is the bit, so the position → block array holds bare ids and
+//! is read only at set bits. The block → position index is the
+//! direct-mapped vector of [`crate::LruCache`]'s indexed representation
+//! (`crates/cache/src/indexed.rs`), pre-sized by
+//! [`StackDistance::with_block_hint`] and grown on demand past it (ids at
+//! or past [`crate::MAX_BLOCK_SPACE`] panic). When the position space
+//! fills, a compaction walks the set bits in order and renumbers the live
+//! blocks `0..live` in place, doubling the space first if more than half
+//! of it is live. That keeps the space sized by the *distinct-block*
+//! count, not the trace length, and makes the per-access cost
+//! O(log distinct) amortized. [`StackDistance::clear`] and
+//! [`StackDistance::reset`] zero the tree, an O(positions / 64) pass that
+//! never releases storage; the bitmap needs no wipe, because assigning a
+//! position sets its bit before anything reads it.
 //!
 //! ```
 //! use wsf_cache::StackDistance;
@@ -56,6 +69,9 @@ use std::fmt::Write as _;
 /// do not pay repeated compactions.
 const MIN_POSITIONS: usize = 4_096;
 
+// The position space is always a whole number of bitmap words.
+const _: () = assert!(MIN_POSITIONS.is_multiple_of(64));
+
 /// One-pass Mattson stack-distance profiler (see the module docs).
 ///
 /// Drive it with [`StackDistance::access`] per block touched; read the
@@ -65,32 +81,31 @@ const MIN_POSITIONS: usize = 4_096;
 /// flush/reset).
 #[derive(Clone, Debug)]
 pub struct StackDistance {
-    /// Fenwick tree over positions, 1-based in `tree[i - 1]`; each entry is
-    /// `(generation, count)` and reads as 0 when the stamp is stale, so a
-    /// generation bump wipes the tree in O(1).
-    tree: Vec<(u32, u32)>,
-    /// Position → occupying block, stamped like `tree`; a stale stamp means
-    /// the position is dead (never used this generation, or superseded by a
-    /// newer access of its block). Generation 0 is reserved as "dead".
-    pos_block: Vec<(u32, BlockId)>,
+    /// Bit `p % 64` of `marks[p / 64]` is set iff position `p` is a tracked
+    /// block's most recent access. Bits at or past `time` are never read:
+    /// assigning a position sets its bit, so whatever a clear left there is
+    /// overwritten before it counts.
+    marks: Vec<u64>,
+    /// Fenwick tree over the popcounts of `marks`, 1-based in `tree[w - 1]`.
+    /// It counts only the full words, those below `time / 64`; the word
+    /// being filled joins it when it fills.
+    tree: Vec<u32>,
+    /// Position → the block accessed there; meaningful only where the
+    /// position's mark is set.
+    pos_block: Vec<BlockId>,
     /// Block → its marked (most recent) position.
     index: DenseIndex,
     /// Next position to assign (== accesses since the last compaction).
     time: u32,
     /// Number of marked positions == distinct blocks currently tracked.
     live: u32,
-    /// Stamp of live `tree` / `pos_block` entries; never 0.
-    generation: u32,
     /// Reuse-distance histogram: `hist[d - 1]` counts accesses at stack
-    /// distance `d`, stamped with `hist_gen` (stale reads as 0) so the
-    /// histogram too resets by generation bump.
-    hist: Vec<(u32, u64)>,
-    hist_gen: u32,
+    /// distance `d`. It grows only to record a distance, so its last entry
+    /// is never 0.
+    hist: Vec<u64>,
     /// Accesses with no previous occurrence (infinite stack distance):
     /// cold misses at every capacity.
     cold: u64,
-    /// Reusable compaction buffer (live blocks in position order).
-    scratch: Vec<BlockId>,
 }
 
 impl StackDistance {
@@ -109,16 +124,14 @@ impl StackDistance {
     /// access to an id at or past it panics too.
     pub fn with_block_hint(block_space: usize) -> Self {
         StackDistance {
+            marks: Vec::new(),
             tree: Vec::new(),
             pos_block: Vec::new(),
             index: DenseIndex::new(block_space),
             time: 0,
             live: 0,
-            generation: 1,
             hist: Vec::new(),
-            hist_gen: 1,
             cold: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -127,19 +140,23 @@ impl StackDistance {
     /// LRU cache of capacity `C` hits exactly the accesses returning
     /// `Some(d)` with `d <= C`.
     pub fn access(&mut self, block: BlockId) -> Option<u32> {
-        if self.time as usize == self.tree.len() {
+        if self.time as usize == self.pos_block.len() {
             self.compact_or_grow();
         }
         let pos = self.time;
         let distance = match self.index.get(block) {
             Some(old) => {
-                // Marked positions are exactly the distinct resident
+                // Marked positions are exactly the distinct tracked
                 // blocks; those after `old` were touched since, plus the
                 // block itself (inclusive convention: an immediate repeat
                 // has distance 1).
-                let d = self.live - self.fen_prefix(old) + 1;
-                self.fen_add(old, -1);
-                self.pos_block[old as usize].0 = 0;
+                let d = self.live - self.rank(old) + 1;
+                let word = old as usize / 64;
+                self.marks[word] &= !(1 << (old % 64));
+                // Only full words are counted in the tree.
+                if word < pos as usize / 64 {
+                    self.tree_add(word, u32::MAX);
+                }
                 self.record(d);
                 Some(d)
             }
@@ -149,10 +166,15 @@ impl StackDistance {
                 None
             }
         };
-        self.fen_add(pos, 1);
-        self.pos_block[pos as usize] = (self.generation, block);
+        let word = pos as usize / 64;
+        self.marks[word] |= 1 << (pos % 64);
+        self.pos_block[pos as usize] = block;
         self.index.insert(block, pos);
         self.time += 1;
+        if self.time.is_multiple_of(64) {
+            // The word just filled joins the tree.
+            self.tree_add(word, self.marks[word].count_ones());
+        }
         distance
     }
 
@@ -161,24 +183,21 @@ impl StackDistance {
     /// [`crate::CacheSim::flush`], and exactly what a per-capacity LRU
     /// cache's `clear()` does to future hit/miss accounting.
     pub fn clear(&mut self) {
+        // With `time` back at 0 every mark is past it, so only the tree
+        // needs zeroing.
+        self.tree.fill(0);
         self.live = 0;
         self.time = 0;
         self.index.clear();
-        self.bump_generation();
     }
 
-    /// Forgets residency *and* the histogram: an O(1) generation bump on
-    /// every component; storage is retained, so steady-state reuse across
-    /// traces is allocation-free (proved in
+    /// Forgets residency *and* the histogram. Storage is retained, so
+    /// steady-state reuse across traces is allocation-free (proved in
     /// `crates/core/tests/alloc_free.rs`).
     pub fn reset(&mut self) {
         self.clear();
+        self.hist.clear();
         self.cold = 0;
-        self.hist_gen = self.hist_gen.wrapping_add(1);
-        if self.hist_gen == 0 {
-            self.hist.fill((0, 0));
-            self.hist_gen = 1;
-        }
     }
 
     /// Number of distinct blocks currently tracked (the resident set of an
@@ -189,25 +208,19 @@ impl StackDistance {
 
     /// Total accesses recorded since the last [`StackDistance::reset`].
     pub fn accesses(&self) -> u64 {
-        self.cold + self.finite_total()
+        self.cold + self.hist.iter().sum::<u64>()
     }
 
     /// The capacity-indexed miss-ratio curve of everything recorded so far.
     pub fn curve(&self) -> MissRatioCurve {
+        // `hist` ends at the largest distance seen, so `max_finite_distance`
+        // is tight and merge costs stay proportional to real content.
         let mut cum_hits = Vec::with_capacity(self.hist.len() + 1);
         cum_hits.push(0u64);
         let mut total = 0u64;
-        for &(gen, count) in &self.hist {
-            if gen == self.hist_gen {
-                total += count;
-            }
+        for &count in &self.hist {
+            total += count;
             cum_hits.push(total);
-        }
-        // Trim capacities past the largest distance actually seen, so
-        // `max_finite_distance` is tight and merge costs stay proportional
-        // to real content.
-        while cum_hits.len() > 1 && cum_hits[cum_hits.len() - 1] == cum_hits[cum_hits.len() - 2] {
-            cum_hits.pop();
         }
         MissRatioCurve {
             cum_hits,
@@ -216,21 +229,12 @@ impl StackDistance {
         }
     }
 
-    fn finite_total(&self) -> u64 {
-        self.hist
-            .iter()
-            .map(|&(gen, count)| if gen == self.hist_gen { count } else { 0 })
-            .sum()
-    }
-
     fn record(&mut self, distance: u32) {
         let idx = distance as usize - 1;
         if idx >= self.hist.len() {
-            self.hist.resize(idx + 1, (0, 0));
+            self.hist.resize(idx + 1, 0);
         }
-        let (gen, count) = self.hist[idx];
-        let count = if gen == self.hist_gen { count + 1 } else { 1 };
-        self.hist[idx] = (self.hist_gen, count);
+        self.hist[idx] += 1;
     }
 
     /// Renumbers the live positions to `0..live` (and doubles the position
@@ -239,71 +243,69 @@ impl StackDistance {
     /// space is consumed, so the O(space) walk is O(1) amortized per
     /// access.
     fn compact_or_grow(&mut self) {
-        debug_assert_eq!(self.time as usize, self.tree.len());
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(
-            self.pos_block[..self.time as usize]
-                .iter()
-                .filter(|&&(gen, _)| gen == self.generation)
-                .map(|&(_, block)| block),
-        );
-        debug_assert_eq!(scratch.len(), self.live as usize);
-        if 2 * scratch.len() >= self.tree.len() {
-            let grown = (2 * self.tree.len()).max(MIN_POSITIONS);
-            self.tree.resize(grown, (0, 0));
-            self.pos_block.resize(grown, (0, 0));
+        debug_assert_eq!(self.time as usize, self.pos_block.len());
+        // The k-th set bit is at position k or later, so moving each live
+        // block down to its rank never overwrites one not yet read.
+        let mut next = 0u32;
+        for w in 0..self.marks.len() {
+            let mut bits = self.marks[w];
+            while bits != 0 {
+                let block = self.pos_block[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                self.pos_block[next as usize] = block;
+                self.index.insert(block, next);
+                next += 1;
+            }
         }
-        self.bump_generation();
-        self.index.clear();
-        for (pos, &block) in scratch.iter().enumerate() {
-            let pos = pos as u32;
-            self.fen_add(pos, 1);
-            self.pos_block[pos as usize] = (self.generation, block);
-            self.index.insert(block, pos);
+        debug_assert_eq!(next, self.live);
+        if 2 * self.live as usize >= self.pos_block.len() {
+            let grown = (2 * self.pos_block.len()).max(MIN_POSITIONS);
+            self.pos_block.resize(grown, 0);
+            self.marks.resize(grown / 64, 0);
+            self.tree.resize(grown / 64, 0);
         }
-        self.time = scratch.len() as u32;
-        self.scratch = scratch;
-    }
-
-    fn bump_generation(&mut self) {
-        // Generation 0 marks dead entries, so skip it on wrap-around.
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.tree.fill((0, 0));
-            self.pos_block.fill((0, 0));
-            self.generation = 1;
+        let (full, rest) = (self.live as usize / 64, self.live % 64);
+        self.marks[..full].fill(u64::MAX);
+        if rest > 0 {
+            self.marks[full] = (1 << rest) - 1;
         }
-    }
-
-    #[inline]
-    fn tree_get(&self, i: usize) -> u32 {
-        let (gen, count) = self.tree[i - 1];
-        if gen == self.generation {
-            count
-        } else {
-            0
+        self.time = self.live;
+        // Linear-time Fenwick build over the full words: seed each entry
+        // with its word's count, then push every entry into its parent.
+        for (w, entry) in self.tree.iter_mut().enumerate() {
+            *entry = if w < full { 64 } else { 0 };
         }
-    }
-
-    fn fen_add(&mut self, pos: u32, delta: i32) {
-        let mut i = pos as usize + 1;
         let n = self.tree.len();
-        while i <= n {
-            let count = (self.tree_get(i) as i64 + delta as i64) as u32;
-            self.tree[i - 1] = (self.generation, count);
-            i += i & i.wrapping_neg();
+        for i in 1..=n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= n {
+                self.tree[parent - 1] += self.tree[i - 1];
+            }
         }
     }
 
-    fn fen_prefix(&self, pos: u32) -> u32 {
-        let mut i = pos as usize + 1;
-        let mut sum = 0;
+    /// Number of marked positions `<= pos`.
+    #[inline]
+    fn rank(&self, pos: u32) -> u32 {
+        let word = pos as usize / 64;
+        let mut sum = (self.marks[word] << (63 - pos % 64)).count_ones();
+        let mut i = word;
         while i > 0 {
-            sum += self.tree_get(i);
+            sum += self.tree[i - 1];
             i &= i - 1;
         }
         sum
+    }
+
+    /// Adds `delta` (wrapping, so `u32::MAX` subtracts one) to word
+    /// `word`'s count.
+    #[inline]
+    fn tree_add(&mut self, word: usize, delta: u32) {
+        let mut i = word + 1;
+        while i <= self.tree.len() {
+            self.tree[i - 1] = self.tree[i - 1].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
     }
 }
 
@@ -539,23 +541,97 @@ mod tests {
         sd.access(crate::MAX_BLOCK_SPACE as BlockId);
     }
 
+    /// Stack distances of `trace` under a move-to-front list, the textbook
+    /// model of an LRU stack.
+    fn move_to_front_distances(trace: &[u32]) -> Vec<Option<u32>> {
+        let mut stack: Vec<u32> = Vec::new();
+        trace
+            .iter()
+            .map(|&b| {
+                let depth = stack.iter().position(|&s| s == b);
+                if let Some(i) = depth {
+                    stack.remove(i);
+                }
+                stack.insert(0, b);
+                depth.map(|i| i as u32 + 1)
+            })
+            .collect()
+    }
+
     #[test]
-    fn generation_wraparound_does_not_resurrect_state() {
-        // The first access grows the (empty) position space, which bumps
-        // the generation once; start one short of MAX so the wrap happens
-        // inside clear().
-        let mut sd = StackDistance::new();
-        sd.generation = u32::MAX - 1;
-        sd.access(3);
-        assert_eq!(sd.generation, u32::MAX);
-        sd.clear(); // wraps to 0 → re-stamped to 1
-        assert_eq!(sd.generation, 1);
-        assert_eq!(sd.access(3), None, "wrapped generation must not resurrect");
-        sd.hist_gen = u32::MAX;
-        sd.access(3);
-        sd.reset();
-        assert_eq!(sd.hist_gen, 1);
-        assert_eq!(sd.accesses(), 0);
+    fn reset_after_a_long_trace_equals_a_fresh_profiler() {
+        let long: Vec<u32> = (0..5 * MIN_POSITIONS as u32 + 17)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 3_000)
+            .collect();
+        let short = [9u32, 4, 9, 2_999, 4, 4];
+        let mut reused = StackDistance::new();
+        for &b in &long {
+            reused.access(b);
+        }
+        assert_ne!(
+            reused.time % 64,
+            0,
+            "the reset must meet a partly filled word"
+        );
+        reused.reset();
+        let mut fresh = StackDistance::new();
+        for &b in &short {
+            assert_eq!(reused.access(b), fresh.access(b), "block {b}");
+        }
+        assert_eq!(reused.curve(), fresh.curve());
+        assert_eq!(reused.live_blocks(), fresh.live_blocks());
+        assert_eq!(reused.accesses(), short.len() as u64);
+        // Walk on past every position the long trace used, through
+        // compactions: no mark of it may survive the reset.
+        for &b in &long {
+            assert_eq!(reused.access(b), fresh.access(b), "block {b}");
+        }
+        assert_eq!(reused.curve(), fresh.curve());
+    }
+
+    #[test]
+    fn compactions_at_every_live_residue_match_move_to_front() {
+        // Live counts ≡ 0, 1 and 63 (mod 64), on both sides of the growth
+        // threshold (half of MIN_POSITIONS) and of MIN_POSITIONS itself.
+        let half = MIN_POSITIONS / 2;
+        for live in [
+            1,
+            63,
+            64,
+            65,
+            127,
+            128,
+            half - 1,
+            half,
+            half + 1,
+            MIN_POSITIONS - 1,
+            MIN_POSITIONS,
+            MIN_POSITIONS + 1,
+        ] {
+            // Every block once, then uniformly random repeats among them, so
+            // every later compaction runs with exactly `live` marks.
+            let mut state = live as u32;
+            let trace: Vec<u32> = (0..live as u32)
+                .chain((0..5 * MIN_POSITIONS).map(|_| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (state >> 8) % live as u32
+                }))
+                .collect();
+            let mut sd = StackDistance::new();
+            let mut compactions = 0;
+            for (i, (&b, want)) in trace
+                .iter()
+                .zip(move_to_front_distances(&trace))
+                .enumerate()
+            {
+                if i >= live && sd.time as usize == sd.pos_block.len() {
+                    assert_eq!(sd.live as usize, live);
+                    compactions += 1;
+                }
+                assert_eq!(sd.access(b), want, "live {live}, access {i}");
+            }
+            assert!(compactions >= 2, "live {live}: {compactions} compactions");
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn served_machine_stays_allocation_free_across_growing_block_spaces() {
 
 #[test]
 fn stack_distance_reset_is_allocation_free_in_steady_state() {
-    // The one-pass profiler's `reset()` is a generation bump: re-profiling
+    // The one-pass profiler's `reset()` zeroes its buffers in place: re-profiling
     // the same trace through one warmed profiler must allocate nothing at
     // all — not per access, not per reset, not for the histogram.
     use wsf_cache::StackDistanceSim;
@@ -163,7 +163,7 @@ fn stack_distance_reset_is_allocation_free_in_steady_state() {
     assert_eq!(
         steady, 0,
         "steady-state reset + re-profile allocated {steady} times; \
-         reset must be a pure generation bump"
+         reset must reuse the profiler's storage"
     );
     assert_eq!(steady, steady_again);
     assert!(sd.accesses() > 0);
