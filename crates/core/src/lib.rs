@@ -57,7 +57,7 @@ mod sequential;
 pub use config::SimConfig;
 pub use parallel::ParallelSimulator;
 pub use policy::ForkPolicy;
-pub use ready::{schedule_enabled, Continuation, ReadyTracker};
+pub use ready::{next_and_push, ReadyTracker};
 pub use report::{ExecutionReport, ProcStats, SeqReport, TraceEvent};
 pub use scheduler::{
     PolicyConfig, PolicyScheduler, RandomScheduler, Scheduler, ScriptedScheduler, SleepDirective,

@@ -2,12 +2,13 @@
 //!
 //! `P` simulated processors execute the DAG in discrete time steps. Each
 //! processor owns a deque of ready nodes and a private cache. In each step
-//! an awake processor either works one unit on its current node (completing
-//! it when its weight is exhausted) or, if it has nothing to do, attempts
-//! one steal from the top of another processor's deque. Completing a node
-//! enables its children; the parsimonious rule
-//! ([`crate::ready::schedule_enabled`]) decides which enabled child the
-//! processor continues with and which it pushes.
+//! an awake processor either executes its current node (every node is a
+//! unit task) or, if it has nothing to do, attempts one steal from the top
+//! of another processor's deque. Completing a node enables successors from
+//! its frozen [`wsf_dag::SuccessorRecord`], and the parsimonious rule
+//! ([`crate::next_and_push`], shared with the sequential and pool
+//! executors) decides which enabled successor the processor continues with
+//! and which it pushes.
 //!
 //! The simulator counts, per processor, executed nodes, successful and
 //! failed steals, cache hits/misses and *deviations* (nodes not executed
@@ -17,12 +18,12 @@
 //!
 //! The hot loop is allocation-free in steady state: every buffer lives in a
 //! [`SimScratch`] that callers may reuse across runs, the set of non-empty
-//! deques is maintained incrementally (so victim selection costs
+//! deques is an incrementally maintained bitset (so victim selection costs
 //! O(candidates), not O(P) plus an allocation), and the trace vector is
 //! pre-sized to the node count when tracing is requested.
 
 use crate::config::SimConfig;
-use crate::ready::{schedule_enabled, ReadyTracker};
+use crate::ready::{next_and_push, ReadyTracker};
 use crate::report::{ExecutionReport, SeqReport, TraceEvent};
 use crate::scheduler::{RandomScheduler, Scheduler, StealAmount, StealContext};
 use crate::scratch::{NonEmptySet, Proc, SimScratch};
@@ -118,7 +119,6 @@ impl ParallelSimulator {
             depths,
             resident,
             stolen,
-            enabled,
             tracker,
             ..
         } = scratch;
@@ -134,7 +134,7 @@ impl ParallelSimulator {
         };
 
         // The computation starts with the root node on processor 0.
-        procs[0].current = Some((dag.root(), dag.node(dag.root()).weight()));
+        procs[0].current = Some(dag.root());
 
         let total = dag.num_nodes();
         let budget = self.config.step_budget(dag.work());
@@ -152,50 +152,40 @@ impl ParallelSimulator {
                 // step is unobservable — sleep conditions are monotone and
                 // no scheduler consumes randomness on an empty candidate
                 // list.)
-                if procs[p].current.is_none() {
-                    let members = nonempty.members();
-                    let no_victims = members.is_empty() || (members.len() == 1 && members[0] == p);
-                    if no_victims {
-                        continue;
-                    }
+                if procs[p].current.is_none() && nonempty.has_no_victim_for(p) {
+                    continue;
                 }
                 if !scheduler.is_awake(p, step) {
                     continue;
                 }
                 match procs[p].current {
-                    Some((node, remaining)) => {
+                    Some(node) => {
                         progressed = true;
-                        if remaining > 1 {
-                            procs[p].current = Some((node, remaining - 1));
-                        } else {
-                            procs[p].current = None;
-                            self.complete(
-                                dag,
-                                tracker,
-                                &mut procs[p],
-                                seq_prev,
-                                enabled,
-                                nonempty,
-                                scheduler,
-                                p,
-                                node,
-                                step,
-                                &mut trace,
-                            );
-                            makespan = step + 1;
-                        }
+                        self.complete(
+                            dag,
+                            tracker,
+                            &mut procs[p],
+                            seq_prev,
+                            nonempty,
+                            scheduler,
+                            p,
+                            node,
+                            step,
+                            &mut trace,
+                        );
+                        makespan = step + 1;
                     }
                     None => {
                         // Idle processor: its own deque is drained at
                         // completion time, so the only way to obtain work is
                         // to steal from the top of another processor's
-                        // deque. The candidate list is copied from the
+                        // deque. The candidate list is read off the
                         // incrementally-maintained non-empty set (ascending
                         // processor order, O(candidates), no allocation);
                         // the per-candidate depth and residency views are
                         // rebuilt into reusable scratch buffers.
                         candidates.clear();
-                        candidates.extend(nonempty.members().iter().copied().filter(|&q| q != p));
+                        candidates.extend(nonempty.iter().filter(|&q| q != p));
                         depths.clear();
                         depths.extend(candidates.iter().map(|&q| procs[q].deque.len()));
                         resident.clear();
@@ -218,8 +208,7 @@ impl ParallelSimulator {
                                         nonempty.sync(victim, !procs[victim].deque.is_empty());
                                         match taken {
                                             Some(node) => {
-                                                procs[p].current =
-                                                    Some((node, dag.node(node).weight()));
+                                                procs[p].current = Some(node);
                                                 procs[p].stats.steals += 1;
                                                 progressed = true;
                                             }
@@ -243,8 +232,7 @@ impl ParallelSimulator {
                                         nonempty.sync(victim, !procs[victim].deque.is_empty());
                                         match stolen.first().copied() {
                                             Some(node) => {
-                                                procs[p].current =
-                                                    Some((node, dag.node(node).weight()));
+                                                procs[p].current = Some(node);
                                                 for &n in &stolen[1..] {
                                                     procs[p].deque.push_bottom(n);
                                                 }
@@ -293,7 +281,6 @@ impl ParallelSimulator {
         tracker: &mut ReadyTracker,
         proc: &mut Proc,
         seq_prev: &[Option<NodeId>],
-        enabled: &mut Vec<NodeId>,
         nonempty: &mut NonEmptySet,
         scheduler: &mut S,
         p: usize,
@@ -301,7 +288,8 @@ impl ParallelSimulator {
         step: u64,
         trace: &mut Option<Vec<TraceEvent>>,
     ) {
-        proc.cache.access_opt(dag.block_of(node).map(|b| b.0));
+        let record = dag.record(node);
+        proc.cache.access_opt(record.block().map(|b| b.0));
         proc.stats.executed += 1;
 
         // A node is a deviation unless this same processor executed its
@@ -319,15 +307,14 @@ impl ParallelSimulator {
             });
         }
 
-        tracker.complete_into(dag, node, enabled);
-        let cont = schedule_enabled(dag, node, enabled, self.config.fork_policy);
-        if let Some(push) = cont.push {
+        let enabled = tracker.retire(node, record);
+        let (next, push) = next_and_push(record, enabled, self.config.fork_policy);
+        if let Some(push) = push {
             proc.deque.push_bottom(push);
         }
         // Continue with the chosen child, otherwise fall back to the bottom
         // of the own deque (the parsimonious rule).
-        let next = cont.next.or_else(|| proc.deque.pop_bottom());
-        proc.current = next.map(|n| (n, dag.node(n).weight()));
+        proc.current = next.or_else(|| proc.deque.pop_bottom());
         nonempty.sync(p, !proc.deque.is_empty());
 
         scheduler.on_complete(p, node, step);
@@ -553,23 +540,6 @@ mod tests {
             report.makespan < dag.num_nodes() as u64,
             "parallelism shortens the makespan"
         );
-    }
-
-    #[test]
-    fn weighted_nodes_take_multiple_steps() {
-        let mut b = DagBuilder::new();
-        let main = b.main_thread();
-        let n = b.task(main);
-        b.set_weight(n, 10);
-        b.task(main);
-        let dag = b.finish().unwrap();
-        let config = SimConfig {
-            processors: 1,
-            ..SimConfig::default()
-        };
-        let report = ParallelSimulator::new(config).run(&dag);
-        assert!(report.completed);
-        assert!(report.makespan >= 12, "weights contribute to the makespan");
     }
 
     #[test]

@@ -21,8 +21,8 @@ use wsf_deque::SimDeque;
 /// Per-processor simulation state (deque, current node, private cache).
 pub(crate) struct Proc {
     pub(crate) deque: SimDeque<NodeId>,
-    /// The node currently being executed and its remaining weight.
-    pub(crate) current: Option<(NodeId, u32)>,
+    /// The node this processor executes in its next step.
+    pub(crate) current: Option<NodeId>,
     pub(crate) last_completed: Option<NodeId>,
     pub(crate) cache: CacheSim,
     pub(crate) stats: ProcStats,
@@ -31,50 +31,67 @@ pub(crate) struct Proc {
 /// The set of processors whose deques are non-empty, maintained
 /// incrementally as pushes, pops and steals happen.
 ///
-/// Membership is a boolean per processor (O(1) queries — this is how the
-/// simulator validates a scheduler's victim choice) and the members
-/// themselves are kept in a sorted vector so the candidate list handed to
-/// [`crate::Scheduler::choose_victim`] is produced in ascending processor
-/// order, exactly as the previous rebuild-every-step code did, in
-/// O(candidates) time and with zero allocation.
+/// A bitset (one bit per processor) plus a member count: updating it and
+/// asking whether a processor is a member — how the simulator validates a
+/// scheduler's victim choice — are O(1), and so is the idle processor's
+/// "is there anyone to steal from" test. The candidate list handed to
+/// [`crate::Scheduler::choose_victim`] is read off the set bits in
+/// ascending processor order, the order every scheduler's random draws and
+/// therefore every table depend on.
 #[derive(Default)]
 pub(crate) struct NonEmptySet {
-    members: Vec<usize>,
-    present: Vec<bool>,
+    words: Vec<u64>,
+    count: usize,
 }
 
 impl NonEmptySet {
     /// Empties the set and re-sizes it for `n` processors.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.members.clear();
-        self.members.reserve(n);
-        self.present.clear();
-        self.present.resize(n, false);
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.count = 0;
     }
 
     /// Whether processor `q` currently has a non-empty deque.
     #[inline]
     pub(crate) fn contains(&self, q: usize) -> bool {
-        self.present.get(q).copied().unwrap_or(false)
+        self.words
+            .get(q / 64)
+            .is_some_and(|w| w >> (q % 64) & 1 == 1)
+    }
+
+    /// Whether no processor other than `p` has a non-empty deque.
+    #[inline]
+    pub(crate) fn has_no_victim_for(&self, p: usize) -> bool {
+        self.count == 0 || (self.count == 1 && self.contains(p))
     }
 
     /// The members in ascending order.
-    #[inline]
-    pub(crate) fn members(&self) -> &[usize] {
-        &self.members
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut w = word;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    i * 64 + bit
+                })
+            })
+        })
     }
 
     /// Records whether `q`'s deque is non-empty after an operation on it.
+    #[inline]
     pub(crate) fn sync(&mut self, q: usize, nonempty: bool) {
-        if self.present[q] == nonempty {
-            return;
-        }
-        self.present[q] = nonempty;
-        let pos = self.members.partition_point(|&m| m < q);
-        if nonempty {
-            self.members.insert(pos, q);
-        } else {
-            self.members.remove(pos);
+        let bit = 1u64 << (q % 64);
+        let word = &mut self.words[q / 64];
+        if (*word & bit != 0) != nonempty {
+            *word ^= bit;
+            if nonempty {
+                self.count += 1;
+            } else {
+                self.count -= 1;
+            }
         }
     }
 }
@@ -122,7 +139,6 @@ pub struct SimScratch {
     pub(crate) resident: Vec<bool>,
     /// Staging buffer for multi-entry steals ([`crate::StealAmount::Half`]).
     pub(crate) stolen: Vec<NodeId>,
-    pub(crate) enabled: Vec<NodeId>,
     pub(crate) tracker: ReadyTracker,
     /// The line count the current `procs` caches were built with.
     cache_lines: Option<usize>,
@@ -180,17 +196,34 @@ mod tests {
     fn nonempty_set_keeps_members_sorted() {
         let mut s = NonEmptySet::default();
         s.reset(8);
+        let members = |s: &NonEmptySet| s.iter().collect::<Vec<_>>();
         for q in [5, 1, 7, 3] {
             s.sync(q, true);
         }
-        assert_eq!(s.members(), &[1, 3, 5, 7]);
+        assert_eq!(members(&s), [1, 3, 5, 7]);
         assert!(s.contains(5) && !s.contains(0));
         s.sync(5, false);
         s.sync(5, false); // idempotent
-        assert_eq!(s.members(), &[1, 3, 7]);
+        assert_eq!(members(&s), [1, 3, 7]);
         s.sync(1, true); // already present: no duplicate
-        assert_eq!(s.members(), &[1, 3, 7]);
+        assert_eq!(members(&s), [1, 3, 7]);
         assert!(!s.contains(9), "out-of-range queries are false");
+        assert!(!s.has_no_victim_for(1));
+        s.sync(3, false);
+        s.sync(7, false);
+        assert!(s.has_no_victim_for(1), "only the thief itself is a member");
+        assert!(!s.has_no_victim_for(0));
+        s.sync(1, false);
+        assert!(s.has_no_victim_for(0) && members(&s).is_empty());
+
+        // Members past the first word, in ascending order.
+        s.reset(130);
+        for q in [129, 64, 0, 63, 65] {
+            s.sync(q, true);
+        }
+        assert_eq!(members(&s), [0, 63, 64, 65, 129]);
+        s.reset(130);
+        assert!(members(&s).is_empty() && s.has_no_victim_for(0));
     }
 
     #[test]

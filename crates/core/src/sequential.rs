@@ -7,7 +7,7 @@
 //! it runs out of ready successors it pops the bottom of its deque.
 
 use crate::policy::ForkPolicy;
-use crate::ready::{schedule_enabled, ReadyTracker};
+use crate::ready::{next_and_push, ReadyTracker};
 use crate::report::SeqReport;
 use wsf_cache::CacheSim;
 use wsf_dag::{Dag, NodeId};
@@ -56,18 +56,17 @@ impl SequentialExecutor {
         let mut order = Vec::with_capacity(dag.num_nodes());
 
         let mut current = Some(dag.root());
-        let mut enabled = Vec::with_capacity(2);
         while let Some(node) = current {
-            debug_assert!(tracker.is_ready(node), "executing a non-ready node");
-            cache.access_opt(dag.block_of(node).map(|b| b.0));
+            let record = dag.record(node);
+            cache.access_opt(record.block().map(|b| b.0));
             order.push(node);
 
-            tracker.complete_into(dag, node, &mut enabled);
-            let cont = schedule_enabled(dag, node, &enabled, self.fork_policy);
-            if let Some(push) = cont.push {
+            let enabled = tracker.retire(node, record);
+            let (next, push) = next_and_push(record, enabled, self.fork_policy);
+            if let Some(push) = push {
                 deque.push_bottom(push);
             }
-            current = cont.next.or_else(|| deque.pop_bottom());
+            current = next.or_else(|| deque.pop_bottom());
         }
 
         assert_eq!(

@@ -137,6 +137,48 @@ fn served_machine_stays_allocation_free_across_growing_block_spaces() {
 }
 
 #[test]
+fn recycled_builder_rebuilds_the_served_shapes_without_allocating() {
+    // `DagBuilder::recycle` promises that rebuilding a DAG of similar shape
+    // allocates nothing: every per-node table — edges, in-degrees,
+    // successor records — and every thread buffer comes back from the
+    // recycled DAG. Checked on the served medium shapes, each rebuilt
+    // through one builder after a warm-up build of the same shape.
+    use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
+
+    let mut b = wsf_dag::DagBuilder::new();
+    let mut scratch = ShapeScratch::new();
+    let counts: Vec<u64> = [
+        ShapeSpec::Mergesort { leaves: 512 },
+        ShapeSpec::Stencil {
+            rows: 16,
+            width: 64,
+            steps: 8,
+        },
+        ShapeSpec::Pipeline {
+            stages: 8,
+            items: 256,
+            window: 8,
+            work: 4,
+        },
+    ]
+    .into_iter()
+    .map(|spec| {
+        let warm = spec.build_into(&mut b, &mut scratch);
+        b.recycle(warm);
+        let before = allocs();
+        let dag = spec.build_into(&mut b, &mut scratch);
+        b.recycle(dag);
+        allocs() - before
+    })
+    .collect();
+    assert_eq!(
+        counts,
+        [0, 0, 0],
+        "same-shape build_into → recycle rebuilds allocated"
+    );
+}
+
+#[test]
 fn stack_distance_reset_is_allocation_free_in_steady_state() {
     // The one-pass profiler's `reset()` zeroes its buffers in place: re-profiling
     // the same trace through one warmed profiler must allocate nothing at

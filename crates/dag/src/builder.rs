@@ -4,7 +4,7 @@ use crate::dag::Dag;
 use crate::edge::{Edge, EdgeKind};
 use crate::error::DagError;
 use crate::ids::{Block, NodeId, ThreadId};
-use crate::node::NodeData;
+use crate::node::{NodeData, SuccessorRecord};
 use crate::thread::ThreadData;
 
 /// The result of spawning a future thread with [`DagBuilder::fork`].
@@ -42,6 +42,9 @@ pub struct DagBuilder {
     /// Per-node in-degree, counted as edges are connected (the finished
     /// DAG's [`Dag::in_degrees`]).
     in_deg: Vec<u32>,
+    /// Per-node successor record, kept edge by edge and block by block
+    /// like `in_deg` (the finished DAG's [`Dag::record`]).
+    records: Vec<SuccessorRecord>,
     /// Pool of empty per-thread node buffers reclaimed by
     /// [`DagBuilder::recycle`]; [`DagBuilder::fork`] draws from it so a
     /// recycled builder creates threads without allocating.
@@ -74,6 +77,7 @@ impl DagBuilder {
             sync_only: Vec::with_capacity(nodes),
             block_space: 0,
             in_deg: Vec::with_capacity(nodes),
+            records: Vec::with_capacity(nodes),
             spare: Vec::new(),
         };
         let main = ThreadData::new(ThreadId::MAIN, None, None);
@@ -88,6 +92,7 @@ impl DagBuilder {
         self.nodes.reserve(nodes);
         self.sync_only.reserve(nodes);
         self.in_deg.reserve(nodes);
+        self.records.reserve(nodes);
         self.threads.reserve(threads);
     }
 
@@ -141,6 +146,7 @@ impl DagBuilder {
         self.nodes.push(NodeData::new(thread));
         self.sync_only.push(false);
         self.in_deg.push(0);
+        self.records.push(SuccessorRecord::EMPTY);
         self.threads[thread.index()].push_node(id);
         id
     }
@@ -149,6 +155,7 @@ impl DagBuilder {
         self.nodes[from.index()].push_out(Edge::new(to, kind));
         self.nodes[to.index()].push_in(Edge::new(from, kind));
         self.in_deg[to.index()] += 1;
+        self.records[from.index()].link(to, kind);
     }
 
     fn check_thread(&self, thread: ThreadId) -> Result<(), DagError> {
@@ -341,19 +348,18 @@ impl DagBuilder {
     // ------------------------------------------------------------------
 
     /// Sets the memory block accessed by `node`.
+    ///
+    /// # Panics
+    /// Panics on `Block(u32::MAX)`, which the successor record reserves
+    /// for "no block".
     pub fn set_block(&mut self, node: NodeId, block: Block) {
         self.block_space = self.block_space.max(block.0.saturating_add(1));
-        self.nodes[node.index()].set_block(Some(block));
+        self.records[node.index()].set_block(Some(block));
     }
 
     /// Clears the memory block accessed by `node`.
     pub fn clear_block(&mut self, node: NodeId) {
-        self.nodes[node.index()].set_block(None);
-    }
-
-    /// Sets the execution weight of `node` (clamped to at least 1).
-    pub fn set_weight(&mut self, node: NodeId, weight: u32) {
-        self.nodes[node.index()].set_weight(weight);
+        self.records[node.index()].set_block(None);
     }
 
     /// Marks `node` as a synchronization-only join.
@@ -429,6 +435,7 @@ impl DagBuilder {
             sync_only: Vec::new(),
             block_space: 0,
             in_deg: Vec::new(),
+            records: Vec::new(),
             spare: Vec::new(),
         }
     }
@@ -445,6 +452,7 @@ impl DagBuilder {
             threads,
             sync_only,
             in_deg,
+            records,
             ..
         } = dag;
         let old = std::mem::replace(&mut self.threads, threads);
@@ -456,6 +464,7 @@ impl DagBuilder {
         self.nodes = nodes;
         self.sync_only = sync_only;
         self.in_deg = in_deg;
+        self.records = records;
         self.reset();
     }
 
@@ -466,9 +475,13 @@ impl DagBuilder {
         self.nodes.clear();
         self.sync_only.clear();
         self.in_deg.clear();
+        self.records.clear();
         self.block_space = 0;
         let mut threads = std::mem::take(&mut self.threads);
-        for t in threads.drain(..) {
+        // Last thread first, so the pool's top is the main thread's buffer
+        // and each thread a rebuild of the same shape creates (in the same
+        // order) pops the buffer it had before, already large enough.
+        for t in threads.drain(..).rev() {
             let mut buf = t.into_nodes();
             buf.clear();
             self.spare.push(buf);
@@ -536,6 +549,7 @@ impl DagBuilder {
             sync_only: self.sync_only,
             block_space,
             in_deg: self.in_deg,
+            records: self.records,
         };
         crate::validate::validate(&dag)?;
         Ok(dag)
@@ -738,6 +752,13 @@ mod tests {
             .map(|id| dag2.node(id).in_degree() as u32)
             .collect();
         assert_eq!(dag2.in_degrees(), degs);
+        // So do the successor records.
+        let mut fresh = DagBuilder::new();
+        build_fork_join(&mut fresh, 3);
+        let fresh = fresh.finish().unwrap();
+        assert!(dag2
+            .node_ids()
+            .all(|id| dag2.record(id) == fresh.record(id)));
     }
 
     #[test]
@@ -790,20 +811,5 @@ mod tests {
         assert!(dag.has_super_final_node());
         b.recycle(dag);
         assert_eq!(b.num_nodes(), 1);
-    }
-
-    #[test]
-    fn weights_are_stored() {
-        let mut b = DagBuilder::new();
-        let main = b.main_thread();
-        let n = b.task(main);
-        b.set_weight(n, 5);
-        let f = b.fork(main);
-        b.task(f.future_thread);
-        b.task(main);
-        b.touch_thread(main, f.future_thread);
-        let dag = b.finish().unwrap();
-        assert_eq!(dag.node(n).weight(), 5);
-        assert_eq!(dag.work(), dag.num_nodes() as u64 + 4);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::edge::{Edge, EdgeKind};
 use crate::ids::{Block, NodeId, ThreadId};
-use crate::node::NodeData;
+use crate::node::{NodeData, SuccessorRecord};
 use crate::thread::ThreadData;
 
 /// A future-parallel computation DAG.
@@ -33,6 +33,9 @@ pub struct Dag {
     /// builder edge by edge, so executors copy it instead of walking
     /// `nodes`.
     pub(crate) in_deg: Vec<u32>,
+    /// The successor record of every node, indexed by node id: maintained
+    /// by the builder edge by edge, so executors never walk edge lists.
+    pub(crate) records: Vec<SuccessorRecord>,
 }
 
 impl Dag {
@@ -131,16 +134,16 @@ impl Dag {
         self.forks().count()
     }
 
-    /// Total work `T₁`: the sum of node weights (equals the node count for
-    /// unit-weight DAGs).
+    /// Total work `T₁`: the number of nodes, since every node is a unit
+    /// task.
     pub fn work(&self) -> u64 {
-        self.nodes.iter().map(|n| u64::from(n.weight())).sum()
+        self.nodes.len() as u64
     }
 
     /// The memory block accessed by `node`, if any.
     #[inline]
     pub fn block_of(&self, node: NodeId) -> Option<Block> {
-        self.node(node).block()
+        self.record(node).block()
     }
 
     /// One past the largest block id any node accesses, or 0 if no node
@@ -162,9 +165,9 @@ impl Dag {
     /// The number of distinct memory blocks referenced by the DAG.
     pub fn num_blocks(&self) -> usize {
         let mut blocks: Vec<u32> = self
-            .nodes
+            .records
             .iter()
-            .filter_map(|n| n.block().map(|b| b.0))
+            .filter_map(|r| r.block().map(|b| b.0))
             .collect();
         blocks.sort_unstable();
         blocks.dedup();
@@ -263,10 +266,20 @@ impl Dag {
         &self.in_deg
     }
 
+    /// The successor record of `node`: its successors in the order the
+    /// parsimonious rule prefers them, its fork bit and its block.
+    ///
+    /// # Panics
+    /// Panics if `node` is out of range.
+    #[inline]
+    pub fn record(&self, node: NodeId) -> &SuccessorRecord {
+        &self.records[node.index()]
+    }
+
     /// True if `node` is a fork.
     #[inline]
     pub fn is_fork(&self, node: NodeId) -> bool {
-        self.node(node).is_fork()
+        self.record(node).is_fork()
     }
 
     /// True if `node` is a touch (or join) node.

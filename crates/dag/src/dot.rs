@@ -17,7 +17,7 @@ pub fn to_dot(dag: &Dag) -> String {
     for id in dag.node_ids() {
         let n = dag.node(id);
         let mut label = format!("{id}\\n{}", n.thread());
-        if let Some(b) = n.block() {
+        if let Some(b) = dag.block_of(id) {
             let _ = write!(label, "\\n{b}");
         }
         let shape = if dag.is_touch(id) {

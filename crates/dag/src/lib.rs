@@ -70,7 +70,7 @@ pub use dag::Dag;
 pub use edge::{Edge, EdgeKind};
 pub use error::DagError;
 pub use ids::{Block, NodeId, ThreadId};
-pub use node::NodeData;
+pub use node::{NodeData, SuccessorRecord};
 pub use thread::ThreadData;
 pub use traverse::{critical_path, is_descendant, parallelism, span, topo_order};
 pub use validate::validate;

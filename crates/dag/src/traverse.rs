@@ -118,13 +118,13 @@ impl<'d> Descendants<'d> {
     }
 }
 
-/// Length of the longest weighted path ending at each node (each node's
-/// weight included). Index by `NodeId::index`.
+/// Number of nodes on the longest path ending at each node (the node
+/// included). Index by `NodeId::index`.
 pub fn depths(dag: &Dag) -> Vec<u64> {
     let mut depth = vec![0u64; dag.num_nodes()];
     debug_assert!(is_topological_by_id(dag));
     for id in dag.node_ids() {
-        let here = depth[id.index()] + u64::from(dag.node(id).weight());
+        let here = depth[id.index()] + 1;
         depth[id.index()] = here;
         for e in dag.node(id).out_edges() {
             if depth[e.node.index()] < here {
@@ -135,8 +135,8 @@ pub fn depths(dag: &Dag) -> Vec<u64> {
     depth
 }
 
-/// The computation span `T∞`: the weighted length (number of nodes, for
-/// unit weights) of a longest directed path in the DAG.
+/// The computation span `T∞`: the number of nodes (unit steps) on a
+/// longest directed path in the DAG.
 pub fn span(dag: &Dag) -> u64 {
     depths(dag).into_iter().max().unwrap_or(0)
 }
@@ -153,7 +153,7 @@ pub fn critical_path(dag: &Dag) -> Vec<NodeId> {
         .expect("non-empty dag");
     let mut path = vec![cur];
     loop {
-        let need = depth[cur.index()] - u64::from(dag.node(cur).weight());
+        let need = depth[cur.index()] - 1;
         if need == 0 {
             break;
         }
@@ -241,16 +241,6 @@ mod tests {
         assert_eq!(path.len(), 10);
         assert_eq!(path[0], d.root());
         assert_eq!(*path.last().unwrap(), d.final_node());
-    }
-
-    #[test]
-    fn weighted_span() {
-        let mut b = DagBuilder::new();
-        let main = b.main_thread();
-        let n = b.task(main);
-        b.set_weight(n, 10);
-        let d = b.finish().unwrap();
-        assert_eq!(span(&d), 11);
     }
 
     #[test]

@@ -10,28 +10,30 @@
 //! ## How a DAG becomes pool tasks
 //!
 //! Each pool task runs a **chain** of nodes: starting from one enabled
-//! node, it repeatedly executes the node (recording the touch), enables its
-//! children ([`schedule_enabled`] decides, exactly as the sequential and
-//! parallel simulators do), follows the `next` child, and spawns the `push`
-//! child as a *new* chain task via [`Runtime::defer_future`]. Deferred
-//! chains land on the bottom of the running worker's deque, where the owner
-//! pops them LIFO and other workers steal them FIFO — the same discipline
-//! `SimDeque` gives the simulators.
+//! node, it repeatedly executes the node (recording the touch), enables
+//! successors from its [`SuccessorRecord`](wsf_dag::SuccessorRecord), lets
+//! [`next_and_push`] — the rule the sequential and parallel simulators
+//! call — pick `next` and `push`, follows `next`, and spawns `push` as a
+//! *new* chain task via [`Runtime::defer_future`]. Deferred chains land on
+//! the bottom of the running worker's deque, where the owner pops them LIFO
+//! and other workers steal them FIFO — the same discipline `SimDeque` gives
+//! the simulators.
 //!
 //! At `P = 1` this makes the node order **byte-identical** to
 //! [`SequentialExecutor`](wsf_core::SequentialExecutor): a single worker's
 //! own-deque pop is exactly the simulator's `pop_bottom`, chains are the
-//! simulator's `next` walks, and children are enabled in the same out-edge
-//! order — the property the `trace_conformance` suite pins down.
+//! simulator's `next` walks, and both read the same record through the same
+//! rule — the property the `trace_conformance` suite pins down.
 //!
 //! ## Exactly-once and fault rescue
 //!
-//! Node in-degrees are atomic counters; the decrement that reaches zero
-//! *enables* the child, and a `claimed` flag swapped before execution makes
-//! the node run exactly once even if it is ever spawned twice. When the
-//! fault injector kills a worker, the chain task it was about to run fails
-//! without executing (its nodes stay enabled but unclaimed); the caller's
-//! wait loop detects the stalled execution and respawns chains for every
+//! Node in-degrees are atomic counters, decremented over the record's two
+//! slots; the decrement that reaches zero *enables* the successor, and a
+//! `claimed` flag swapped before execution makes the node run exactly once
+//! even if it is ever spawned twice. When the fault injector kills a
+//! worker, the chain task it was about to run fails without executing (its
+//! nodes stay enabled but unclaimed); the caller's wait loop detects the
+//! stalled execution and respawns chains for every
 //! enabled-but-unclaimed node — or, once every worker is dead, executes
 //! them directly on the calling thread (recorded on the trace's external
 //! lane). Completion is signalled by the final node, which every node
@@ -40,7 +42,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use wsf_core::{schedule_enabled, ForkPolicy};
+use wsf_core::{next_and_push, ForkPolicy};
 use wsf_dag::{Dag, NodeId};
 use wsf_runtime::Runtime;
 
@@ -93,8 +95,8 @@ impl Ctx {
                 current = if direct { stack.pop() } else { None };
                 continue;
             }
-            self.rt
-                .trace_node(node.0, self.dag.block_of(node).map(|b| b.0));
+            let record = self.dag.record(node);
+            self.rt.trace_node(node.0, record.block().map(|b| b.0));
             ran += 1;
             // Counted *before* any child is enabled: the `AcqRel`
             // decrements below publish this increment to whichever thread
@@ -104,15 +106,9 @@ impl Ctx {
             // uncounted.
             self.executed.fetch_add(1, Ordering::Relaxed);
 
-            let mut enabled = [NodeId(0); 2];
-            let mut n_enabled = 0;
-            for e in self.dag.node(node).out_edges() {
-                if self.remaining[e.node.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    debug_assert!(n_enabled < 2, "structured DAGs enable at most 2 children");
-                    enabled[n_enabled] = e.node;
-                    n_enabled += 1;
-                }
-            }
+            let enabled = record.successors().map(|succ| {
+                succ.is_some_and(|s| self.remaining[s.index()].fetch_sub(1, Ordering::AcqRel) == 1)
+            });
             if node == self.dag.final_node() {
                 // Every node precedes the final node, so the DAG is done.
                 let mut done = self.done.lock().expect("done lock");
@@ -120,8 +116,8 @@ impl Ctx {
                 self.done_cond.notify_all();
             }
 
-            let cont = schedule_enabled(&self.dag, node, &enabled[..n_enabled], self.policy);
-            if let Some(push) = cont.push {
+            let (next, push) = next_and_push(record, enabled, self.policy);
+            if let Some(push) = push {
                 if direct {
                     stack.push(push);
                 } else {
@@ -131,9 +127,7 @@ impl Ctx {
                     }));
                 }
             }
-            current = cont
-                .next
-                .or_else(|| if direct { stack.pop() } else { None });
+            current = next.or_else(|| if direct { stack.pop() } else { None });
         }
         ran
     }

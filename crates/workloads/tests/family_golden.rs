@@ -35,7 +35,7 @@ fn digest(dag: &Dag) -> u64 {
             u64::from(node.is_fork()) | u64::from(node.is_touch()) << 1,
         );
         h = fnv1a(h, node.thread().index() as u64);
-        h = fnv1a(h, node.block().map_or(u64::MAX, |b| u64::from(b.0)));
+        h = fnv1a(h, dag.block_of(id).map_or(u64::MAX, |b| u64::from(b.0)));
         h = fnv1a(h, node.out_edges().len() as u64);
         for e in node.out_edges() {
             let kind = match e.kind {

@@ -9,8 +9,12 @@
 //! The full-scale table shapes and 20k-node random DAGs run with
 //! `cargo test --release --test classify_differential -- --ignored`.
 
+#[path = "support/builder_programs.rs"]
+mod builder_programs;
 #[path = "support/classify_oracle.rs"]
 mod classify_oracle;
+
+use builder_programs::{arb_program, run_program};
 
 use proptest::prelude::*;
 use proptest::test_runner::rng_for_case;
@@ -18,7 +22,7 @@ use wsf::workloads::apps;
 use wsf::workloads::figures::{fig3, fig4, fig5a, fig5b, Fig6, Fig7a, Fig7b, Fig8};
 use wsf::workloads::random::{random_single_touch, RandomConfig};
 use wsf::workloads::{backpressure, pipeline, sort, stencil};
-use wsf_dag::{classify, is_descendant, Dag, DagBuilder, DagClass, NodeId, ThreadId};
+use wsf_dag::{classify, is_descendant, Dag, DagBuilder, DagClass};
 
 /// Asserts the classifier equals the reference on `dag`, and that
 /// `is_descendant` equals brute-force reachability from up to `ancestors`
@@ -201,73 +205,6 @@ fn hand_built_corner_cases_match_the_reference() {
     assert!(!classify(&passed_future()).local_touch);
     assert!(!classify(&multi_touch()).single_touch);
     assert!(classify(&super_final()).super_final);
-}
-
-/// One step of an arbitrary builder program: an op code and two selectors,
-/// reduced modulo the live thread and node counts.
-type Op = (u8, u32, u32);
-
-/// Runs `ops` on a fresh builder, skipping the steps the builder refuses
-/// and touches of a fork that has no right child yet (a fork must keep
-/// room for one: both classifiers require it), then closes the DAG: by a
-/// super final node, or by touching every thread from the main thread.
-/// Returns `None` when the result does not finish.
-fn run_program(ops: &[Op], super_final: bool) -> Option<Dag> {
-    let mut b = DagBuilder::new();
-    // The fork that ends each thread, if one does.
-    let mut open_fork: Vec<Option<NodeId>> = vec![None];
-    for &(op, x, y) in ops {
-        let thread = ThreadId::from_index(x as usize % b.num_threads());
-        let appended = match op {
-            0 | 1 => b.try_fork(thread).map(|f| {
-                open_fork.push(None);
-                Some(f.node)
-            }),
-            2 => b.try_task(thread).map(|_| None),
-            3 | 4 => {
-                let target = ThreadId::from_index(y as usize % b.num_threads());
-                if open_fork[target.index()].is_some() {
-                    continue;
-                }
-                b.try_touch_thread(thread, target).map(|_| None)
-            }
-            _ => {
-                let source = NodeId::from_index(y as usize % b.num_nodes());
-                if open_fork.contains(&Some(source)) {
-                    continue;
-                }
-                b.try_touch(thread, source).map(|_| None)
-            }
-        };
-        if let Ok(fork) = appended {
-            open_fork[thread.index()] = fork;
-        }
-    }
-    for (t, fork) in open_fork.iter().enumerate() {
-        if fork.is_some() {
-            b.task(ThreadId::from_index(t));
-        }
-    }
-    let main = b.main_thread();
-    if super_final {
-        return b.finish_with_super_final().ok();
-    }
-    for t in 1..b.num_threads() {
-        let t = ThreadId::from_index(t);
-        if b.try_touch_thread(main, t).is_err() {
-            let _ = b.try_task(main);
-            let _ = b.try_touch_thread(main, t);
-        }
-    }
-    let _ = b.try_task(main);
-    b.finish().ok()
-}
-
-fn arb_program(len: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<Op>, bool)> {
-    (
-        collection::vec((0u8..6, any::<u32>(), any::<u32>()), len),
-        any::<bool>(),
-    )
 }
 
 proptest! {
