@@ -149,64 +149,76 @@ fn faulted_executions_still_produce_bound_conformant_traces() {
     // must recover every node exactly once, and the resulting trace must
     // still sit within the theorem bounds (which hold for *any* executed
     // schedule of these shapes: deviations and extra misses are each at
-    // most one per node).
+    // most one per node). Mergesort loses fork subtrees; the stencil's
+    // row chains and the pipeline's window joins put in-degree-1 nodes and
+    // joins in the rescue sweep.
     let seed = fault_seed_from_env().unwrap_or(1);
-    let dag = Arc::new(sort::mergesort(256, 8));
-    let spec = FaultSpec {
-        horizon: 32,
-        panics: 2,
-        kills: 2,
-        stall_period: 5,
-        stall: Duration::from_micros(200),
-        wakeup_period: 3,
-        wakeup_delay: Duration::from_micros(100),
-    };
-    for round in 0..2 {
-        let plan = Arc::new(FaultPlan::seeded(seed.wrapping_add(round), &spec));
-        let rt = Arc::new(
-            Runtime::builder()
-                .threads(4)
-                .policy(SpawnPolicy::ChildFirst)
-                .touch_trace(1 << 16)
-                .fault_hooks(Arc::clone(&plan) as _)
-                .build(),
-        );
-        let report = run_dag_on_pool(&rt, &dag, ForkPolicy::FutureFirst);
-        assert_eq!(
-            report.nodes_executed,
-            dag.num_nodes(),
-            "seed {seed} round {round}: rescue must recover every node"
-        );
-        assert!(
-            plan.fired_kills() + plan.fired_panics() > 0,
-            "seed {seed} round {round}: the fault plan never fired"
-        );
+    let mut dags = vec![(
+        "mergesort",
+        Arc::new(sort::mergesort(256, 8)),
+        BoundFamily::Thm12,
+    )];
+    dags.extend(
+        families()
+            .into_iter()
+            .filter(|(family, _, _)| ["stencil", "batched_pipeline"].contains(family)),
+    );
+    assert_eq!(dags.len(), 3);
+    for (family, dag, bound_family) in dags {
+        // Every fork pushes a chain on any schedule, so a fault-free run
+        // dequeues at least `forks + 1` tasks: drawing faults below that
+        // makes the first one fire before anything is lost.
+        let spec = FaultSpec {
+            horizon: 32.min(dag.num_forks() as u64 + 1),
+            panics: 2,
+            kills: 2,
+            stall_period: 5,
+            stall: Duration::from_micros(200),
+            wakeup_period: 3,
+            wakeup_delay: Duration::from_micros(100),
+        };
+        for round in 0..2 {
+            let plan = Arc::new(FaultPlan::seeded(seed.wrapping_add(round), &spec));
+            let rt = Arc::new(
+                Runtime::builder()
+                    .threads(4)
+                    .policy(SpawnPolicy::ChildFirst)
+                    .touch_trace(1 << 16)
+                    .fault_hooks(Arc::clone(&plan) as _)
+                    .build(),
+            );
+            let report = run_dag_on_pool(&rt, &dag, ForkPolicy::FutureFirst);
+            let at = format!("{family} seed {seed} round {round}");
+            assert_eq!(
+                report.nodes_executed,
+                dag.num_nodes(),
+                "{at}: rescue must recover every node"
+            );
+            assert!(
+                plan.fired_kills() + plan.fired_panics() > 0,
+                "{at}: the fault plan never fired"
+            );
 
-        let trace = rt.touch_trace().expect("tracing enabled");
-        let v = validate_trace(
-            &dag,
-            &trace,
-            ForkPolicy::FutureFirst,
-            16,
-            4,
-            BoundFamily::Thm12,
-        );
-        assert!(
-            dag.num_nodes() as u64 <= v.deviation_bound && dag.num_nodes() as u64 <= v.miss_bound,
-            "shape too large for schedule-independent verdicts: {v:?}"
-        );
-        assert!(v.coverage_ok, "seed {seed} round {round}: {v:?}");
-        assert!(v.within, "seed {seed} round {round}: {v:?}");
-        eprintln!(
-            "fault conformance seed {seed} round {round}: rescued={} deviations={}/{} \
-             extra={}/{} kills={} panics={}",
-            report.rescued,
-            v.deviations,
-            v.deviation_bound,
-            v.extra_misses,
-            v.miss_bound,
-            plan.fired_kills(),
-            plan.fired_panics(),
-        );
+            let trace = rt.touch_trace().expect("tracing enabled");
+            let v = validate_trace(&dag, &trace, ForkPolicy::FutureFirst, 16, 4, bound_family);
+            assert!(
+                dag.num_nodes() as u64 <= v.deviation_bound
+                    && dag.num_nodes() as u64 <= v.miss_bound,
+                "{at}: shape too large for schedule-independent verdicts: {v:?}"
+            );
+            assert!(v.coverage_ok, "{at}: {v:?}");
+            assert!(v.within, "{at}: {v:?}");
+            eprintln!(
+                "fault conformance {at}: rescued={} deviations={}/{} \
+                 extra={}/{} kills={} panics={}",
+                report.rescued,
+                v.deviations,
+                v.deviation_bound,
+                v.extra_misses,
+                v.miss_bound,
+                plan.fired_kills(),
+                plan.fired_panics(),
+            );
+        }
     }
 }

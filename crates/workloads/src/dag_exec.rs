@@ -27,19 +27,44 @@
 //!
 //! ## Exactly-once and fault rescue
 //!
-//! Node in-degrees are atomic counters, decremented over the record's two
-//! slots; the decrement that reaches zero *enables* the successor, and a
-//! `claimed` flag swapped before execution makes the node run exactly once
-//! even if it is ever spawned twice. When the fault injector kills a
-//! worker, the chain task it was about to run fails without executing (its
-//! nodes stay enabled but unclaimed); the caller's wait loop detects the
-//! stalled execution and respawns chains for every
-//! enabled-but-unclaimed node — or, once every worker is dead, executes
-//! them directly on the calling thread (recorded on the trace's external
-//! lane). Completion is signalled by the final node, which every node
-//! precedes, so the DAG is fully executed when it runs.
+//! Executing a node writes only that node's words and its successors';
+//! nothing is written by every node. Each node has one state byte,
+//! `UNCLAIMED → RUNNING → DONE`:
+//!
+//! * A chain **claims** a node by moving it from `UNCLAIMED` to `RUNNING`
+//!   before executing it, so the node runs exactly once even if it is ever
+//!   spawned twice. The claim is a compare-and-swap, so a late duplicate
+//!   never moves a `DONE` node back to `RUNNING`.
+//! * Once the node's successors are enabled, the chain stores `DONE` with a
+//!   plain `Release` store, not a read-modify-write.
+//!
+//! A successor with in-degree 1 is enabled outright: its one predecessor
+//! runs exactly once, so nobody else can enable it. Only joins keep an
+//! atomic count of outstanding predecessors (`remaining`); the `AcqRel`
+//! decrement that reaches zero enables the join.
+//!
+//! Nothing counts nodes while the DAG runs. A node's claim is sequenced
+//! before the work that enables its successors, and that enabling carries
+//! it on: program order along a chain, the deque's push/steal pair to a
+//! deferred chain, and for a join the `AcqRel` decrements, whose release
+//! sequence reaches the decrement that enables it. Every node precedes the
+//! final node, so the claims all happen before the final node runs, and
+//! the `done` mutex carries them to the caller: after `done`, one scan of
+//! the state bytes finds every node claimed.
+//!
+//! When the fault injector kills a worker, the chain task it was about to
+//! run fails without executing (its nodes stay enabled but unclaimed). The
+//! caller's wait loop counts claimed nodes once per 100 ms window that ends
+//! without `done`; when a window claimed nothing, it respawns a chain for
+//! every enabled-but-unclaimed node — or, once every worker is dead,
+//! executes them directly on the calling thread (recorded on the trace's
+//! external lane). A node counts as enabled when its `remaining` count is
+//! zero (the root, and joins) or when it has in-degree 1 and its one
+//! predecessor is `DONE`. `RUNNING` is not enough: a predecessor that has
+//! claimed but not yet traced would let its respawned successor overtake
+//! it in the trace.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wsf_core::{next_and_push, ForkPolicy};
@@ -61,34 +86,60 @@ pub struct DagRunReport {
     pub direct_runs: usize,
 }
 
+/// Node states: not yet executed, claimed by a chain, successors enabled.
+const UNCLAIMED: u8 = 0;
+const RUNNING: u8 = 1;
+const DONE: u8 = 2;
+
 struct Ctx {
     rt: Arc<Runtime>,
     dag: Arc<Dag>,
     policy: ForkPolicy,
-    /// Outstanding dependencies per node; the decrementer that reaches
-    /// zero enables the child.
+    /// Outstanding predecessors per join; the decrementer that reaches zero
+    /// enables it. In-degree-1 nodes are enabled without touching theirs.
     remaining: Vec<AtomicU32>,
-    /// Swapped to `true` immediately before a node executes; makes
-    /// execution exactly-once even when rescue respawns a chain that was
-    /// merely delayed rather than lost.
-    claimed: Vec<AtomicBool>,
-    executed: AtomicUsize,
+    /// Per-node `UNCLAIMED → RUNNING → DONE` (module docs).
+    state: Vec<AtomicU8>,
     done: Mutex<bool>,
     done_cond: Condvar,
 }
 
 impl Ctx {
+    /// Every node unclaimed, every count at the node's in-degree.
+    fn new(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) -> Arc<Ctx> {
+        Arc::new(Ctx {
+            rt: Arc::clone(rt),
+            dag: Arc::clone(dag),
+            policy,
+            remaining: dag
+                .in_degrees()
+                .iter()
+                .map(|&d| AtomicU32::new(d))
+                .collect(),
+            state: (0..dag.num_nodes())
+                .map(|_| AtomicU8::new(UNCLAIMED))
+                .collect(),
+            done: Mutex::new(false),
+            done_cond: Condvar::new(),
+        })
+    }
+
     /// Executes the chain starting at `start`: run the node, enable its
     /// children, follow `next`, defer `push` as a new chain. In `direct`
     /// mode (every worker dead) pushes go onto a local LIFO stack instead
     /// of the pool — the sequential executor's discipline on the caller
     /// thread. Returns the number of nodes this call executed.
     fn run_chain(self: &Arc<Self>, start: NodeId, direct: bool) -> usize {
+        let in_degrees = self.dag.in_degrees();
         let mut ran = 0;
         let mut stack: Vec<NodeId> = Vec::new();
         let mut current = Some(start);
         while let Some(node) = current {
-            if self.claimed[node.index()].swap(true, Ordering::AcqRel) {
+            let state = &self.state[node.index()];
+            if state
+                .compare_exchange(UNCLAIMED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+            {
                 // Another chain (the original of a rescue duplicate, or
                 // vice versa) already owns this node; its `next` walk
                 // continues elsewhere.
@@ -98,17 +149,14 @@ impl Ctx {
             let record = self.dag.record(node);
             self.rt.trace_node(node.0, record.block().map(|b| b.0));
             ran += 1;
-            // Counted *before* any child is enabled: the `AcqRel`
-            // decrements below publish this increment to whichever thread
-            // enables a descendant, and so — through the `done` mutex — to
-            // the caller. Counting after them let a co-parent's thread run
-            // the final node and signal `done` while this node was still
-            // uncounted.
-            self.executed.fetch_add(1, Ordering::Relaxed);
 
             let enabled = record.successors().map(|succ| {
-                succ.is_some_and(|s| self.remaining[s.index()].fetch_sub(1, Ordering::AcqRel) == 1)
+                succ.is_some_and(|s| {
+                    in_degrees[s.index()] == 1
+                        || self.remaining[s.index()].fetch_sub(1, Ordering::AcqRel) == 1
+                })
             });
+            state.store(DONE, Ordering::Release);
             if node == self.dag.final_node() {
                 // Every node precedes the final node, so the DAG is done.
                 let mut done = self.done.lock().expect("done lock");
@@ -132,6 +180,32 @@ impl Ctx {
         ran
     }
 
+    /// Whether node `index` is enabled but unclaimed — what a rescue sweep
+    /// respawns. A node with a count (the root, joins) is enabled at zero;
+    /// an in-degree-1 node once its predecessor is `DONE`.
+    fn stranded(&self, index: usize) -> bool {
+        if self.state[index].load(Ordering::Acquire) != UNCLAIMED {
+            return false;
+        }
+        if self.dag.in_degrees()[index] == 1 {
+            let pred = self.dag.predecessors(NodeId::from_index(index)).next();
+            pred.is_some_and(|e| self.state[e.node.index()].load(Ordering::Acquire) == DONE)
+        } else {
+            self.remaining[index].load(Ordering::Acquire) == 0
+        }
+    }
+
+    /// Nodes claimed so far. `Relaxed` suffices: while the DAG runs this is
+    /// only a progress reading, and once `done` is set the `done` mutex
+    /// orders every claim before the scan (module docs), so it counts
+    /// every node.
+    fn claimed(&self) -> usize {
+        self.state
+            .iter()
+            .filter(|s| s.load(Ordering::Relaxed) != UNCLAIMED)
+            .count()
+    }
+
     /// Respawns a chain for every enabled-but-unclaimed node. With live
     /// workers the chains are deferred to the pool; with none they run
     /// directly on the calling thread. Returns `(respawned, direct_runs)`.
@@ -140,9 +214,7 @@ impl Ctx {
         let mut respawned = 0;
         let mut direct_runs = 0;
         for index in 0..self.dag.num_nodes() {
-            if self.remaining[index].load(Ordering::Acquire) == 0
-                && !self.claimed[index].load(Ordering::Acquire)
-            {
+            if self.stranded(index) {
                 let node = NodeId::from_index(index);
                 respawned += 1;
                 if direct {
@@ -174,22 +246,7 @@ impl Ctx {
 /// remaining nodes execute on the calling thread. Panics if the DAG has
 /// not completed within 60 seconds.
 pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) -> DagRunReport {
-    let ctx = Arc::new(Ctx {
-        rt: Arc::clone(rt),
-        dag: Arc::clone(dag),
-        policy,
-        remaining: dag
-            .in_degrees()
-            .iter()
-            .map(|&d| AtomicU32::new(d))
-            .collect(),
-        claimed: (0..dag.num_nodes())
-            .map(|_| AtomicBool::new(false))
-            .collect(),
-        executed: AtomicUsize::new(0),
-        done: Mutex::new(false),
-        done_cond: Condvar::new(),
-    });
+    let ctx = Ctx::new(rt, dag, policy);
     let mut report = DagRunReport::default();
 
     let root = dag.root();
@@ -199,7 +256,7 @@ pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) ->
     }));
 
     let deadline = Instant::now() + Duration::from_secs(60);
-    let mut last_executed = 0usize;
+    let mut last_claimed = 0usize;
     loop {
         let guard = ctx.done.lock().expect("done lock");
         let (guard, _) = ctx
@@ -210,8 +267,8 @@ pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) ->
             break;
         }
         drop(guard);
-        let now = ctx.executed.load(Ordering::Relaxed);
-        if now == last_executed {
+        let claimed = ctx.claimed();
+        last_claimed = if claimed == last_claimed {
             // No progress over a full wait window: chains were lost to
             // worker kills (or are stalled). Respawn everything enabled.
             let (respawned, direct_runs) = ctx.rescue();
@@ -220,20 +277,22 @@ pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) ->
                 report.rescue_rounds += 1;
                 report.direct_runs += direct_runs;
             }
-        }
-        last_executed = ctx.executed.load(Ordering::Relaxed);
+            claimed + direct_runs
+        } else {
+            claimed
+        };
         assert!(
             Instant::now() < deadline,
-            "DAG execution stalled: {last_executed}/{} nodes after 60s",
+            "DAG execution stalled: {last_claimed}/{} nodes after 60s",
             dag.num_nodes()
         );
     }
 
-    report.nodes_executed = ctx.executed.load(Ordering::Relaxed);
+    report.nodes_executed = ctx.claimed();
     assert_eq!(
         report.nodes_executed,
         dag.num_nodes(),
-        "the final node ran before every node was counted"
+        "the final node ran before every node was claimed"
     );
     report
 }
@@ -243,6 +302,7 @@ mod tests {
     use super::*;
     use crate::{backpressure, sort, stencil};
     use wsf_core::SequentialExecutor;
+    use wsf_dag::DagBuilder;
     use wsf_runtime::{Runtime, SpawnPolicy, TouchEvent};
 
     fn traced_runtime(threads: usize) -> Arc<Runtime> {
@@ -332,6 +392,57 @@ mod tests {
             })
             .sum();
         assert!(task_events > 0, "chains must carry provenance");
+    }
+
+    #[test]
+    fn rescue_respawns_exactly_the_enabled_unclaimed_nodes() {
+        // root → fork → {future, cont} → join (the final node).
+        let mut b = DagBuilder::new();
+        let main = b.main_thread();
+        let root = b.root();
+        let fork = b.fork(main);
+        let cont = b.task(main);
+        let join = b.touch_thread(main, fork.future_thread);
+        let (fork, future) = (fork.node, fork.future_first);
+        let dag = Arc::new(b.finish().expect("valid DAG"));
+        assert_eq!(dag.in_degrees()[future.index()], 1);
+        assert_eq!(dag.in_degrees()[join.index()], 2);
+
+        let rt = Arc::new(Runtime::new(1));
+        let ctx = Ctx::new(&rt, &dag, ForkPolicy::FutureFirst);
+        let set = |node: NodeId, state| ctx.state[node.index()].store(state, Ordering::Release);
+        let stranded = || -> Vec<NodeId> {
+            (0..dag.num_nodes())
+                .filter(|&i| ctx.stranded(i))
+                .map(NodeId::from_index)
+                .collect()
+        };
+
+        assert_eq!(stranded(), [root], "an unclaimed root is respawned");
+
+        set(root, DONE);
+        set(fork, RUNNING);
+        assert_eq!(stranded(), [], "a RUNNING predecessor enables nothing yet");
+
+        set(fork, DONE);
+        set(cont, RUNNING);
+        assert_eq!(stranded(), [future], "a DONE predecessor enables its child");
+        assert_eq!(ctx.rescue(), (1, 0));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ctx.state[future.index()].load(Ordering::Acquire) != DONE {
+            assert!(Instant::now() < deadline, "the respawned chain never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(ctx.rescue(), (0, 0), "respawned exactly once");
+
+        // A join goes by its count alone, not its predecessors' states:
+        // the respawned chain decremented it once, `cont`'s decrement is
+        // withheld.
+        set(cont, DONE);
+        assert_eq!(ctx.remaining[join.index()].load(Ordering::Acquire), 1);
+        assert_eq!(stranded(), [], "a join with remaining > 0 waits");
+        ctx.remaining[join.index()].store(0, Ordering::Release);
+        assert_eq!(stranded(), [join]);
     }
 
     #[test]
