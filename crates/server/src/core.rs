@@ -9,9 +9,12 @@
 //! reader thread ──ingest_frame──▶ decode → admit → stage → push_batch
 //!                                                              │
 //! executor thread ◀── steal ───────────────────────────────────┘
-//!    └─ defer_future(simulate) on the Runtime, retry on injected faults,
-//!       inline fallback when the pool is gone; exactly one completion per
-//!       accepted submission, pushed to the connection's completion queue.
+//!    └─ defer_future(claim? simulate) on the Runtime, then claim it here:
+//!         won  → simulate on this thread (the queued task does nothing)
+//!         lost → a worker is inside simulate: touch its result
+//!       retry after a panic, inline fallback when the pool is gone;
+//!       exactly one completion per accepted submission, pushed to the
+//!       connection's completion queue.
 //!
 //! simulate = resolve the shared plan (hit: an `Arc` clone; miss: build
 //!            the DAG and its sequential baseline once), then the tenant's
@@ -35,25 +38,36 @@
 //! per-tenant stealing run is computed per request, and it is never
 //! cached.
 //!
-//! **Exactly-once execution.** The executor owns a submission's record
-//! until it completes. A pool task captures only `Copy` values and a
-//! handle to the plan cache, so a failed attempt — an injected worker
-//! kill, which drops the closure unrun, or a panic inside the task —
-//! loses nothing: the retry is the same closure again and resolves the
-//! same plan. After bounded retries — or whenever no live worker remains —
-//! the executor simulates inline, so exactly one completion is delivered
-//! per accepted submission no matter which workers die.
+//! **Exactly-once execution, by one claim.** The executor owns a
+//! submission's record until it completes. Each attempt is offered to the
+//! pool and carries a one-shot claim: the task's body simulates only if it
+//! takes the claim, and the executor tries to take it right after
+//! offering. The executor wins unless a worker has already started the
+//! body, and then simulates on its own thread — the served future is
+//! touched once, by the thread that created it, and no thread wake-up sits
+//! between the request and its reply. An injected worker kill or panic
+//! fires in the task wrapper before the body starts, so it never holds the
+//! claim: the executor runs every attempt such a fault hit. A worker that
+//! holds the claim is past every fault point, so the executor just waits
+//! for it; only a genuine panic inside `simulate` fails that attempt, and
+//! the retry is the same closure with a fresh claim, resolving the same
+//! plan. After bounded retries — or whenever no live worker remains — the
+//! executor simulates without offering, so exactly one completion is
+//! delivered per accepted submission no matter which workers die.
+//! While a worker lives, every attempt still goes through the pool, so a
+//! worker dequeues each one exactly once and seeded fault plans keep their
+//! task coordinates.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wsf_core::{ParallelSimulator, PolicyConfig, PolicyScheduler, SimConfig, SimScratch};
 use wsf_deque::Injector;
-use wsf_runtime::{FaultHooks, Runtime, RuntimeStats, TouchOutcome};
+use wsf_runtime::{FaultHooks, Runtime, RuntimeStats};
 use wsf_workloads::submission::ShapeSpec;
 
 use crate::admission::AdmissionMode;
@@ -214,6 +228,8 @@ struct CoreInner {
     admission: AdmissionMode,
     plans: Arc<PlanCache>,
     runtime: RwLock<Option<Runtime>>,
+    /// Attempts a pool worker claimed before the executor could.
+    pool_runs: AtomicU64,
     draining: AtomicBool,
     halt: AtomicBool,
     work_mx: Mutex<()>,
@@ -254,6 +270,8 @@ pub struct ServerReport {
     pub runtime_stats: RuntimeStats,
     /// Final plan-cache counters and residency.
     pub plan: PlanStats,
+    /// Attempts a pool worker claimed and ran; executors ran the rest.
+    pub pool_runs: u64,
 }
 
 /// The transport-independent futures-as-a-service core.
@@ -280,6 +298,7 @@ impl ServerCore {
             admission: config.admission,
             plans: Arc::new(PlanCache::new()),
             runtime: RwLock::new(Some(rb.build())),
+            pool_runs: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             halt: AtomicBool::new(false),
             work_mx: Mutex::new(()),
@@ -497,6 +516,7 @@ impl ServerCore {
             hung_workers,
             runtime_stats,
             plan: self.inner.plans.stats(),
+            pool_runs: self.inner.pool_runs.load(Ordering::Relaxed),
         }
     }
 }
@@ -534,8 +554,9 @@ thread_local! {
 }
 
 /// Executes one submission: the shared plan for `(spec, machine)`, then the
-/// tenant's seeded stealing run against it. The only execution path — pool
-/// task, retry and inline fallback all call it.
+/// tenant's seeded stealing run against it. The only execution path — a
+/// claimed attempt on a worker or on the executor, a retry and the inline
+/// fallback all call it.
 fn simulate(
     plans: &PlanCache,
     spec: ShapeSpec,
@@ -565,12 +586,21 @@ fn execute_job(inner: &CoreInner, job: Job) {
     let mut attempts = 0usize;
     let (misses, deviations) = loop {
         attempts += 1;
+        // One `swap` decides whether the task's body or this executor runs
+        // the attempt. The claim publishes nothing (the result travels
+        // through the future), so relaxed swaps suffice: read-modify-writes
+        // of one location are totally ordered, so exactly one reads `false`.
+        let claim = Arc::new(AtomicBool::new(false));
         let fut = {
             let guard = inner.runtime.read().unwrap();
             match guard.as_ref() {
                 Some(rt) if rt.live_workers() > 0 && attempts <= MAX_ATTEMPTS => {
                     let plans = Arc::clone(&inner.plans);
-                    rt.defer_future(move || simulate(&plans, spec, cfg, policy))
+                    let claim = Arc::clone(&claim);
+                    rt.defer_future(move || {
+                        (!claim.swap(true, Ordering::Relaxed))
+                            .then(|| simulate(&plans, spec, cfg, policy))
+                    })
                 }
                 // Pool gone, fully degraded, or retries exhausted: simulate
                 // inline on this executor thread. The fault injector only
@@ -578,16 +608,20 @@ fn execute_job(inner: &CoreInner, job: Job) {
                 _ => break simulate(&inner.plans, spec, cfg, policy),
             }
         };
-        let mut pending = fut;
-        let outcome = loop {
-            match pending.touch_within(Duration::from_millis(10)) {
-                TouchOutcome::Ready(v) => break Some(v),
-                TouchOutcome::Failed(_e) => break None, // killed worker or panic: retry
-                TouchOutcome::Pending(f) => pending = f,
-            }
-        };
-        if let Some(v) = outcome {
-            break v;
+        if !claim.swap(true, Ordering::Relaxed) {
+            // No worker has started the body, so none can: simulate here.
+            // A worker that dequeues the task later finds the claim taken
+            // and returns `None` to a future nobody touches.
+            drop(fut);
+            break simulate(&inner.plans, spec, cfg, policy);
+        }
+        inner.pool_runs.fetch_add(1, Ordering::Relaxed);
+        // A worker holds the claim, so it is inside the body: injected kills
+        // and panics fire in the task wrapper before the body starts, so
+        // this attempt can neither strand nor be lost to one, and a plain
+        // touch returns. Only a panic inside `simulate` fails it: retry.
+        if let Ok(v) = fut.touch_result() {
+            break v.expect("the body that took the claim ran simulate");
         }
     };
 

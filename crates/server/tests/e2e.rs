@@ -3,7 +3,7 @@
 //! load shedding at the tenant budget, a burst on one connection paced by
 //! the reader instead of shed, graceful shutdown with a hung client
 //! attached, and exactly-once completion delivery under injected worker
-//! kills.
+//! kills, including requests that arrive as the last worker dies.
 //!
 //! The fault seed is taken from `WSF_FAULT_SEED` when set (the CI
 //! fault-matrix job sweeps it), so a failure reproduces by exporting the
@@ -325,4 +325,87 @@ fn exactly_once_completions_under_injected_worker_kills() {
     // plan exactly once however many attempts it took.
     assert_eq!(report.plan.hits + report.plan.misses, TOTAL);
     assert_eq!(report.plan.resident_plans, shapes.len() as u64);
+    println!(
+        "seed {seed}: pool workers ran {} attempts of {TOTAL} requests",
+        report.pool_runs
+    );
+}
+
+#[test]
+fn no_request_strands_behind_the_last_workers_death() {
+    let seed = fault_seed_from_env().unwrap_or(1);
+    // Both workers die within the first four dequeued tasks, so attempts
+    // are offered to a pool whose last worker is dying or dead. An attempt
+    // whose body never started is never claimed by a worker, so its
+    // executor runs it instead of waiting on a task nobody will dequeue.
+    let spec = FaultSpec {
+        horizon: 4,
+        panics: 0,
+        kills: 2,
+        stall_period: 0,
+        stall: Duration::ZERO,
+        wakeup_period: 0,
+        wakeup_delay: Duration::ZERO,
+    };
+    let plan = Arc::new(FaultPlan::seeded(seed, &spec));
+    let config = ServerConfig {
+        runtime_threads: 2,
+        executors: 2,
+        admission: AdmissionMode::QueueAll,
+        tenants: vec![TenantSpec::default_with_seed(5)],
+        fault_hooks: Some(Arc::clone(&plan) as _),
+    };
+    let server = Server::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let mut client = BenchClient::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+
+    // Frames of four until the pool is gone, then as many again with no
+    // worker left; `collect` fails the test if any reply misses its deadline.
+    const FRAME: u64 = 4;
+    let shapes = ShapeSpec::smoke_mix();
+    let mut completions = Vec::new();
+    let mut frame = |completions: &mut Vec<Completion>| {
+        let first = completions.len() as u64 + 1;
+        let batch: Vec<(u64, ShapeSpec)> = (first..first + FRAME)
+            .map(|id| (id, shapes[id as usize % shapes.len()]))
+            .collect();
+        client.submit_batch(0, &batch).expect("submit");
+        completions.extend(collect(&mut client, FRAME as usize));
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.core().live_workers() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "a worker outlived its kill under seed {seed}"
+        );
+        frame(&mut completions);
+    }
+    let frames_to_die = completions.len() as u64 / FRAME;
+    for _ in 0..frames_to_die.max(4) {
+        frame(&mut completions);
+    }
+    let total = completions.len() as u64;
+
+    let ids: BTreeSet<u64> = completions.iter().map(|c| c.request_id).collect();
+    assert_eq!(
+        ids,
+        (1..=total).collect::<BTreeSet<u64>>(),
+        "lost or duplicate completions under seed {seed}"
+    );
+    for c in &completions {
+        assert_eq!(
+            c.status, STATUS_OK,
+            "request {} under seed {seed}",
+            c.request_id
+        );
+    }
+    assert_eq!(plan.fired_kills(), 2, "seed {seed}");
+    assert_eq!(server.core().live_workers(), 0, "seed {seed}");
+
+    let report = server.shutdown(Duration::from_secs(10));
+    assert!(report.drained, "seed {seed}");
+    assert_eq!(report.plan.hits + report.plan.misses, total, "seed {seed}");
+    println!(
+        "seed {seed}: pool workers ran {} attempts of {total} requests",
+        report.pool_runs
+    );
 }
