@@ -9,12 +9,11 @@
 //! reader thread ──ingest_frame──▶ decode → admit → stage → push_batch
 //!                                                              │
 //! executor thread ◀── steal ───────────────────────────────────┘
-//!    └─ defer_future(claim? simulate) on the Runtime, then claim it here:
-//!         won  → simulate on this thread (the queued task does nothing)
-//!         lost → a worker is inside simulate: touch its result
-//!       retry after a panic, inline fallback when the pool is gone;
-//!       exactly one completion per accepted submission, pushed to the
-//!       connection's completion queue.
+//!    └─ simulate on this thread; exactly one completion per accepted
+//!       submission, pushed to the connection's completion queue.
+//!       (With fault hooks installed it first offers the attempt to the
+//!       Runtime under a one-shot claim, and touches a worker's result if
+//!       a worker claimed it.)
 //!
 //! simulate = resolve the shared plan (hit: an `Arc` clone; miss: build
 //!            the DAG and its sequential baseline once), then the tenant's
@@ -31,32 +30,28 @@
 //! Nothing here paces it against the executors; a network reader does that
 //! itself, between frames ([`ConnShared::wait_for_window`]).
 //!
-//! **One execution path.** Every execution — first attempt, retry, inline
-//! fallback — is the same function, `simulate`. The DAG and its
-//! sequential baseline come from the server's plan cache and are
-//! immutable, so nothing an attempt does can damage them; only the
-//! per-tenant stealing run is computed per request, and it is never
-//! cached.
+//! **One execution path.** Every execution — on the executor, or on a pool
+//! worker that claimed an offered attempt — is the same function,
+//! `simulate`. The DAG and its sequential baseline come from the server's
+//! plan cache and are immutable, so nothing an attempt does can damage
+//! them; only the per-tenant stealing run is computed per request, and it
+//! is never cached.
 //!
-//! **Exactly-once execution, by one claim.** The executor owns a
-//! submission's record until it completes. Each attempt is offered to the
-//! pool and carries a one-shot claim: the task's body simulates only if it
-//! takes the claim, and the executor tries to take it right after
-//! offering. The executor wins unless a worker has already started the
-//! body, and then simulates on its own thread — the served future is
-//! touched once, by the thread that created it, and no thread wake-up sits
-//! between the request and its reply. An injected worker kill or panic
-//! fires in the task wrapper before the body starts, so it never holds the
-//! claim: the executor runs every attempt such a fault hit. A worker that
-//! holds the claim is past every fault point, so the executor just waits
-//! for it; only a genuine panic inside `simulate` fails that attempt, and
-//! the retry is the same closure with a fresh claim, resolving the same
-//! plan. After bounded retries — or whenever no live worker remains — the
-//! executor simulates without offering, so exactly one completion is
-//! delivered per accepted submission no matter which workers die.
-//! While a worker lives, every attempt still goes through the pool, so a
-//! worker dequeues each one exactly once and seeded fault plans keep their
-//! task coordinates.
+//! **The executor runs its own submission.** A served submission is a
+//! future touched once, by the thread that dequeued it, so the executor
+//! simulates it on its own thread: no thread wake-up sits between the
+//! request and its reply, and the pool stays idle. Only when fault hooks
+//! are installed is each attempt first offered to the pool, because seeded
+//! fault plans count dequeued tasks and the fault tests need every attempt
+//! dequeued. The offered attempt carries a one-shot claim: the task's body
+//! simulates only if it takes the claim, and the executor tries to take it
+//! right after offering. An injected kill, panic or stall fires before the
+//! body starts, so it never holds the claim, and the executor runs the
+//! attempt itself. A worker that holds the claim is past every fault
+//! point, so the executor just waits for it; if `simulate` panics there,
+//! the executor simulates once more on its own thread. Either way exactly
+//! one completion is delivered per accepted submission, however many
+//! workers die.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -76,9 +71,6 @@ use crate::protocol::{
     parse_request_header, ProtocolError, STATUS_OK, STATUS_SHED, STATUS_SHUTTING_DOWN,
 };
 use crate::tenant::{TenantReport, TenantSpec, TenantState};
-
-/// Retries through the runtime before the executor simulates inline.
-const MAX_ATTEMPTS: usize = 8;
 
 /// Server construction parameters.
 pub struct ServerConfig {
@@ -228,7 +220,10 @@ struct CoreInner {
     admission: AdmissionMode,
     plans: Arc<PlanCache>,
     runtime: RwLock<Option<Runtime>>,
-    /// Attempts a pool worker claimed before the executor could.
+    /// Whether attempts are offered to the pool first: only when fault
+    /// hooks are installed (see the module docs).
+    offer_to_pool: bool,
+    /// Offered attempts a pool worker claimed before the executor could.
     pool_runs: AtomicU64,
     draining: AtomicBool,
     halt: AtomicBool,
@@ -271,6 +266,8 @@ pub struct ServerReport {
     /// Final plan-cache counters and residency.
     pub plan: PlanStats,
     /// Attempts a pool worker claimed and ran; executors ran the rest.
+    /// Always 0 unless fault hooks are installed, since only then is an
+    /// attempt offered to the pool.
     pub pool_runs: u64,
 }
 
@@ -288,6 +285,7 @@ impl ServerCore {
             "server needs at least one tenant"
         );
         let mut rb = Runtime::builder().threads(config.runtime_threads);
+        let offer_to_pool = config.fault_hooks.is_some();
         if let Some(hooks) = config.fault_hooks {
             rb = rb.fault_hooks(hooks);
         }
@@ -298,6 +296,7 @@ impl ServerCore {
             admission: config.admission,
             plans: Arc::new(PlanCache::new()),
             runtime: RwLock::new(Some(rb.build())),
+            offer_to_pool,
             pool_runs: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             halt: AtomicBool::new(false),
@@ -554,9 +553,8 @@ thread_local! {
 }
 
 /// Executes one submission: the shared plan for `(spec, machine)`, then the
-/// tenant's seeded stealing run against it. The only execution path — a
-/// claimed attempt on a worker or on the executor, a retry and the inline
-/// fallback all call it.
+/// tenant's seeded stealing run against it. The only execution path — the
+/// executor and a pool worker that claimed an offered attempt both call it.
 fn simulate(
     plans: &PlanCache,
     spec: ShapeSpec,
@@ -581,52 +579,13 @@ fn execute_job(inner: &CoreInner, job: Job) {
     let spec = job.spec;
     let cfg = tenant.spec.sim_config();
     let policy = tenant.spec.policy;
-    let before = inner.runtime_stats();
-
-    let mut attempts = 0usize;
-    let (misses, deviations) = loop {
-        attempts += 1;
-        // One `swap` decides whether the task's body or this executor runs
-        // the attempt. The claim publishes nothing (the result travels
-        // through the future), so relaxed swaps suffice: read-modify-writes
-        // of one location are totally ordered, so exactly one reads `false`.
-        let claim = Arc::new(AtomicBool::new(false));
-        let fut = {
-            let guard = inner.runtime.read().unwrap();
-            match guard.as_ref() {
-                Some(rt) if rt.live_workers() > 0 && attempts <= MAX_ATTEMPTS => {
-                    let plans = Arc::clone(&inner.plans);
-                    let claim = Arc::clone(&claim);
-                    rt.defer_future(move || {
-                        (!claim.swap(true, Ordering::Relaxed))
-                            .then(|| simulate(&plans, spec, cfg, policy))
-                    })
-                }
-                // Pool gone, fully degraded, or retries exhausted: simulate
-                // inline on this executor thread. The fault injector only
-                // targets runtime workers, so this always completes.
-                _ => break simulate(&inner.plans, spec, cfg, policy),
-            }
-        };
-        if !claim.swap(true, Ordering::Relaxed) {
-            // No worker has started the body, so none can: simulate here.
-            // A worker that dequeues the task later finds the claim taken
-            // and returns `None` to a future nobody touches.
-            drop(fut);
-            break simulate(&inner.plans, spec, cfg, policy);
-        }
-        inner.pool_runs.fetch_add(1, Ordering::Relaxed);
-        // A worker holds the claim, so it is inside the body: injected kills
-        // and panics fire in the task wrapper before the body starts, so
-        // this attempt can neither strand nor be lost to one, and a plain
-        // touch returns. Only a panic inside `simulate` fails it: retry.
-        if let Ok(v) = fut.touch_result() {
-            break v.expect("the body that took the claim ran simulate");
-        }
+    let pooled = if inner.offer_to_pool {
+        offer_to_pool(inner, tenant, spec, cfg, policy)
+    } else {
+        None
     };
+    let (misses, deviations) = pooled.unwrap_or_else(|| simulate(&inner.plans, spec, cfg, policy));
 
-    let delta = inner.runtime_stats().since(&before);
-    tenant.stats.lock().unwrap().accumulate(&delta);
     tenant.misses.fetch_add(misses, Ordering::Relaxed);
     tenant.deviations.fetch_add(deviations, Ordering::Relaxed);
     tenant.completed.fetch_add(1, Ordering::Relaxed);
@@ -644,4 +603,50 @@ fn execute_job(inner: &CoreInner, job: Job) {
         footprint: job.footprint,
         micros: job.start.elapsed().as_micros() as u64,
     });
+}
+
+/// Offers one attempt to the pool under a one-shot claim and returns its
+/// result if a worker claimed and finished it. `None` — no live worker,
+/// the executor won the claim, or `simulate` panicked on the worker —
+/// leaves the attempt to the executor.
+fn offer_to_pool(
+    inner: &CoreInner,
+    tenant: &TenantState,
+    spec: ShapeSpec,
+    cfg: SimConfig,
+    policy: PolicyConfig,
+) -> Option<(u64, u64)> {
+    let before = inner.runtime_stats();
+    // One `swap` decides whether the task's body or the executor runs the
+    // attempt. The claim publishes nothing (the result travels through the
+    // future), so relaxed swaps suffice: read-modify-writes of one location
+    // are totally ordered, so exactly one reads `false`.
+    let claim = Arc::new(AtomicBool::new(false));
+    let fut = {
+        let guard = inner.runtime.read().unwrap();
+        let rt = guard.as_ref().filter(|rt| rt.live_workers() > 0)?;
+        let plans = Arc::clone(&inner.plans);
+        let claim = Arc::clone(&claim);
+        rt.defer_future(move || {
+            (!claim.swap(true, Ordering::Relaxed)).then(|| simulate(&plans, spec, cfg, policy))
+        })
+    };
+    // Injected kills and panics fire in the task wrapper, and stalls in the
+    // worker loop, all before the body starts: a faulted attempt never
+    // holds the claim, so the executor takes it here and runs it, even once
+    // the last worker is dead. A worker that dequeues the task later finds
+    // the claim taken and returns `None` to a future nobody touches.
+    let result = if claim.swap(true, Ordering::Relaxed) {
+        inner.pool_runs.fetch_add(1, Ordering::Relaxed);
+        // A worker holds the claim, so it is past every fault point and
+        // this touch cannot strand. Only a panic inside `simulate` fails it.
+        fut.touch_result()
+            .ok()
+            .map(|v| v.expect("the body that took the claim ran simulate"))
+    } else {
+        None
+    };
+    let delta = inner.runtime_stats().since(&before);
+    tenant.stats.lock().unwrap().accumulate(&delta);
+    result
 }

@@ -47,7 +47,8 @@ pub const STATUS_SHED: u64 = 1;
 pub const STATUS_BAD_SHAPE: u64 = 2;
 /// Submission arrived while the server was draining for shutdown.
 pub const STATUS_SHUTTING_DOWN: u64 = 3;
-/// Submission failed after exhausting execution retries.
+/// Submission failed to execute. The server never sends it: an executor
+/// simulates every submission no pool worker finished.
 pub const STATUS_FAILED: u64 = 4;
 
 /// A framing/decoding failure; fatal for the connection that produced it.

@@ -98,9 +98,9 @@ pub struct TenantReport {
     pub completed: u64,
     /// Submissions rejected by admission control.
     pub shed: u64,
-    /// Always 0: a submission that exhausts its retries on the pool is
-    /// simulated inline by its executor and counted `completed`, so no
-    /// accepted submission can fail. The field stays because report
+    /// Always 0: an executor simulates every submission no pool worker
+    /// finished, and counts it `completed`, so no accepted submission can
+    /// fail. The field stays because report
     /// consumers sum it.
     pub failed: u64,
     /// Sum of per-submission simulated cache misses (deterministic).
@@ -109,6 +109,7 @@ pub struct TenantReport {
     pub deviations: u64,
     /// Submissions currently queued or executing.
     pub inflight: u64,
-    /// Accumulated runtime-stat deltas attributed to this tenant.
+    /// Accumulated runtime-stat deltas over this tenant's pool offers
+    /// (made only with fault hooks installed; all zero otherwise).
     pub stats: RuntimeStats,
 }

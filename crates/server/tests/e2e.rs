@@ -95,6 +95,10 @@ fn round_trip_matches_local_replay(server: Server, mut client: BenchClient) {
     assert!(report.drained);
     assert_eq!(report.hung_workers, 0);
     assert_eq!(report.detached_executors, 0);
+    // Without fault hooks the executors run every submission themselves:
+    // nothing is offered to the pool, so no request waits on a worker.
+    assert_eq!(report.runtime_stats.futures_created, 0, "{report:?}");
+    assert_eq!(report.pool_runs, 0);
 }
 
 #[test]
@@ -287,9 +291,9 @@ fn exactly_once_completions_under_injected_worker_kills() {
         (1..=TOTAL).collect::<BTreeSet<u64>>(),
         "lost completions under seed {seed}"
     );
-    // Every submission must still succeed: a retry resolves the same shared
-    // plan, and the executor falls back to inline simulation once the pool
-    // degrades.
+    // Every submission must still succeed: the executor runs each attempt
+    // no worker claimed, against the same shared plans, and runs every
+    // attempt once the pool is gone.
     for c in &completions {
         assert_eq!(
             c.status, STATUS_OK,
@@ -297,7 +301,7 @@ fn exactly_once_completions_under_injected_worker_kills() {
             c.request_id
         );
     }
-    // Simulation results stay deterministic even when computed on a retry,
+    // Simulation results stay deterministic on whichever thread ran them,
     // from a plan built by another request (both passes are checked).
     let tenant = TenantSpec::default_with_seed(5);
     let checked = completions.iter().take(6);
@@ -322,9 +326,10 @@ fn exactly_once_completions_under_injected_worker_kills() {
         "drain must survive worker deaths (seed {seed})"
     );
     // Faults fire before a task's body, so each submission resolved its
-    // plan exactly once however many attempts it took.
+    // plan exactly once, on a worker or on its executor.
     assert_eq!(report.plan.hits + report.plan.misses, TOTAL);
     assert_eq!(report.plan.resident_plans, shapes.len() as u64);
+    assert!(report.pool_runs <= TOTAL, "seed {seed}: {report:?}");
     println!(
         "seed {seed}: pool workers ran {} attempts of {TOTAL} requests",
         report.pool_runs
@@ -404,6 +409,11 @@ fn no_request_strands_behind_the_last_workers_death() {
     let report = server.shutdown(Duration::from_secs(10));
     assert!(report.drained, "seed {seed}");
     assert_eq!(report.plan.hits + report.plan.misses, total, "seed {seed}");
+    // No worker is left to claim an attempt offered after the pool died.
+    assert!(
+        report.pool_runs <= frames_to_die * FRAME,
+        "seed {seed}: {report:?}"
+    );
     println!(
         "seed {seed}: pool workers ran {} attempts of {total} requests",
         report.pool_runs

@@ -36,8 +36,8 @@ use counting_alloc::process_allocs;
 static ALLOC_WINDOW: RwLock<()> = RwLock::new(());
 
 /// A light seeded fault plan (a couple of worker kills and task panics
-/// early in the run): retries and the inline fallback must go through the
-/// same plans as everything else.
+/// early in the run): attempts the executor takes back from the pool must
+/// go through the same plans as everything else.
 fn fault_hooks() -> Option<Arc<dyn FaultHooks>> {
     let seed = fault_seed_from_env()?;
     let spec = FaultSpec {
@@ -416,7 +416,8 @@ fn serve_medium_traffic_runs_on_hits() {
 #[test]
 fn a_warm_hit_allocates_independently_of_dag_size() {
     let _exclusive = ALLOC_WINDOW.write().unwrap();
-    // No fault plan here: a retry allocates a second future.
+    // No fault plan here, so nothing is offered to the pool: the executor
+    // runs every round on its own thread.
     let core = ServerCore::new(ServerConfig {
         runtime_threads: 1,
         executors: 1,
