@@ -24,7 +24,7 @@
 //! the scan's O(C) cost dominates, so the cache is **capacity-adaptive**:
 //! at or below [`SCAN_CROSSOVER`] lines it keeps the seed scan
 //! representation, above it it switches to an indexed slot arena
-//! (intrusive recency list + direct-mapped block→slot index — see the
+//! (intrusive recency ring + direct-mapped block→slot index — see the
 //! private `indexed` module's docs) with O(1) access and eviction. The two
 //! representations are access-for-access identical; `tests/differential.rs`
 //! proves it property-style.

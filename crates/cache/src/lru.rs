@@ -49,7 +49,7 @@ impl ScanLru {
 /// The representation is capacity-adaptive: at or below
 /// [`crate::SCAN_CROSSOVER`] lines the recency order is a plain vector
 /// scanned per access (fastest at the paper's C = 16), above it an indexed
-/// slot arena with an intrusive recency list and a block→slot map gives
+/// slot arena with an intrusive recency ring and a block→slot map gives
 /// O(1) amortized access and eviction at any capacity. Both representations
 /// produce access-for-access identical [`AccessOutcome`] sequences (LRU is
 /// deterministic), which the differential suite in
@@ -137,22 +137,6 @@ impl LruCache {
     pub fn rehint(&mut self, block_space: usize) {
         if let Repr::Indexed(ix) = &mut self.repr {
             ix.rehint(block_space);
-        }
-    }
-
-    /// The least recently used resident block, if any.
-    pub fn lru_block(&self) -> Option<BlockId> {
-        match &self.repr {
-            Repr::Scan(s) => s.order.first().copied(),
-            Repr::Indexed(ix) => ix.head_block(),
-        }
-    }
-
-    /// The most recently used resident block, if any.
-    pub fn mru_block(&self) -> Option<BlockId> {
-        match &self.repr {
-            Repr::Scan(s) => s.order.last().copied(),
-            Repr::Indexed(ix) => ix.tail_block(),
         }
     }
 
@@ -272,22 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_and_mru_tracking() {
-        for mut c in [LruCache::scan(3), LruCache::indexed_dense(3, 0)] {
-            assert_eq!(c.lru_block(), None);
-            assert_eq!(c.mru_block(), None);
-            c.access(5);
-            c.access(6);
-            c.access(7);
-            assert_eq!(c.lru_block(), Some(5));
-            assert_eq!(c.mru_block(), Some(7));
-            c.access(5);
-            assert_eq!(c.lru_block(), Some(6));
-            assert_eq!(c.mru_block(), Some(5));
-        }
-    }
-
-    #[test]
     fn sequential_scan_of_c_plus_one_blocks_thrashes() {
         // The classic LRU pathology exploited by the paper's lower-bound
         // constructions: cyclically accessing C+1 blocks misses every time.
@@ -342,7 +310,7 @@ mod tests {
             c.clear();
             assert!(c.is_empty());
             assert!(!c.contains(1));
-            assert_eq!(c.lru_block(), None);
+            assert_eq!(c.resident_iter().next(), None);
             assert!(c.access(1).is_miss());
         }
     }

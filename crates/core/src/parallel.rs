@@ -16,6 +16,32 @@
 //! processor), which are exactly the quantities bounded by the paper's
 //! theorems.
 //!
+//! # Strands
+//!
+//! Most nodes of the served shapes are *chain* nodes: the node's only
+//! successor has no other predecessor. Completing one enables exactly that
+//! successor, which the parsimonious rule runs next on the same processor;
+//! nothing is pushed, and nothing another processor reads changes. A chain
+//! successor never deviates either: the sequential execution also runs it
+//! right after its only predecessor, and so does the processor that ran
+//! that predecessor. So when a processor takes a node (by a completion, a
+//! steal, or the root at step 0), the simulator may run the whole
+//! in-degree-1 chain from it — the *strand* — in one tight loop: one cache
+//! access and one readiness update per node, a single deviation check at
+//! the strand's first node. The processor is then left on the strand's
+//! last, non-chain node, which completes through the ordinary per-step
+//! path at the step the strand reaches it, and the step loop jumps over
+//! steps in which only strands advance and no idle processor can steal.
+//!
+//! Strands need a [`Scheduler::step_blind`] scheduler — no processor
+//! sleeps mid-chain, no stall hook runs, and `on_complete` for a strand's
+//! last node stands in for all of them — and an untraced run, since a
+//! trace lists completions in (step, processor) order. Every other run
+//! (a [`crate::ScriptedScheduler`] adversary, any traced run) walks one
+//! step at a time, which is also the oracle the strand walk is pinned to
+//! in `crates/core/tests/policy_equivalence.rs`. Both walks produce equal
+//! reports.
+//!
 //! The hot loop is allocation-free in steady state: every buffer lives in a
 //! [`SimScratch`] that callers may reuse across runs, the set of non-empty
 //! deques is an incrementally maintained bitset (so victim selection costs
@@ -133,13 +159,28 @@ impl ParallelSimulator {
             None
         };
 
-        // The computation starts with the root node on processor 0.
-        procs[0].current = Some(dag.root());
+        // Strands need a step-blind scheduler, and an untraced run: a trace
+        // lists completions in (step, processor) order.
+        let strands = scheduler.step_blind() && !record_trace;
 
         let total = dag.num_nodes();
         let budget = self.config.step_budget(dag.work());
         let mut step: u64 = 0;
         let mut makespan = 0;
+
+        // The computation starts with the root node on processor 0.
+        procs[0].current = Some(dag.root());
+        if strands {
+            run_ahead(
+                dag,
+                tracker,
+                &mut procs[0],
+                seq_prev,
+                0,
+                budget,
+                &mut makespan,
+            );
+        }
 
         while tracker.executed_count() < total && step < budget {
             let mut progressed = false;
@@ -153,6 +194,11 @@ impl ParallelSimulator {
                 // no scheduler consumes randomness on an empty candidate
                 // list.)
                 if procs[p].current.is_none() && nonempty.has_no_victim_for(p) {
+                    continue;
+                }
+                // Still inside a strand its walk already ran.
+                if procs[p].ready_at > step {
+                    progressed = true;
                     continue;
                 }
                 if !scheduler.is_awake(p, step) {
@@ -173,7 +219,7 @@ impl ParallelSimulator {
                             step,
                             &mut trace,
                         );
-                        makespan = step + 1;
+                        makespan = makespan.max(step + 1);
                     }
                     None => {
                         // Idle processor: its own deque is drained at
@@ -253,12 +299,29 @@ impl ParallelSimulator {
                         }
                     }
                 }
+                // A current node set in this step, by a completion or a
+                // steal, starts a strand at the next step.
+                if strands && procs[p].current.is_some() {
+                    run_ahead(
+                        dag,
+                        tracker,
+                        &mut procs[p],
+                        seq_prev,
+                        step + 1,
+                        budget,
+                        &mut makespan,
+                    );
+                }
             }
 
             if !progressed {
                 scheduler.on_stalled(step);
             }
-            step += 1;
+            step = if strands {
+                next_step(procs, nonempty, step, budget)
+            } else {
+                step + 1
+            };
         }
 
         // Cache statistics are folded into the per-processor stats once per
@@ -319,6 +382,87 @@ impl ParallelSimulator {
 
         scheduler.on_complete(p, node, step);
     }
+}
+
+/// Walks the strand that starts at `proc.current`, whose first node runs
+/// at step `start`: every chain node (its only successor has no other
+/// predecessor) completes in one tight loop, one step after the other, and
+/// `proc` is left on the strand's last, non-chain node with `ready_at` the
+/// step at which [`ParallelSimulator::complete`] runs it. The walk stops at
+/// `budget`, the first step the run never reaches.
+///
+/// A chain completion touches only this processor's cache and counters
+/// and its successor's readiness word, pushes nothing and runs no steal,
+/// so running it ahead of the other processors' steps is unobservable to
+/// them.
+fn run_ahead(
+    dag: &Dag,
+    tracker: &mut ReadyTracker,
+    proc: &mut Proc,
+    seq_prev: &[Option<NodeId>],
+    start: u64,
+    budget: u64,
+    makespan: &mut u64,
+) {
+    let first = proc
+        .current
+        .expect("a strand starts at the processor's current node");
+    let in_degrees = dag.in_degrees();
+    let mut node = first;
+    let mut last = None;
+    let mut step = start;
+    while step < budget {
+        let record = dag.record(node);
+        let [Some(succ), None] = record.successors() else {
+            break;
+        };
+        if in_degrees[succ.index()] != 1 {
+            break;
+        }
+        debug_assert_eq!(
+            seq_prev.get(succ.index()).copied().flatten(),
+            Some(node),
+            "the sequential order runs a chain successor right after its predecessor"
+        );
+        proc.cache.access_opt(record.block().map(|b| b.0));
+        tracker.retire_chain(node, succ);
+        last = Some(node);
+        node = succ;
+        step += 1;
+    }
+    if last.is_some() {
+        // Only the strand's first node can deviate: every later one runs
+        // right after its only predecessor, as the sequential order does.
+        let expected = seq_prev.get(first.index()).copied().flatten();
+        if proc.last_completed != expected {
+            proc.stats.deviations += 1;
+        }
+        proc.last_completed = last;
+        proc.stats.executed += step - start;
+        *makespan = (*makespan).max(step);
+    }
+    proc.current = Some(node);
+    proc.ready_at = step;
+}
+
+/// The step a strand run visits after `step`: the next one while an idle
+/// processor has a victim to steal from, otherwise the first step at which
+/// a busy processor completes its strand's last node, capped at `budget`.
+/// Only those steps push, pop, steal or count a failed steal.
+fn next_step(procs: &[Proc], nonempty: &NonEmptySet, step: u64, budget: u64) -> u64 {
+    let mut next = budget;
+    for (p, proc) in procs.iter().enumerate() {
+        if proc.current.is_some() {
+            next = next.min(proc.ready_at);
+        } else if !nonempty.has_no_victim_for(p) {
+            return step + 1;
+        }
+    }
+    debug_assert!(
+        next > step,
+        "a busy processor's strand ends after this step"
+    );
+    next
 }
 
 #[cfg(test)]

@@ -72,6 +72,25 @@ impl ReadyTracker {
         })
     }
 
+    /// [`Self::retire`] for a chain node: `succ` is the only successor of
+    /// `node` and has no other predecessor, so it becomes ready and the
+    /// enabled slots are known without reading the record.
+    #[inline]
+    pub(crate) fn retire_chain(&mut self, node: NodeId, succ: NodeId) {
+        debug_assert!(
+            self.is_ready(node),
+            "completing a node whose dependencies have not run, or twice"
+        );
+        debug_assert_eq!(
+            self.remaining[succ.index()],
+            1,
+            "a chain successor has in-degree 1"
+        );
+        self.remaining[node.index()] = Self::EXECUTED;
+        self.remaining[succ.index()] = 0;
+        self.executed_count += 1;
+    }
+
     /// Re-initializes the tracker for `dag`, reusing the existing storage.
     ///
     /// Equivalent to `*self = ReadyTracker::new(dag)` but without allocating

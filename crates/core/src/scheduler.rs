@@ -226,7 +226,9 @@ impl<'a> StealContext<'a> {
 /// Controls processor wake state and steal-victim selection during a
 /// simulated execution.
 pub trait Scheduler {
-    /// Called whenever `proc` completes `node` at `step`.
+    /// Called whenever `proc` completes `node` at `step`; for a
+    /// [`Self::step_blind`] scheduler in an untraced run, only for the last
+    /// node of each strand.
     fn on_complete(&mut self, _proc: usize, _node: NodeId, _step: u64) {}
 
     /// Called when a step passes in which no awake processor made progress
@@ -253,6 +255,22 @@ pub trait Scheduler {
     /// How much a successful steal by this scheduler transfers.
     fn steal_amount(&self) -> StealAmount {
         StealAmount::One
+    }
+
+    /// Whether the simulator may skip this scheduler's per-step and
+    /// per-completion calls inside a strand (see [`crate::ParallelSimulator`]).
+    /// Return `true` only if all three hold:
+    ///
+    /// 1. every processor is always awake (`is_awake` is always `true`);
+    /// 2. `on_stalled` does nothing;
+    /// 3. `on_complete` keeps only state that a processor's latest
+    ///    completion overwrites, so calling it for a strand's last node
+    ///    alone leaves the same state as calling it for every node.
+    ///
+    /// The default is `false`: the simulator then walks every step and
+    /// calls `on_complete` for every node.
+    fn step_blind(&self) -> bool {
+        false
     }
 }
 
@@ -311,6 +329,7 @@ impl PolicyScheduler {
 }
 
 impl Scheduler for PolicyScheduler {
+    #[inline]
     fn on_complete(&mut self, proc: usize, _node: NodeId, _step: u64) {
         // The processor had work, so its next idle phase starts from a
         // fresh waiting budget. (Skipped entirely for patience 0 so eager
@@ -393,6 +412,12 @@ impl Scheduler for PolicyScheduler {
     fn steal_amount(&self) -> StealAmount {
         self.config.amount
     }
+
+    /// Always awake, no stall hook, and `on_complete` only zeroes the
+    /// processor's patience counter.
+    fn step_blind(&self) -> bool {
+        true
+    }
 }
 
 /// The default scheduler: every processor is always awake and victims are
@@ -417,6 +442,10 @@ impl RandomScheduler {
 impl Scheduler for RandomScheduler {
     fn choose_victim(&mut self, thief: usize, ctx: &StealContext<'_>) -> Option<usize> {
         self.inner.choose_victim(thief, ctx)
+    }
+
+    fn step_blind(&self) -> bool {
+        true
     }
 }
 
@@ -694,6 +723,9 @@ mod tests {
         let one = RandomScheduler::new(0);
         assert_eq!(Scheduler::steal_amount(&one), StealAmount::One);
         assert!(!Scheduler::wants_residency(&one));
+        // The policy space runs strands; a scripted adversary never does.
+        assert!(half.step_blind() && Scheduler::step_blind(&one));
+        assert!(!ScriptedScheduler::new().step_blind());
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub(crate) struct Proc {
     pub(crate) deque: SimDeque<NodeId>,
     /// The node this processor executes in its next step.
     pub(crate) current: Option<NodeId>,
+    /// The step at which `current` completes, once a strand walk has run
+    /// the chain before it; until then the processor counts as busy and
+    /// the step loop skips it. Always 0 in a step-at-a-time run.
+    pub(crate) ready_at: u64,
     pub(crate) last_completed: Option<NodeId>,
     pub(crate) cache: CacheSim,
     pub(crate) stats: ProcStats,
@@ -169,6 +173,7 @@ impl SimScratch {
             self.procs.extend((0..p_count).map(|_| Proc {
                 deque: SimDeque::new(),
                 current: None,
+                ready_at: 0,
                 last_completed: None,
                 cache: CacheSim::with_block_hint(lines, block_space),
                 stats: ProcStats::default(),
@@ -178,6 +183,7 @@ impl SimScratch {
             for proc in &mut self.procs {
                 proc.deque.clear();
                 proc.current = None;
+                proc.ready_at = 0;
                 proc.last_completed = None;
                 proc.cache.reset();
                 proc.cache.rehint(block_space);

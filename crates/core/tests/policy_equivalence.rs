@@ -7,7 +7,8 @@
 //! baselines have no second type to compare with: they *are*
 //! `PolicyConfig::parsimonious`.) Plus the `StealAmount::Half` invariants:
 //! exactly-once delivery and a consistent incrementally-maintained
-//! non-empty set.
+//! non-empty set. And the strand walk: a step-blind scheduler's untraced
+//! run equals the step-at-a-time walk counter for counter.
 
 use wsf_core::{
     ForkPolicy, ParallelSimulator, PolicyConfig, PolicyScheduler, RandomScheduler, Scheduler,
@@ -15,6 +16,7 @@ use wsf_core::{
 };
 use wsf_dag::NodeId;
 use wsf_workloads::random::{random_single_touch, RandomConfig};
+use wsf_workloads::submission::{ShapeScratch, ShapeSpec};
 
 /// Deterministic xorshift64* for generating randomized call sequences
 /// (proptest-style sampling without the dependency).
@@ -265,6 +267,142 @@ fn theorem_bounds_hold_over_sampled_policy_points() {
                     "{cfg:?} at P={processors}: {extra} extra misses exceed the \
                      Theorem-8 miss bound {miss_bound}"
                 );
+            }
+        }
+    }
+}
+
+/// `S` with `step_blind() == false`: the simulator walks every step and
+/// calls `on_complete` for every node, as it does for a scripted adversary.
+struct Stepwise<S>(S);
+
+impl<S: Scheduler> Scheduler for Stepwise<S> {
+    fn on_complete(&mut self, proc: usize, node: NodeId, step: u64) {
+        self.0.on_complete(proc, node, step);
+    }
+
+    fn choose_victim(&mut self, thief: usize, ctx: &StealContext<'_>) -> Option<usize> {
+        self.0.choose_victim(thief, ctx)
+    }
+
+    fn wants_residency(&self) -> bool {
+        self.0.wants_residency()
+    }
+
+    fn steal_amount(&self) -> StealAmount {
+        self.0.steal_amount()
+    }
+}
+
+/// Every per-processor counter of a report, cache hits, misses and silent
+/// instructions included.
+fn proc_counters(report: &wsf_core::ExecutionReport) -> Vec<[u64; 7]> {
+    report
+        .per_proc
+        .iter()
+        .map(|s| {
+            [
+                s.executed,
+                s.steals,
+                s.failed_steals,
+                s.deviations,
+                s.cache.hits,
+                s.cache.misses,
+                s.cache.silent,
+            ]
+        })
+        .collect()
+}
+
+/// The strand walk (an untraced run of a step-blind scheduler runs each
+/// in-degree-1 chain ahead in one loop and jumps over the steps in which
+/// only chains advance) must equal the step-at-a-time walk it replaces.
+/// The benchmark's oracle (`benchmark/src/adapter.rs::expected`) calls the
+/// same simulator, so it cannot catch a strand-walk bug: this test is the
+/// check. It covers the served shapes, every policy preset plus a
+/// `LastVictim`/`Half`/patience-1/`prefer_cached` point, both fork
+/// policies, cache sizes on both sides of the scan crossover, and runs cut
+/// short by a step budget.
+#[test]
+fn strand_walk_matches_the_stepwise_walk() {
+    let mut scratch = ShapeScratch::new();
+    let mut dags: Vec<wsf_dag::Dag> = [
+        ShapeSpec::Mergesort { leaves: 512 },
+        ShapeSpec::Stencil {
+            rows: 16,
+            width: 64,
+            steps: 8,
+        },
+        ShapeSpec::Pipeline {
+            stages: 8,
+            items: 256,
+            window: 8,
+            work: 4,
+        },
+    ]
+    .iter()
+    .map(|spec| spec.build_into(&mut wsf_dag::DagBuilder::new(), &mut scratch))
+    .collect();
+    dags.push(random_single_touch(&RandomConfig {
+        target_nodes: 3_000,
+        seed: 17,
+        ..RandomConfig::default()
+    }));
+    dags.push(wsf_workloads::sort::mergesort(256, 8));
+    let configs = [
+        PolicyConfig::ws_random(3),
+        PolicyConfig::parsimonious(2),
+        PolicyConfig::ws_half(3),
+        PolicyConfig::rr_eager(),
+        PolicyConfig::loaded_frugal(),
+        PolicyConfig {
+            order: VictimOrder::LastVictim,
+            amount: StealAmount::Half,
+            patience: 1,
+            prefer_cached: true,
+        },
+    ];
+    let mut sim_scratch = SimScratch::new();
+    for dag in &dags {
+        let nodes = dag.num_nodes() as u64;
+        for fork_policy in ForkPolicy::ALL {
+            for cache_lines in [8usize, 64] {
+                let seq = ParallelSimulator::new(SimConfig::new(1, cache_lines, fork_policy))
+                    .sequential(dag);
+                for processors in [1usize, 2, 3, 4, 8] {
+                    for max_steps in [None, Some(nodes / 7)] {
+                        let sim = ParallelSimulator::new(SimConfig {
+                            processors,
+                            cache_lines,
+                            fork_policy,
+                            max_steps,
+                            ..SimConfig::default()
+                        });
+                        for cfg in configs {
+                            let strand = sim.run_with_scratch(
+                                dag,
+                                &seq,
+                                &mut PolicyScheduler::new(cfg),
+                                false,
+                                &mut sim_scratch,
+                            );
+                            let stepwise = sim.run_with_scratch(
+                                dag,
+                                &seq,
+                                &mut Stepwise(PolicyScheduler::new(cfg)),
+                                false,
+                                &mut sim_scratch,
+                            );
+                            let at = format!(
+                                "{nodes} nodes, {cfg:?}, P={processors}, C={cache_lines}, \
+                                 {fork_policy}, max_steps {max_steps:?}"
+                            );
+                            assert_eq!(strand.makespan, stepwise.makespan, "{at}");
+                            assert_eq!(strand.completed, stepwise.completed, "{at}");
+                            assert_eq!(proc_counters(&strand), proc_counters(&stepwise), "{at}");
+                        }
+                    }
+                }
             }
         }
     }
