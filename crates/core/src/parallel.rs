@@ -42,6 +42,22 @@
 //! in `crates/core/tests/policy_equivalence.rs`. Both walks produce equal
 //! reports.
 //!
+//! # Touch-once DAGs
+//!
+//! When no block is touched by two nodes ([`SeqReport::reuses_blocks`] is
+//! `false`), every access is the first one to its block: it misses in
+//! every cache of every capacity, whichever processor makes it and
+//! whatever ran before. An LRU cache then cannot change a count: a
+//! processor's misses are its block-carrying completions, its silent
+//! accesses its block-less ones, and its hits 0. So such a run counts
+//! instead of caching and makes no cache call, with the report the caches
+//! would give; the differential in `crates/core/tests/touch_once.rs` holds
+//! it there. A scheduler that reads residency
+//! ([`Scheduler::wants_residency`]) keeps its caches. On such a DAG its
+//! probe can only read "not resident", since the victim's top block
+//! belongs to that unrun node alone (the same test checks this), but what
+//! it reads then comes from a real cache rather than from that argument.
+//!
 //! The hot loop is allocation-free in steady state: every buffer lives in a
 //! [`SimScratch`] that callers may reuse across runs, the set of non-empty
 //! deques is an incrementally maintained bitset (so victim selection costs
@@ -54,7 +70,7 @@ use crate::report::{ExecutionReport, SeqReport, TraceEvent};
 use crate::scheduler::{RandomScheduler, Scheduler, StealAmount, StealContext};
 use crate::scratch::{NonEmptySet, Proc, SimScratch};
 use crate::sequential::SequentialExecutor;
-use wsf_dag::{Dag, NodeId};
+use wsf_dag::{Block, Dag, NodeId};
 
 /// A simulated parallel execution of a computation DAG under parsimonious
 /// work stealing.
@@ -162,6 +178,9 @@ impl ParallelSimulator {
         // Strands need a step-blind scheduler, and an untraced run: a trace
         // lists completions in (step, processor) order.
         let strands = scheduler.step_blind() && !record_trace;
+        // On a touch-once DAG every access misses, so counting is the
+        // cache; a scheduler that probes residency keeps a real one.
+        let count_only = !seq.reuses_blocks() && !wants_residency;
 
         let total = dag.num_nodes();
         let budget = self.config.step_budget(dag.work());
@@ -176,6 +195,7 @@ impl ParallelSimulator {
                 tracker,
                 &mut procs[0],
                 seq_prev,
+                count_only,
                 0,
                 budget,
                 &mut makespan,
@@ -212,6 +232,7 @@ impl ParallelSimulator {
                             tracker,
                             &mut procs[p],
                             seq_prev,
+                            count_only,
                             nonempty,
                             scheduler,
                             p,
@@ -307,6 +328,7 @@ impl ParallelSimulator {
                         tracker,
                         &mut procs[p],
                         seq_prev,
+                        count_only,
                         step + 1,
                         budget,
                         &mut makespan,
@@ -325,9 +347,11 @@ impl ParallelSimulator {
         }
 
         // Cache statistics are folded into the per-processor stats once per
-        // run, not once per completion.
-        for proc in procs.iter_mut() {
-            proc.stats.cache = proc.cache.stats();
+        // run, not once per completion; a counting run kept them there.
+        if !count_only {
+            for proc in procs.iter_mut() {
+                proc.stats.cache = proc.cache.stats();
+            }
         }
         ExecutionReport {
             per_proc: procs.iter().map(|p| p.stats.clone()).collect(),
@@ -344,6 +368,7 @@ impl ParallelSimulator {
         tracker: &mut ReadyTracker,
         proc: &mut Proc,
         seq_prev: &[Option<NodeId>],
+        count_only: bool,
         nonempty: &mut NonEmptySet,
         scheduler: &mut S,
         p: usize,
@@ -352,7 +377,7 @@ impl ParallelSimulator {
         trace: &mut Option<Vec<TraceEvent>>,
     ) {
         let record = dag.record(node);
-        proc.cache.access_opt(record.block().map(|b| b.0));
+        touch(proc, record.block(), count_only);
         proc.stats.executed += 1;
 
         // A node is a deviation unless this same processor executed its
@@ -384,6 +409,21 @@ impl ParallelSimulator {
     }
 }
 
+/// The cache access of a node that touches `block`: counted as a miss
+/// (or a silent access) on a touch-once run, where the cache could only
+/// say the same, and run through the processor's LRU cache otherwise.
+#[inline]
+fn touch(proc: &mut Proc, block: Option<Block>, count_only: bool) {
+    if count_only {
+        match block {
+            Some(_) => proc.stats.cache.misses += 1,
+            None => proc.stats.cache.silent += 1,
+        }
+    } else {
+        proc.cache.access_opt(block.map(|b| b.0));
+    }
+}
+
 /// Walks the strand that starts at `proc.current`, whose first node runs
 /// at step `start`: every chain node (its only successor has no other
 /// predecessor) completes in one tight loop, one step after the other, and
@@ -395,11 +435,13 @@ impl ParallelSimulator {
 /// and its successor's readiness word, pushes nothing and runs no steal,
 /// so running it ahead of the other processors' steps is unobservable to
 /// them.
+#[allow(clippy::too_many_arguments)]
 fn run_ahead(
     dag: &Dag,
     tracker: &mut ReadyTracker,
     proc: &mut Proc,
     seq_prev: &[Option<NodeId>],
+    count_only: bool,
     start: u64,
     budget: u64,
     makespan: &mut u64,
@@ -424,7 +466,7 @@ fn run_ahead(
             Some(node),
             "the sequential order runs a chain successor right after its predecessor"
         );
-        proc.cache.access_opt(record.block().map(|b| b.0));
+        touch(proc, record.block(), count_only);
         tracker.retire_chain(node, succ);
         last = Some(node);
         node = succ;

@@ -16,25 +16,53 @@ pub struct SeqReport {
     order: Vec<NodeId>,
     /// `prev[n]`: the node executed immediately before `n` in `order`.
     prev: Vec<Option<NodeId>>,
+    /// Whether some block is touched by more than one node.
+    reuses_blocks: bool,
     /// Cache statistics of the single processor.
     pub cache: CacheStats,
 }
 
 impl SeqReport {
     /// The report of a sequential execution that ran `order` with `cache`
-    /// statistics; derives the predecessor table.
+    /// statistics; derives the predecessor table. It knows nothing of the
+    /// DAG's blocks, so it says [`SeqReport::reuses_blocks`] is `true`.
     pub fn new(order: Vec<NodeId>, cache: CacheStats) -> Self {
+        Self::with_reuse(order, cache, true)
+    }
+
+    /// Like [`SeqReport::new`], for a walk that observed whether some
+    /// block recurs.
+    pub(crate) fn with_reuse(order: Vec<NodeId>, cache: CacheStats, reuses_blocks: bool) -> Self {
         let len = order.iter().map(|n| n.index() + 1).max().unwrap_or(0);
         let mut prev = vec![None; len];
         for pair in order.windows(2) {
             prev[pair[1].index()] = Some(pair[0]);
         }
-        SeqReport { order, prev, cache }
+        SeqReport {
+            order,
+            prev,
+            reuses_blocks,
+            cache,
+        }
     }
 
     /// The nodes in execution order.
     pub fn order(&self) -> &[NodeId] {
         &self.order
+    }
+
+    /// Whether some block of the DAG is touched by more than one node.
+    ///
+    /// `false` means every block is touched once: each access misses at
+    /// every capacity under every schedule, so an execution's misses are
+    /// its block-carrying completions and its hits are 0.
+    /// [`crate::ParallelSimulator`] then counts instead of caching (unless
+    /// the scheduler reads residency), and a capacity sweep reads its miss
+    /// curves off those counts. Only [`crate::SequentialExecutor::run`],
+    /// which visits every node's block, can report `false`; a report made
+    /// by [`SeqReport::new`] is conservative and says `true`.
+    pub fn reuses_blocks(&self) -> bool {
+        self.reuses_blocks
     }
 
     /// Number of cache misses of the sequential execution.
@@ -219,5 +247,9 @@ mod tests {
     fn empty_order_has_no_predecessors() {
         let s = SeqReport::new(vec![], CacheStats::default());
         assert!(s.predecessors().is_empty());
+        assert!(
+            s.reuses_blocks(),
+            "a report built from an order is conservative"
+        );
     }
 }

@@ -9,7 +9,7 @@
 use crate::policy::ForkPolicy;
 use crate::ready::{next_and_push, ReadyTracker};
 use crate::report::SeqReport;
-use wsf_cache::CacheSim;
+use wsf_cache::{CacheSim, MAX_BLOCK_SPACE};
 use wsf_dag::{Dag, NodeId};
 use wsf_deque::SimDeque;
 
@@ -41,8 +41,9 @@ impl SequentialExecutor {
         self.fork_policy
     }
 
-    /// Runs the sequential execution and returns its node order and cache
-    /// statistics.
+    /// Runs the sequential execution and returns its node order, its cache
+    /// statistics and whether some block is touched twice
+    /// ([`SeqReport::reuses_blocks`]).
     ///
     /// # Panics
     /// Panics if the execution does not visit every node, which indicates a
@@ -54,11 +55,30 @@ impl SequentialExecutor {
         // space selects the direct-mapped cache index at large capacities.
         let mut cache = CacheSim::with_block_hint(self.cache_lines, dag.block_space());
         let mut order = Vec::with_capacity(dag.num_nodes());
+        // One bit per block, set at the block's first touch; `repeats`
+        // collects the bits a later touch finds already set. A block space
+        // past the caches' limit is not tracked and counts as reused.
+        let tracked = dag.block_space() <= MAX_BLOCK_SPACE;
+        let words = if tracked {
+            dag.block_space().div_ceil(64)
+        } else {
+            0
+        };
+        let mut touched = vec![0u64; words];
+        let mut repeats = 0u64;
 
         let mut current = Some(dag.root());
         while let Some(node) = current {
             let record = dag.record(node);
-            cache.access_opt(record.block().map(|b| b.0));
+            let block = record.block().map(|b| b.0);
+            cache.access_opt(block);
+            if let Some(b) = block {
+                if let Some(word) = touched.get_mut(b as usize / 64) {
+                    let bit = 1u64 << (b % 64);
+                    repeats |= *word & bit;
+                    *word |= bit;
+                }
+            }
             order.push(node);
 
             let enabled = tracker.retire(node, record);
@@ -74,7 +94,7 @@ impl SequentialExecutor {
             dag.num_nodes(),
             "sequential execution did not reach every node"
         );
-        SeqReport::new(order, cache.stats())
+        SeqReport::with_reuse(order, cache.stats(), !tracked || repeats != 0)
     }
 }
 
@@ -189,8 +209,33 @@ mod tests {
             .run(&dag);
         assert_eq!(report.cache.misses, 2);
         assert_eq!(report.cache.hits, 2);
+        assert!(report.reuses_blocks());
         // The root and final nodes have no block: counted as silent.
         assert_eq!(report.cache.silent as usize, dag.num_nodes() - 4);
+    }
+
+    #[test]
+    fn a_walk_records_whether_a_block_recurs() {
+        let run = |blocks: &[u32]| {
+            let mut b = DagBuilder::new();
+            let main = b.main_thread();
+            for &blk in blocks {
+                b.task_block(main, Block(blk));
+            }
+            let dag = b.finish().unwrap();
+            SequentialExecutor::new(ForkPolicy::FutureFirst)
+                .run(&dag)
+                .reuses_blocks()
+        };
+        assert!(!run(&[]), "no block at all");
+        assert!(!run(&[3, 0, 64, 1, 200]));
+        assert!(run(&[3, 0, 64, 3]));
+        assert!(run(&[130, 130]));
+        assert!(!run(&[(MAX_BLOCK_SPACE - 1) as u32]));
+        assert!(
+            run(&[MAX_BLOCK_SPACE as u32]),
+            "a block space past the caches' limit is not tracked"
+        );
     }
 
     #[test]
