@@ -20,9 +20,7 @@
 //!   is simulated once, traced, and every cache size is read off the
 //!   resulting miss-ratio curves. That is exact because no sweep scheduler
 //!   reads cache state (`docs/DESIGN.md` §4; [`seed_sweep_cells`] asserts
-//!   it). On a DAG that touches no block twice the curves are the runs'
-//!   counts, all cold misses, so those runs go untraced and nothing is
-//!   profiled, exactly for every scheduler;
+//!   it);
 //! * each sweep reuses one [`SimScratch`], so repeated simulations allocate
 //!   nothing per step.
 
@@ -188,14 +186,6 @@ pub struct CapacitySweep {
 /// `crates/cache/tests/stack_distance_differential.rs` holds the curves,
 /// and this module's `capacity_sweep_matches_per_capacity_simulation` holds
 /// every field of the sweep, to per-capacity `ParallelSimulator` runs.
-///
-/// A touch-once DAG ([`SeqReport::reuses_blocks`] is `false`) needs
-/// neither a trace nor the profiler: each access misses at every capacity
-/// in any order, so every curve is [`MissRatioCurve::all_cold`] of its
-/// run's counts, and the runs go untraced (a step-blind scheduler takes
-/// the strand walk). That is exact for *every* scheduler, `prefer_cached`
-/// included: its run keeps the C = 8 cache its victim choices read, so
-/// its schedule is the traced run's, and no capacity can change a count.
 pub fn capacity_sweep(
     dag: &Dag,
     fork_policy: ForkPolicy,
@@ -207,14 +197,7 @@ pub fn capacity_sweep(
         ..SimConfig::default()
     };
     let seq = ParallelSimulator::new(base).sequential(dag);
-    // On a touch-once DAG every access is cold in any order: the curves
-    // are the runs' own counts, and no run needs a trace.
-    let touch_once = !seq.reuses_blocks();
-    let seq_curve = if touch_once {
-        MissRatioCurve::all_cold(seq.cache)
-    } else {
-        sequential_curve(dag, &seq)
-    };
+    let seq_curve = sequential_curve(dag, &seq);
     let mut scratch = SimScratch::new();
     let mut runs = Vec::with_capacity(processors.len() * schedulers.len());
     for &p in processors {
@@ -231,21 +214,16 @@ pub fn capacity_sweep(
                 dag,
                 &seq,
                 &mut sched,
-                !touch_once,
+                true,
                 &mut scratch,
             );
-            let curve = if touch_once {
-                MissRatioCurve::all_cold(rep.cache())
-            } else {
-                parallel_curve(dag, &rep)
-            };
             runs.push(CapacityRun {
                 processors: p,
                 scheduler,
                 deviations: rep.deviations(),
                 steals: rep.steals(),
                 makespan: rep.makespan,
-                curve,
+                curve: parallel_curve(dag, &rep),
             });
         }
     }
@@ -455,13 +433,13 @@ mod tests {
     #[test]
     fn capacity_sweep_matches_per_capacity_simulation() {
         // The exactness oracle behind every table built on `capacity_sweep`
-        // (E12, E13, E15–E18): each field of the one execution — and its
-        // curve read at C — equals a `ParallelSimulator` run configured
-        // with `cache_lines = C` that simulates its caches. Both bound
-        // families are held to it: the Theorem-12 mergesort, and the
-        // Theorem-16/18 symmetric-exchange stencils (super final node;
-        // `steps = 1` and `steps > 1`), each at capacities on both sides
-        // of its working set.
+        // (E12, E13, E15–E18): each field of the one traced execution —
+        // and its curve read at C — equals a `ParallelSimulator` run
+        // configured with `cache_lines = C` that simulates its caches.
+        // Both bound families are held to it: the Theorem-12 mergesort, and
+        // the Theorem-16/18 symmetric-exchange stencils (super final node;
+        // `steps = 1` and `steps > 1`), each at capacities on both sides of
+        // its working set.
         use wsf_workloads::{sort, stencil};
         let schedulers = [PolicySpec::ws_random(), PolicySpec::parsimonious()];
         let processors = [2usize, 4];
@@ -497,8 +475,8 @@ mod tests {
                 };
                 // The sequential executor always runs its cache. The
                 // oracle's runs get a report that does not say the DAG is
-                // touch-once, so they run their caches too and stay
-                // independent of the counting the sweep may take.
+                // touch-once, so they run their caches too rather than
+                // count.
                 let seq = ParallelSimulator::new(base).sequential(&dag);
                 assert_eq!(sweep.seq_curve.misses_at(c), seq.cache_misses());
                 let seq = SeqReport::new(seq.order().to_vec(), seq.cache);

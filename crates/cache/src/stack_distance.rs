@@ -337,19 +337,6 @@ pub struct MissRatioCurve {
 }
 
 impl MissRatioCurve {
-    /// The curve of a trace whose every access is the first to its block,
-    /// read off the `stats` of any LRU cache that ran it: each block access
-    /// is a cold miss at every capacity. Equal to the profiled curve of
-    /// the same trace, without profiling it.
-    pub fn all_cold(stats: CacheStats) -> Self {
-        debug_assert_eq!(stats.hits, 0, "a touch-once trace never hits");
-        MissRatioCurve {
-            cum_hits: vec![0],
-            cold: stats.misses,
-            silent: stats.silent,
-        }
-    }
-
     /// Total block accesses profiled (hits at infinite capacity plus cold
     /// misses).
     pub fn accesses(&self) -> u64 {
@@ -486,20 +473,6 @@ mod tests {
         assert_eq!(curve.hits_at(3), 6);
         assert_eq!(curve.max_finite_distance(), 3);
         assert!((curve.miss_ratio_at(3) - 3.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn an_all_cold_curve_equals_the_profiled_one() {
-        let mut sd = crate::StackDistanceSim::new();
-        let mut cache = crate::CacheSim::new(4);
-        for block in [Some(5), None, Some(0), Some(9), None, Some(1)] {
-            sd.access_opt(block);
-            cache.access_opt(block);
-        }
-        let curve = MissRatioCurve::all_cold(cache.stats());
-        assert_eq!(curve, sd.curve());
-        assert_eq!(curve.misses_at(1), 4);
-        assert_eq!(curve.stats_at(1 << 20), cache.stats());
     }
 
     #[test]

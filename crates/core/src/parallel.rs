@@ -50,13 +50,10 @@
 //! whatever ran before. An LRU cache then cannot change a count: a
 //! processor's misses are its block-carrying completions, its silent
 //! accesses its block-less ones, and its hits 0. So such a run counts
-//! instead of caching and makes no cache call, with the report the caches
-//! would give; the differential in `crates/core/tests/touch_once.rs` holds
-//! it there. A scheduler that reads residency
-//! ([`Scheduler::wants_residency`]) keeps its caches. On such a DAG its
-//! probe can only read "not resident", since the victim's top block
-//! belongs to that unrun node alone (the same test checks this), but what
-//! it reads then comes from a real cache rather than from that argument.
+//! instead of caching, with the report the caches would give. Its caches
+//! stay empty, so a residency probe reads "not resident", as a real cache
+//! would: the victim's top block belongs to that unrun node alone. The
+//! differential in `crates/core/tests/touch_once.rs` holds both there.
 //!
 //! The hot loop is allocation-free in steady state: every buffer lives in a
 //! [`SimScratch`] that callers may reuse across runs, the set of non-empty
@@ -150,6 +147,27 @@ impl ParallelSimulator {
         record_trace: bool,
         scratch: &mut SimScratch,
     ) -> ExecutionReport {
+        // On a touch-once DAG every access misses, so counting is the
+        // cache. A residency probe then reads the empty caches left by
+        // `reset_procs`, which is what a real cache would say. Each choice
+        // gets its own loop, so the cache path pays no per-access test.
+        if seq.reuses_blocks() {
+            self.simulate::<S, false>(dag, seq, scheduler, record_trace, scratch)
+        } else {
+            self.simulate::<S, true>(dag, seq, scheduler, record_trace, scratch)
+        }
+    }
+
+    /// [`ParallelSimulator::run_with_scratch`], counting misses instead of
+    /// running the caches when `COUNT_ONLY`.
+    fn simulate<S: Scheduler + ?Sized, const COUNT_ONLY: bool>(
+        &self,
+        dag: &Dag,
+        seq: &SeqReport,
+        scheduler: &mut S,
+        record_trace: bool,
+        scratch: &mut SimScratch,
+    ) -> ExecutionReport {
         let p_count = self.config.processors.max(1);
         scratch.reset_procs(p_count, self.config.cache_lines, dag.block_space());
         scratch.tracker.reset(dag);
@@ -178,9 +196,6 @@ impl ParallelSimulator {
         // Strands need a step-blind scheduler, and an untraced run: a trace
         // lists completions in (step, processor) order.
         let strands = scheduler.step_blind() && !record_trace;
-        // On a touch-once DAG every access misses, so counting is the
-        // cache; a scheduler that probes residency keeps a real one.
-        let count_only = !seq.reuses_blocks() && !wants_residency;
 
         let total = dag.num_nodes();
         let budget = self.config.step_budget(dag.work());
@@ -190,12 +205,11 @@ impl ParallelSimulator {
         // The computation starts with the root node on processor 0.
         procs[0].current = Some(dag.root());
         if strands {
-            run_ahead(
+            run_ahead::<COUNT_ONLY>(
                 dag,
                 tracker,
                 &mut procs[0],
                 seq_prev,
-                count_only,
                 0,
                 budget,
                 &mut makespan,
@@ -227,12 +241,11 @@ impl ParallelSimulator {
                 match procs[p].current {
                     Some(node) => {
                         progressed = true;
-                        self.complete(
+                        self.complete::<S, COUNT_ONLY>(
                             dag,
                             tracker,
                             &mut procs[p],
                             seq_prev,
-                            count_only,
                             nonempty,
                             scheduler,
                             p,
@@ -323,12 +336,11 @@ impl ParallelSimulator {
                 // A current node set in this step, by a completion or a
                 // steal, starts a strand at the next step.
                 if strands && procs[p].current.is_some() {
-                    run_ahead(
+                    run_ahead::<COUNT_ONLY>(
                         dag,
                         tracker,
                         &mut procs[p],
                         seq_prev,
-                        count_only,
                         step + 1,
                         budget,
                         &mut makespan,
@@ -348,7 +360,7 @@ impl ParallelSimulator {
 
         // Cache statistics are folded into the per-processor stats once per
         // run, not once per completion; a counting run kept them there.
-        if !count_only {
+        if !COUNT_ONLY {
             for proc in procs.iter_mut() {
                 proc.stats.cache = proc.cache.stats();
             }
@@ -362,13 +374,12 @@ impl ParallelSimulator {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn complete<S: Scheduler + ?Sized>(
+    fn complete<S: Scheduler + ?Sized, const COUNT_ONLY: bool>(
         &self,
         dag: &Dag,
         tracker: &mut ReadyTracker,
         proc: &mut Proc,
         seq_prev: &[Option<NodeId>],
-        count_only: bool,
         nonempty: &mut NonEmptySet,
         scheduler: &mut S,
         p: usize,
@@ -377,7 +388,7 @@ impl ParallelSimulator {
         trace: &mut Option<Vec<TraceEvent>>,
     ) {
         let record = dag.record(node);
-        touch(proc, record.block(), count_only);
+        touch::<COUNT_ONLY>(proc, record.block());
         proc.stats.executed += 1;
 
         // A node is a deviation unless this same processor executed its
@@ -413,8 +424,8 @@ impl ParallelSimulator {
 /// (or a silent access) on a touch-once run, where the cache could only
 /// say the same, and run through the processor's LRU cache otherwise.
 #[inline]
-fn touch(proc: &mut Proc, block: Option<Block>, count_only: bool) {
-    if count_only {
+fn touch<const COUNT_ONLY: bool>(proc: &mut Proc, block: Option<Block>) {
+    if COUNT_ONLY {
         match block {
             Some(_) => proc.stats.cache.misses += 1,
             None => proc.stats.cache.silent += 1,
@@ -435,13 +446,11 @@ fn touch(proc: &mut Proc, block: Option<Block>, count_only: bool) {
 /// and its successor's readiness word, pushes nothing and runs no steal,
 /// so running it ahead of the other processors' steps is unobservable to
 /// them.
-#[allow(clippy::too_many_arguments)]
-fn run_ahead(
+fn run_ahead<const COUNT_ONLY: bool>(
     dag: &Dag,
     tracker: &mut ReadyTracker,
     proc: &mut Proc,
     seq_prev: &[Option<NodeId>],
-    count_only: bool,
     start: u64,
     budget: u64,
     makespan: &mut u64,
@@ -466,7 +475,7 @@ fn run_ahead(
             Some(node),
             "the sequential order runs a chain successor right after its predecessor"
         );
-        touch(proc, record.block(), count_only);
+        touch::<COUNT_ONLY>(proc, record.block());
         tracker.retire_chain(node, succ);
         last = Some(node);
         node = succ;

@@ -56,11 +56,10 @@ impl SeqReport {
     /// `false` means every block is touched once: each access misses at
     /// every capacity under every schedule, so an execution's misses are
     /// its block-carrying completions and its hits are 0.
-    /// [`crate::ParallelSimulator`] then counts instead of caching (unless
-    /// the scheduler reads residency), and a capacity sweep reads its miss
-    /// curves off those counts. Only [`crate::SequentialExecutor::run`],
-    /// which visits every node's block, can report `false`; a report made
-    /// by [`SeqReport::new`] is conservative and says `true`.
+    /// [`crate::ParallelSimulator`] then counts instead of caching. Only
+    /// [`crate::SequentialExecutor::run`], which visits every node's block,
+    /// can report `false`; a report made by [`SeqReport::new`] is
+    /// conservative and says `true`.
     pub fn reuses_blocks(&self) -> bool {
         self.reuses_blocks
     }

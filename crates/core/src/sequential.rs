@@ -55,30 +55,11 @@ impl SequentialExecutor {
         // space selects the direct-mapped cache index at large capacities.
         let mut cache = CacheSim::with_block_hint(self.cache_lines, dag.block_space());
         let mut order = Vec::with_capacity(dag.num_nodes());
-        // One bit per block, set at the block's first touch; `repeats`
-        // collects the bits a later touch finds already set. A block space
-        // past the caches' limit is not tracked and counts as reused.
-        let tracked = dag.block_space() <= MAX_BLOCK_SPACE;
-        let words = if tracked {
-            dag.block_space().div_ceil(64)
-        } else {
-            0
-        };
-        let mut touched = vec![0u64; words];
-        let mut repeats = 0u64;
 
         let mut current = Some(dag.root());
         while let Some(node) = current {
             let record = dag.record(node);
-            let block = record.block().map(|b| b.0);
-            cache.access_opt(block);
-            if let Some(b) = block {
-                if let Some(word) = touched.get_mut(b as usize / 64) {
-                    let bit = 1u64 << (b % 64);
-                    repeats |= *word & bit;
-                    *word |= bit;
-                }
-            }
+            cache.access_opt(record.block().map(|b| b.0));
             order.push(node);
 
             let enabled = tracker.retire(node, record);
@@ -94,8 +75,31 @@ impl SequentialExecutor {
             dag.num_nodes(),
             "sequential execution did not reach every node"
         );
-        SeqReport::with_reuse(order, cache.stats(), !tracked || repeats != 0)
+        // A hit is a second touch of its block. Only a walk without one
+        // has to look for a repeat the cache evicted before it recurred.
+        let stats = cache.stats();
+        let reuses_blocks = stats.hits > 0 || some_block_repeats(dag);
+        SeqReport::with_reuse(order, stats, reuses_blocks)
     }
+}
+
+/// Whether two nodes of `dag` touch the same block: one bit per block, set
+/// at the block's first touch. A block space past the caches' limit is not
+/// scanned and counts as reused.
+fn some_block_repeats(dag: &Dag) -> bool {
+    if dag.block_space() > MAX_BLOCK_SPACE {
+        return true;
+    }
+    let mut touched = vec![0u64; dag.block_space().div_ceil(64)];
+    let mut repeats = 0u64;
+    for node in dag.node_ids() {
+        if let Some(b) = dag.block_of(node) {
+            let (word, bit) = (&mut touched[b.0 as usize / 64], 1u64 << (b.0 % 64));
+            repeats |= *word & bit;
+            *word |= bit;
+        }
+    }
+    repeats != 0
 }
 
 #[cfg(test)]
@@ -231,6 +235,8 @@ mod tests {
         assert!(!run(&[3, 0, 64, 1, 200]));
         assert!(run(&[3, 0, 64, 3]));
         assert!(run(&[130, 130]));
+        let evicted: Vec<u32> = (0..=8).chain([0]).collect();
+        assert!(run(&evicted), "a repeat the 8-line cache evicted first");
         assert!(!run(&[(MAX_BLOCK_SPACE - 1) as u32]));
         assert!(
             run(&[MAX_BLOCK_SPACE as u32]),

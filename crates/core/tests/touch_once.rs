@@ -72,10 +72,9 @@ fn some_block_repeats(dag: &Dag) -> bool {
     blocks.len() != all
 }
 
-/// A scheduler that, on a touch-once DAG (`touch_once`), checks what would
-/// make counting exact for a residency reader too: no victim's top block
-/// is ever resident in a thief's cache, since only that unrun node
-/// touches it.
+/// A scheduler that, on a touch-once DAG (`touch_once`), checks what makes
+/// counting exact for a residency reader too: even a real cache never
+/// holds a victim's top block, since only that unrun node touches it.
 struct NeverResident {
     inner: PolicyScheduler,
     touch_once: bool,
