@@ -1,190 +1,48 @@
-//! A lock-free MPMC injector queue for external task submission.
+//! The MPMC injector queue for external task submission.
 //!
 //! The runtime's workers each own a Chase–Lev deque ([`crate::chase_lev`]),
 //! but tasks submitted from *outside* the pool need a queue any thread may
-//! push to and any worker may steal from. This module provides that as an
-//! unbounded segmented FIFO in the style of crossbeam's `SegQueue` /
-//! `Injector`: a singly-linked list of fixed-size segments, with producers
-//! claiming slots by a fetch-add on the tail segment's push cursor and
-//! consumers claiming them by a CAS loop on the head segment's pop cursor.
-//! Push and steal are lock-free: a stalled thread can delay only the
-//! consumer that claimed the very slot it is mid-publishing (as in
-//! crossbeam's `SegQueue`), never the queue as a whole — in particular it
-//! never holds a lock that would stall every other submitter and worker.
+//! push to and any worker may steal from: the server's jobs, a `dag_exec`
+//! root chain and its rescues. The paper's bounds are about thieves
+//! robbing the per-processor deques; nothing in them depends on this queue
+//! being lock-free, so it is a `Mutex<VecDeque<T>>`.
 //!
-//! # Memory reclamation
+//! # Why a lock
 //!
-//! Exhausted segments used to be *retired* until the queue dropped, which
-//! retained ~48 bytes per task *ever pushed* — fine for run-to-completion
-//! pools, unacceptable for a months-lived ingest server. They are now
-//! **recycled** under a two-epoch (generation-counted) reader-quiescence
-//! scheme, in the spirit of epoch-based reclamation:
+//! A lock-free segmented queue with epoch reclamation and striped counters
+//! held this place before, at six times the code and with raw-pointer
+//! reasoning throughout. Alternating pairs of the end-to-end benchmark
+//! (2-vCPU guest, seed 7, `--trace 0`) could not tell the two apart on
+//! `pool_dags`, the workload whose idle workers poll this queue: medians
+//! of 30.07e6 and 30.21e6 nodes/s for the lock-free queue against 30.00e6
+//! and 30.37e6 for this one, over two batches of 10 pairs, 13 of the 20
+//! won by this one. On the served workloads every median stayed inside
+//! the lock-free queue's quartiles, and the injector's own operations got
+//! cheaper in a traced `serve_medium` run (`push_batch` 1.45 → 1.15 µs,
+//! `steal` 0.41 → 0.16 µs). The trade-off: a preempted lock holder delays the other submitters and
+//! workers for one `VecDeque` operation or one batch `extend`, as no
+//! caller holds the lock across anything else.
 //!
-//! * a global `epoch` counter only ever increments; every
-//!   `push`/`steal`/`is_empty` registers in the parity counter
-//!   `active[epoch % 2]` for exactly the window in which it may
-//!   dereference segment pointers (see `Injector::enter`), re-validating
-//!   the epoch after registering so that the epoch can advance at most
-//!   once while the operation is in flight;
-//! * a drained segment goes to a *limbo* list — stalled in-flight
-//!   operations may still be reading it, and (see the safety argument
-//!   below) a lagging `tail` may even still *reach* it;
-//! * when a producer needs a segment it runs a reclaim pass under the
-//!   recycler lock: it tries to advance the epoch (legal once the
-//!   previous parity's counter has drained to zero), walks the chain from
-//!   the current `tail` to mark limbo segments that are still reachable,
-//!   stamps newly-unreachable segments with the current epoch, and moves a
-//!   limbo segment to the *free* list only once **two further epoch
-//!   advances** have happened since it was observed unreachable. Free
-//!   segments are reinitialized and reused instead of freshly allocated.
+//! # Why the fields are padded
 //!
-//! Unlike a single "no other operation in flight" test, the parity
-//! counters make progress under sustained contention: operations entering
-//! after an advance register against the *new* parity, so the old parity
-//! drains as soon as the (short) operations counted in it complete, and
-//! the next advance becomes legal even while the queue is continuously
-//! busy. The retained memory is `O(live queue length + segments in
-//! limbo/free)`, and the stress suite asserts the allocation count stays
-//! bounded per steady-state round — now including a contended round-trip
-//! test — instead of growing with the total push count.
-//! The limbo/free lists live behind a `Mutex`, but it is touched only once
-//! per `SEG_CAP` pushes or pops, never on the fast path, and the producer
-//! side only ever `try_lock`s (falling back to a fresh allocation), so
-//! lock-freedom is preserved.
+//! Idle workers load `len` on every empty poll, and the lock's word is
+//! written on every operation. Unpadded, they share cache lines with
+//! whatever fields the owner's struct places next to the queue, and
+//! `pool_dags` lost 5 of 6 pairs against the lock-free queue, median
+//! ×0.89. Each field gets its own line.
 //!
-//! The quiescence protocol does put one cost on the fast path: every
-//! operation performs a SeqCst load of `epoch`, a wait-free SeqCst
-//! increment of its parity counter, and a SeqCst re-load of `epoch` (plus
-//! the decrement on exit) — the price of bounding memory. (The protocol's
-//! other SeqCst upgrades are free where it matters: SC loads compile to
-//! the same instructions as acquire loads on x86 and aarch64, and the
-//! head/tail CASes were already locked RMWs.) To keep those RMWs off a
-//! single shared line, each parity counter is **striped** across
-//! [`STRIPES`] cache-padded per-thread slots: an operation increments and
-//! decrements only its own thread's stripe (threads are assigned stripes
-//! round-robin on first use), and the stripes are summed only at the
-//! once-per-`SEG_CAP` reclaim pass. Striping changes nothing in the
-//! safety argument — "the parity counter is non-zero" becomes "some
-//! stripe of the parity is non-zero", and each stripe load is still
-//! SeqCst, so an in-flight registration at parity `p` keeps its own
-//! stripe non-zero and thereby blocks the advance exactly as a shared
-//! counter would (the sum is not read atomically, but stripes never go
-//! negative and a guard always decrements the stripe it incremented, so a
-//! per-stripe non-zero observation suffices).
+//! # Ordering
 //!
-//! # Safety argument (summary)
-//!
-//! * A slot index is handed to exactly one producer (`fetch_add` on
-//!   `push`, or a run of consecutive indices per `push_batch` fetch-add)
-//!   and exactly one consumer (successful CAS on `pop`), so each slot
-//!   sees one write and one read per segment lifetime.
-//! * The consumer reads the value only after observing the slot's `FULL`
-//!   flag with `Acquire`, which synchronizes with the producer's `Release`
-//!   store after the value write.
-//! * A consumer claims slot `i` only when `i < min(push_cursor, SEG_CAP)`,
-//!   i.e. only slots some producer has already claimed; the spin between
-//!   claim and `FULL` is bounded by that producer's two remaining
-//!   instructions.
-//! * A segment enters limbo only after the head CAS moved past it. The
-//!   retiring consumer helps the tail CAS past it too, but that help can
-//!   fail against a stalled earlier helper, so a limbo segment may remain
-//!   *reachable through a lagging `tail`* for an unbounded time.
-//!   Reclamation therefore never trusts retire time: each reclaim pass
-//!   walks the `next` chain from the current `tail` (retired segments are
-//!   a contiguous prefix of that chain) and holds back every limbo segment
-//!   still on it, re-arming its quiescence stamp.
-//! * An operation dereferences only pointers it loaded (SeqCst) from
-//!   `head`/`tail` *after* `enter` re-validated the epoch `e`, plus
-//!   forward `next` walks from those. In the SC total order those loads
-//!   follow the write that made `e` current; a limbo segment whose
-//!   "observed unreachable from `tail`" pass was stamped at epoch
-//!   `<= e - 1` was already off the `tail` chain before that write, `tail`
-//!   and `head` only move forward along the chain (stale helper CASes can
-//!   only re-install pointers that were on the chain, and pointer ABA
-//!   would require the reuse this argument forbids), so the operation
-//!   cannot reach it.
-//! * A limbo segment moves to the free list only when the epoch has
-//!   advanced by **two** since the pass that observed it unreachable
-//!   (its `stamp`). The operations that could have reached the segment
-//!   are exactly those registered at epoch `<= stamp`: epoch advances
-//!   happen only inside reclaim passes, which are serialized by the
-//!   recycler lock, so the write making `stamp + 1` current follows the
-//!   stamping pass's unreachability walk — an operation registered at
-//!   `>= stamp + 1` loads `head`/`tail` only after the segment was
-//!   already off the chain, which (by the forward-only bullet above)
-//!   can never lead back to it. For the reachers: while an operation
-//!   registered at epoch `e <= stamp` is in flight, its own stripe
-//!   keeps `active[e % 2]` non-zero, blocking the advance to
-//!   `e + 2 <= stamp + 2`; a free at epoch `>= stamp + 2` therefore
-//!   proves every one of them has exited. (Note an operation registered
-//!   at `stamp + 1` may well still be in flight at `stamp + 2` — it is
-//!   excluded because it cannot reach the segment, not because it has
-//!   exited.) This covers the reclaiming producer itself: it is in
-//!   flight, so the segment it is about to link onto (`avoid`) can never
-//!   satisfy the free condition — defensively also excluded explicitly.
-//!   Reinitialization then happens before the segment is re-published
-//!   via a `Release` CAS, exactly like a fresh allocation.
+//! Every operation that changes the queue stores its new length into
+//! `len` with `Release` while still holding the lock; readers load it with
+//! `Acquire`. A zero length lets [`Injector::steal`] and
+//! [`Injector::is_empty`] answer without locking. Like any concurrent
+//! emptiness check, the answer is exact only when no push is in flight.
 
 use crossbeam_utils::CachePadded;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Slots per segment.
-pub const SEG_CAP: usize = 64;
-
-/// Stripes per parity counter (power of two). Threads beyond this many
-/// share stripes round-robin — correctness never depends on a stripe
-/// being private, only contention does.
-pub const STRIPES: usize = 8;
-
-/// The calling thread's stripe index, assigned round-robin on first use.
-fn thread_stripe() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) & (STRIPES - 1);
-            s.set(v);
-        }
-        v
-    })
-}
-
-/// One parity's in-flight count, striped per thread (see the module docs:
-/// operations touch only their own stripe; the reclaim pass sums).
-struct StripedCounter {
-    stripes: [CachePadded<AtomicUsize>; STRIPES],
-}
-
-impl StripedCounter {
-    fn new() -> Self {
-        StripedCounter {
-            stripes: std::array::from_fn(|_| CachePadded::new(AtomicUsize::new(0))),
-        }
-    }
-
-    /// The calling thread's stripe. The returned reference is what an
-    /// [`ActiveGuard`] holds, so the exit decrement hits the stripe the
-    /// entry incremented even if the guard outlives other activity.
-    fn stripe(&self) -> &AtomicUsize {
-        &self.stripes[thread_stripe()]
-    }
-
-    /// Sum over all stripes, one SeqCst load each. Zero proves the parity
-    /// drained: any still-in-flight registration's increment precedes the
-    /// corresponding stripe load in the SC order and has no matching
-    /// decrement yet, so its stripe reads non-zero.
-    fn sum(&self) -> usize {
-        self.stripes.iter().map(|s| s.load(Ordering::SeqCst)).sum()
-    }
-}
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which injector operation a stall hook fired on.
 ///
@@ -192,7 +50,7 @@ impl StripedCounter {
 /// fault injector can stall pushes and steals independently.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StallSite {
-    /// A producer entering [`Injector::push`].
+    /// A producer entering [`Injector::push`] or [`Injector::push_batch`].
     Push,
     /// A consumer entering [`Injector::steal`].
     Steal,
@@ -201,64 +59,7 @@ pub enum StallSite {
 /// A callback invoked at the top of every `push`/`steal` once installed.
 type StallHook = Box<dyn Fn(StallSite) + Send + Sync>;
 
-const EMPTY: u8 = 0;
-const FULL: u8 = 1;
-
-struct Slot<T> {
-    state: AtomicU8,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-struct Segment<T> {
-    /// Next slot a producer will claim. May grow past `SEG_CAP`; the
-    /// overflow claims are the producers that go on to install `next`.
-    push_idx: CachePadded<AtomicUsize>,
-    /// Next slot a consumer will claim (always `<= SEG_CAP`).
-    pop_idx: CachePadded<AtomicUsize>,
-    next: AtomicPtr<Segment<T>>,
-    slots: [Slot<T>; SEG_CAP],
-}
-
-impl<T> Segment<T> {
-    fn boxed() -> Box<Self> {
-        Box::new(Segment {
-            push_idx: CachePadded::new(AtomicUsize::new(0)),
-            pop_idx: CachePadded::new(AtomicUsize::new(0)),
-            next: AtomicPtr::new(ptr::null_mut()),
-            slots: std::array::from_fn(|_| Slot {
-                state: AtomicU8::new(EMPTY),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            }),
-        })
-    }
-}
-
-/// A drained segment parked in limbo (see the module docs).
-struct LimboEntry<T> {
-    seg: *mut Segment<T>,
-    /// Epoch at which a reclaim pass last changed this entry's state.
-    /// Meaningful for the free decision only once `unlinked_seen` is set.
-    stamp: usize,
-    /// Whether a reclaim pass has observed this segment unreachable from
-    /// `tail`. Cleared again if a later pass finds it reachable (a stalled
-    /// tail-helper re-exposed it).
-    unlinked_seen: bool,
-}
-
-/// Fully-drained segments awaiting reuse. `limbo` segments were unlinked
-/// from `head` and may still be read (or even reached through a lagging
-/// `tail`) by stalled in-flight operations; `free` segments are quiescent
-/// and ready for reinitialization.
-struct Recycler<T> {
-    limbo: Vec<LimboEntry<T>>,
-    free: Vec<*mut Segment<T>>,
-    /// Reusable buffer for the reclaim pass's reachability walk, so a
-    /// steady-state reclaim allocates nothing (the ingest-server hot path
-    /// runs `push_batch` under a counting allocator).
-    scratch: Vec<*mut Segment<T>>,
-}
-
-/// An unbounded lock-free MPMC FIFO queue.
+/// An unbounded MPMC FIFO queue.
 ///
 /// ```
 /// use wsf_deque::Injector;
@@ -271,71 +72,35 @@ struct Recycler<T> {
 /// assert_eq!(q.steal(), None);
 /// ```
 pub struct Injector<T> {
-    head: CachePadded<AtomicPtr<Segment<T>>>,
-    tail: CachePadded<AtomicPtr<Segment<T>>>,
-    /// Monotone reclamation generation; advances only in `obtain_segment`
-    /// once `active[(epoch + 1) % 2]` has drained to zero.
-    epoch: CachePadded<AtomicUsize>,
-    /// In-flight `push`/`steal`/`is_empty` operations, counted by the
-    /// parity of the epoch they registered at (see `enter`), striped per
-    /// thread to keep the fast-path RMWs off one shared line.
-    active: [StripedCounter; 2],
-    /// Drained segments awaiting reuse (see the module docs).
-    recycler: Mutex<Recycler<T>>,
-    /// Segments ever allocated from the heap (diagnostics; the stress
-    /// suite asserts this stays bounded under recycling).
-    allocations: AtomicUsize,
+    queue: CachePadded<Mutex<VecDeque<T>>>,
+    /// The queue's length, stored under the lock (see the module docs).
+    len: CachePadded<AtomicUsize>,
     /// Optional fault-injection stall hook (see
     /// [`Injector::install_stall_hook`]). When absent the fast path pays a
     /// single non-atomic initialized-check branch.
     stall_hook: OnceLock<StallHook>,
 }
 
-// SAFETY: the queue transfers `T` values across threads, so `T: Send` is
-// required; all shared mutation goes through atomics or the recycler mutex.
-unsafe impl<T: Send> Send for Injector<T> {}
-unsafe impl<T: Send> Sync for Injector<T> {}
-
-impl<T: Send> Default for Injector<T> {
+impl<T> Default for Injector<T> {
     fn default() -> Self {
         Injector::new()
     }
 }
 
-/// Decrements the parity counter the operation registered in on scope exit.
-struct ActiveGuard<'a>(&'a AtomicUsize);
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl<T: Send> Injector<T> {
+impl<T> Injector<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let seg = Box::into_raw(Segment::<T>::boxed());
         Injector {
-            head: CachePadded::new(AtomicPtr::new(seg)),
-            tail: CachePadded::new(AtomicPtr::new(seg)),
-            epoch: CachePadded::new(AtomicUsize::new(0)),
-            active: [StripedCounter::new(), StripedCounter::new()],
-            recycler: Mutex::new(Recycler {
-                limbo: Vec::new(),
-                free: Vec::new(),
-                scratch: Vec::new(),
-            }),
-            allocations: AtomicUsize::new(1),
+            queue: CachePadded::new(Mutex::new(VecDeque::new())),
+            len: CachePadded::new(AtomicUsize::new(0)),
             stall_hook: OnceLock::new(),
         }
     }
 
-    /// Installs a fault-injection hook called at the top of every `push`
-    /// and `steal`, *inside* the operation's epoch registration — so a
-    /// hook that sleeps models a genuinely stalled in-flight operation,
-    /// the adversary the two-parity reclamation scheme must tolerate
-    /// (reclaim keeps making progress on the other parity; the stalled
-    /// op's segment stays in limbo until it exits).
+    /// Installs a fault-injection hook called at the top of every `push`,
+    /// `push_batch` and `steal`, **before** the lock is taken — so a hook
+    /// that sleeps stalls only its caller, never the other submitters and
+    /// workers.
     ///
     /// Returns `false` (and drops `hook`) if a hook was already installed;
     /// the hook cannot be replaced or removed once set.
@@ -351,457 +116,56 @@ impl<T: Send> Injector<T> {
         }
     }
 
-    /// Registers this operation in the current epoch's parity counter.
-    ///
-    /// The announcement half of the epoch protocol: all accesses involved
-    /// (the `epoch` loads, the parity-counter RMWs, the reclaimer's checks
-    /// in `obtain_segment`, and the `head`/`tail` loads and unlink CASes)
-    /// are SeqCst, so they live in the single total order S. Re-validating
-    /// `epoch` after the increment guarantees that, while the guard is
-    /// held, the epoch can advance at most once past the registered value
-    /// `e`: the advance to `e + 2` must observe every stripe of
-    /// `active[e % 2]` at zero, and this operation's increment of its own
-    /// stripe precedes that stripe's load in S. Conversely, if
-    /// the re-validation fails the registration may be too late to be
-    /// visible to an in-progress advance, so the operation backs out and
-    /// retries against the new epoch. Advances happen at most once per
-    /// segment boundary, so the retry loop is effectively bounded.
-    fn enter(&self) -> ActiveGuard<'_> {
-        loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            let counter: &AtomicUsize = self.active[e & 1].stripe();
-            counter.fetch_add(1, Ordering::SeqCst);
-            if self.epoch.load(Ordering::SeqCst) == e {
-                return ActiveGuard(counter);
-            }
-            counter.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Hands out a segment for the tail chain: a recycled one when the
-    /// epoch protocol proves reuse safe, a fresh allocation otherwise.
-    /// Called with the caller's [`ActiveGuard`] held; `avoid` is the
-    /// segment the caller is about to link the result onto, which must not
-    /// be handed back to it — the caller's pointer may be stale (the
-    /// segment drained and parked since it was read), and reinitializing
-    /// it here would let the caller link the segment onto itself (or race
-    /// the caller's upcoming CAS on `avoid.next`). The epoch rule already
-    /// makes that impossible — the caller is in flight, so `avoid` cannot
-    /// have passed two advances since its unreachability stamp — but it is
-    /// also excluded explicitly as defense in depth.
-    fn obtain_segment(&self, avoid: *mut Segment<T>) -> *mut Segment<T> {
-        let candidate = if let Ok(mut r) = self.recycler.try_lock() {
-            // Try to advance the epoch: legal once every operation
-            // registered against the previous parity has finished. New
-            // operations register against the *current* parity, so under
-            // sustained traffic the previous parity still drains and the
-            // advance makes progress (unlike an "am I alone?" test).
-            // The advance must stay under the recycler lock: the free
-            // rule below relies on every advance being serialized after
-            // the stamping pass of any already-stamped entry (see the
-            // module safety argument).
-            let e = self.epoch.load(Ordering::SeqCst);
-            if self.active[(e + 1) & 1].sum() == 0 {
-                let _ = self.epoch.compare_exchange(
-                    e,
-                    e.wrapping_add(1),
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-            }
-            let now = self.epoch.load(Ordering::SeqCst);
-
-            // A failed tail-helper CAS can leave `tail` lagging *into* the
-            // limbo prefix of the chain, keeping those segments reachable
-            // by operations that load `tail` arbitrarily late. Walk the
-            // chain from the current `tail`: retired segments form a
-            // contiguous prefix of it, so the walk covers every still-
-            // reachable limbo segment and stops at the first live one.
-            let mut reachable = std::mem::take(&mut r.scratch);
-            reachable.clear();
-            let mut cur = self.tail.load(Ordering::SeqCst);
-            for _ in 0..=r.limbo.len() {
-                if cur.is_null() || !r.limbo.iter().any(|en| en.seg == cur) {
-                    break;
-                }
-                reachable.push(cur);
-                // SAFETY: `cur` is in limbo, hence allocated; frees happen
-                // only under the recycler lock, which we hold.
-                cur = unsafe { (*cur).next.load(Ordering::Acquire) };
-            }
-
-            let mut i = 0;
-            while i < r.limbo.len() {
-                let seg = r.limbo[i].seg;
-                if reachable.contains(&seg) {
-                    // Still (or again) on the tail chain: re-arm, so the
-                    // two-advance clock restarts from the pass that next
-                    // observes it unreachable.
-                    r.limbo[i].unlinked_seen = false;
-                    i += 1;
-                } else if !r.limbo[i].unlinked_seen {
-                    r.limbo[i].unlinked_seen = true;
-                    r.limbo[i].stamp = now;
-                    i += 1;
-                } else if now.wrapping_sub(r.limbo[i].stamp) >= 2 && seg != avoid {
-                    // Two advances since observed unreachable: every
-                    // operation that could have held a pointer has exited
-                    // (see the module safety argument).
-                    r.limbo.swap_remove(i);
-                    r.free.push(seg);
-                } else {
-                    i += 1;
-                }
-            }
-
-            reachable.clear();
-            r.scratch = reachable;
-
-            let got = r.free.pop();
-            debug_assert!(
-                got != Some(avoid),
-                "free list handed back the caller's own segment"
-            );
-            got
-            // The mutex guard drops here: the O(SEG_CAP) reinitialization
-            // below must not stall a consumer blocking on the lock to
-            // retire a segment.
-        } else {
-            None
-        };
-        if let Some(seg) = candidate {
-            // SAFETY: free segments are unreachable and quiescent (see the
-            // module docs), and `seg` left the free list above, so we have
-            // exclusive access until the segment is re-published by the
-            // caller's Release CAS (which also publishes these plain
-            // writes, exactly as for a fresh allocation).
-            unsafe {
-                let s = &mut *seg;
-                *(*s.push_idx).get_mut() = 0;
-                *(*s.pop_idx).get_mut() = 0;
-                *s.next.get_mut() = ptr::null_mut();
-                for slot in &mut s.slots {
-                    *slot.state.get_mut() = EMPTY;
-                }
-            }
-            return seg;
-        }
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        Box::into_raw(Segment::<T>::boxed())
+    /// Locks the queue. A panic cannot leave a `VecDeque` half-updated, so
+    /// a poisoned lock still guards a valid queue.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pushes `value` at the back of the queue.
     pub fn push(&self, value: T) {
-        let _guard = self.enter();
         self.maybe_stall(StallSite::Push);
-        loop {
-            let seg_ptr = self.tail.load(Ordering::SeqCst);
-            // SAFETY: the guard keeps us counted in our parity of
-            // `active`, so any segment pointer read from `tail` stays
-            // allocated and is not reinitialized while we hold it.
-            let seg = unsafe { &*seg_ptr };
-            let i = seg.push_idx.fetch_add(1, Ordering::Relaxed);
-            if i < SEG_CAP {
-                // SAFETY: the fetch-add handed index `i` to this producer
-                // exclusively; the slot is EMPTY until we flag it FULL.
-                unsafe {
-                    (*seg.slots[i].value.get()).write(value);
-                }
-                seg.slots[i].state.store(FULL, Ordering::Release);
-                return;
-            }
-            // Segment full: install (or help install) the next segment,
-            // advance the tail pointer, retry there.
-            let next = seg.next.load(Ordering::Acquire);
-            if next.is_null() {
-                let new = self.obtain_segment(seg_ptr);
-                match seg.next.compare_exchange(
-                    ptr::null_mut(),
-                    new,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        let _ = self.tail.compare_exchange(
-                            seg_ptr,
-                            new,
-                            Ordering::SeqCst,
-                            Ordering::Relaxed,
-                        );
-                    }
-                    Err(actual) => {
-                        // Another producer installed it first. `new` was
-                        // never shared: hand it straight to the free list
-                        // (or drop it if the lock is contended).
-                        self.release_unshared(new);
-                        let _ = self.tail.compare_exchange(
-                            seg_ptr,
-                            actual,
-                            Ordering::SeqCst,
-                            Ordering::Relaxed,
-                        );
-                    }
-                }
-            } else {
-                let _ =
-                    self.tail
-                        .compare_exchange(seg_ptr, next, Ordering::SeqCst, Ordering::Relaxed);
-            }
-        }
+        let mut q = self.lock();
+        q.push_back(value);
+        self.len.store(q.len(), Ordering::Release);
     }
 
-    /// Pushes every value of `batch` at the back of the queue, entering
-    /// the two-parity epoch guard (and firing the stall hook) **once per
-    /// batch** instead of once per value — the ingest-server fast path.
-    ///
-    /// The batch occupies consecutive slots claimed by a single
-    /// `fetch_add` per segment, so values land in iteration order and
-    /// FIFO order between batches of one producer is preserved. Slots are
-    /// published front-to-back: a consumer that claims a late slot of an
-    /// in-flight batch spins until this producer reaches it (the same
-    /// bounded wait as a single push, scaled by the batch prefix).
-    ///
-    /// An empty batch performs no epoch registration at all.
+    /// Pushes every value of `batch` at the back of the queue, taking the
+    /// lock (and firing the stall hook) **once per batch** instead of once
+    /// per value — the ingest-server fast path. Values land in iteration
+    /// order. An empty batch fires no hook and takes no lock.
     pub fn push_batch<I>(&self, batch: I)
     where
         I: IntoIterator<Item = T>,
         I::IntoIter: ExactSizeIterator,
     {
-        let mut iter = batch.into_iter();
+        let iter = batch.into_iter();
         if iter.len() == 0 {
             return;
         }
-        let _guard = self.enter();
         self.maybe_stall(StallSite::Push);
-        loop {
-            let remaining = iter.len();
-            if remaining == 0 {
-                return;
-            }
-            let seg_ptr = self.tail.load(Ordering::SeqCst);
-            // SAFETY: see `push` — the guard keeps the segment stable.
-            let seg = unsafe { &*seg_ptr };
-            // Claim a run of `remaining` slots in one RMW. On a stale or
-            // full segment `start >= SEG_CAP`: nothing is written (the
-            // over-claim only accelerates other producers' overflow into
-            // the next segment, exactly like scalar-push contention), and
-            // we fall through to install/advance below.
-            let start = seg.push_idx.fetch_add(remaining, Ordering::Relaxed);
-            if start < SEG_CAP {
-                let n = remaining.min(SEG_CAP - start);
-                for slot in &seg.slots[start..start + n] {
-                    let value = iter.next().expect("batch iterator shorter than its len()");
-                    // SAFETY: the fetch-add handed this producer the run
-                    // `[start, start + n)` exclusively; each slot is EMPTY
-                    // until flagged FULL.
-                    unsafe {
-                        (*slot.value.get()).write(value);
-                    }
-                    slot.state.store(FULL, Ordering::Release);
-                }
-                if start + remaining <= SEG_CAP {
-                    return;
-                }
-            }
-            // Remainder overflows this segment: install (or help install)
-            // the next segment, advance the tail, continue there.
-            let next = seg.next.load(Ordering::Acquire);
-            if next.is_null() {
-                let new = self.obtain_segment(seg_ptr);
-                match seg.next.compare_exchange(
-                    ptr::null_mut(),
-                    new,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        let _ = self.tail.compare_exchange(
-                            seg_ptr,
-                            new,
-                            Ordering::SeqCst,
-                            Ordering::Relaxed,
-                        );
-                    }
-                    Err(actual) => {
-                        self.release_unshared(new);
-                        let _ = self.tail.compare_exchange(
-                            seg_ptr,
-                            actual,
-                            Ordering::SeqCst,
-                            Ordering::Relaxed,
-                        );
-                    }
-                }
-            } else {
-                let _ =
-                    self.tail
-                        .compare_exchange(seg_ptr, next, Ordering::SeqCst, Ordering::Relaxed);
-            }
-        }
+        let mut q = self.lock();
+        q.extend(iter);
+        self.len.store(q.len(), Ordering::Release);
     }
 
-    /// Returns a segment that was obtained but never published.
-    fn release_unshared(&self, seg: *mut Segment<T>) {
-        if let Ok(mut r) = self.recycler.try_lock() {
-            r.free.push(seg);
-        } else {
-            // SAFETY: `seg` was never shared with another thread.
-            unsafe {
-                drop(Box::from_raw(seg));
-            }
-        }
-    }
-
-    /// Takes the value at the front of the queue, if any.
+    /// Takes the value at the front of the queue, if any. An empty queue
+    /// is answered from the length, without locking.
     pub fn steal(&self) -> Option<T> {
-        let _guard = self.enter();
         self.maybe_stall(StallSite::Steal);
-        loop {
-            let seg_ptr = self.head.load(Ordering::SeqCst);
-            // SAFETY: see `push` — the guard keeps the segment stable.
-            let seg = unsafe { &*seg_ptr };
-            let mut i = seg.pop_idx.load(Ordering::Relaxed);
-            loop {
-                if i >= SEG_CAP {
-                    break; // segment exhausted: advance head below
-                }
-                let claimed = seg.push_idx.load(Ordering::Acquire).min(SEG_CAP);
-                if i >= claimed {
-                    // No producer has claimed slot `i`. A later segment can
-                    // only exist once push_idx overflowed SEG_CAP, so the
-                    // queue is empty from here on.
-                    return None;
-                }
-                match seg.pop_idx.compare_exchange_weak(
-                    i,
-                    i + 1,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(self.read_slot(seg, i)),
-                    Err(actual) => i = actual,
-                }
-            }
-            let next = seg.next.load(Ordering::Acquire);
-            if next.is_null() {
-                return None;
-            }
-            if self
-                .head
-                .compare_exchange(seg_ptr, next, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                // Help the tail past the drained segment (best effort: the
-                // help can fail against a stalled earlier helper, leaving
-                // `tail` lagging — the reclaim pass in `obtain_segment`
-                // detects that), then park it in limbo: stalled in-flight
-                // operations may still be reading it, so it becomes
-                // reusable only two epoch advances after a reclaim pass
-                // observes it unreachable.
-                let _ =
-                    self.tail
-                        .compare_exchange(seg_ptr, next, Ordering::SeqCst, Ordering::Relaxed);
-                self.recycler
-                    .lock()
-                    .expect("recycler lock poisoned")
-                    .limbo
-                    .push(LimboEntry {
-                        seg: seg_ptr,
-                        stamp: 0,
-                        unlinked_seen: false,
-                    });
-            }
+        if self.len.load(Ordering::Acquire) == 0 {
+            return None;
         }
-    }
-
-    /// Waits for the producer of slot `i` to finish writing, then reads it.
-    fn read_slot(&self, seg: &Segment<T>, i: usize) -> T {
-        let slot = &seg.slots[i];
-        let mut spins = 0u32;
-        while slot.state.load(Ordering::Acquire) != FULL {
-            // The producer already claimed the slot (we checked `claimed`),
-            // so it is at most two instructions away from flagging FULL
-            // unless it was preempted — spin briefly, then yield.
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: the pop CAS handed index `i` to this consumer exclusively
-        // and the FULL flag (Acquire) synchronizes with the producer's value
-        // write before its Release store.
-        unsafe { (*slot.value.get()).assume_init_read() }
+        let mut q = self.lock();
+        let value = q.pop_front();
+        self.len.store(q.len(), Ordering::Release);
+        value
     }
 
     /// Whether the queue appears empty (exact only when no concurrent
     /// operations are in flight).
     pub fn is_empty(&self) -> bool {
-        let _guard = self.enter();
-        let seg_ptr = self.head.load(Ordering::SeqCst);
-        // SAFETY: see `push`.
-        let seg = unsafe { &*seg_ptr };
-        let i = seg.pop_idx.load(Ordering::Relaxed);
-        i >= seg.push_idx.load(Ordering::Relaxed).min(SEG_CAP)
-            && seg.next.load(Ordering::Relaxed).is_null()
-    }
-
-    /// Number of segments ever allocated from the heap (diagnostics).
-    ///
-    /// With recycling, steady-state traffic re-uses drained segments, so
-    /// this stays `O(live queue length / SEG_CAP + concurrent operations)`
-    /// instead of growing with the total number of pushes — the property
-    /// the `crates/deque/tests/stress.rs` retention tests lock in.
-    pub fn segments_allocated(&self) -> usize {
-        self.allocations.load(Ordering::Relaxed)
-    }
-
-    /// Number of drained segments currently parked for reuse (limbo +
-    /// free; diagnostics).
-    pub fn segments_parked(&self) -> usize {
-        let r = self.recycler.lock().expect("recycler lock poisoned");
-        r.limbo.len() + r.free.len()
-    }
-}
-
-impl<T> Drop for Injector<T> {
-    fn drop(&mut self) {
-        // Limbo and free segments were fully consumed (or never used):
-        // free the memory only.
-        let recycler = self.recycler.get_mut().expect("recycler lock poisoned");
-        let parked = recycler
-            .limbo
-            .iter()
-            .map(|en| en.seg)
-            .chain(recycler.free.iter().copied());
-        for old in parked {
-            // SAFETY: exclusive access during drop; every slot of a parked
-            // segment was claimed and read by exactly one consumer (or the
-            // segment was reinitialized and never published).
-            unsafe {
-                drop(Box::from_raw(old));
-            }
-        }
-        // Walk the live chain, dropping unconsumed values.
-        let mut seg_ptr = *self.head.get_mut();
-        while !seg_ptr.is_null() {
-            // SAFETY: exclusive access during drop; with no concurrency,
-            // every claimed slot (< push_idx, capped) is FULL unless a
-            // consumer already took it (< pop_idx).
-            unsafe {
-                let seg = &mut *seg_ptr;
-                let start = (*seg.pop_idx).load(Ordering::Relaxed).min(SEG_CAP);
-                let end = (*seg.push_idx).load(Ordering::Relaxed).min(SEG_CAP);
-                for i in start..end {
-                    debug_assert_eq!(seg.slots[i].state.load(Ordering::Relaxed), FULL);
-                    (*seg.slots[i].value.get()).assume_init_drop();
-                }
-                let next = *seg.next.get_mut();
-                drop(Box::from_raw(seg_ptr));
-                seg_ptr = next;
-            }
-        }
+        self.len.load(Ordering::Acquire) == 0
     }
 }
 
@@ -810,9 +174,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_within_a_segment_and_across_segments() {
+    fn fifo_across_many_items() {
         let q = Injector::new();
-        let n = SEG_CAP * 3 + 7;
+        let n = 64 * 3 + 7;
         for i in 0..n {
             q.push(i);
         }
@@ -838,7 +202,6 @@ mod tests {
 
     #[test]
     fn drop_releases_unconsumed_values() {
-        use std::sync::atomic::AtomicUsize;
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct Counted;
         impl Drop for Counted {
@@ -848,12 +211,12 @@ mod tests {
         }
         {
             let q = Injector::new();
-            for _ in 0..(SEG_CAP + 9) {
+            for _ in 0..(64 + 9) {
                 q.push(Counted);
             }
             drop(q.steal()); // one dropped here
         }
-        assert_eq!(DROPS.load(Ordering::SeqCst), SEG_CAP + 9);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 64 + 9);
     }
 
     #[test]
@@ -867,39 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn single_threaded_traffic_recycles_segments() {
-        // 100 segment lifetimes of traffic through a queue that never holds
-        // more than one segment's worth of items: without recycling this
-        // allocates ~100 segments, with recycling a small constant (the
-        // two-advance quiescence lag keeps a few segments in flight).
-        let q = Injector::new();
-        let mut expected = 0usize;
-        for _ in 0..100 {
-            for i in 0..SEG_CAP {
-                q.push(expected + i);
-            }
-            for _ in 0..SEG_CAP {
-                assert_eq!(q.steal(), Some(expected));
-                expected += 1;
-            }
-        }
-        assert!(
-            q.segments_allocated() <= 6,
-            "{} segments allocated for bounded traffic",
-            q.segments_allocated()
-        );
-        assert!(q.segments_parked() <= q.segments_allocated());
-    }
-
-    #[test]
-    fn values_survive_recycled_segments() {
-        // Drive enough traffic that segments are reused several times and
-        // check every value still arrives exactly once, in order.
+    fn bursts_arrive_in_order() {
         let q = Injector::new();
         let mut next_out = 0usize;
         let mut next_in = 0usize;
         for round in 0..40 {
-            let burst = SEG_CAP / 2 + round; // straddle segment boundaries
+            let burst = 64 / 2 + round;
             for _ in 0..burst {
                 q.push(next_in);
                 next_in += 1;
@@ -913,76 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn stripes_drain_and_reclamation_advances_under_threaded_traffic() {
-        // Producers and consumers spread across more threads than stripes:
-        // every stripe combination sees traffic, reclamation must still
-        // advance the epoch (bounded allocations), and once the threads
-        // join every stripe of both parities must have drained to zero —
-        // the invariant the reclaim pass's sum() check relies on.
-        use std::sync::Arc;
-        let q: Arc<Injector<usize>> = Arc::new(Injector::new());
-        let threads = STRIPES + 3; // force stripe sharing
-        let per_thread = SEG_CAP * 20;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    let mut got = 0;
-                    for i in 0..per_thread {
-                        q.push(t * per_thread + i);
-                        if q.steal().is_some() {
-                            got += 1;
-                        }
-                    }
-                    while got < per_thread {
-                        if q.steal().is_some() {
-                            got += 1;
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        assert!(q.is_empty());
-        for parity in &q.active {
-            for stripe in &parity.stripes {
-                assert_eq!(stripe.load(Ordering::SeqCst), 0, "stripe left non-zero");
-            }
-        }
-        // With the threads joined, drive quiescent bounded traffic: every
-        // enter/exit is now fully paired, so the striped zero-check must
-        // let the epoch advance at every segment boundary and recycling
-        // must resume. (A stripe leaked by the contended phase would block
-        // every future advance and make each round below allocate.) The
-        // contended phase itself is exempt from an allocation bound: on an
-        // oversubscribed box a preempted in-flight operation legitimately
-        // holds its parity non-zero for a scheduling quantum.
-        let before = q.segments_allocated();
-        let mut expected = threads * per_thread;
-        for _ in 0..100 {
-            for i in 0..SEG_CAP {
-                q.push(expected + i);
-            }
-            for _ in 0..SEG_CAP {
-                assert_eq!(q.steal(), Some(expected));
-                expected += 1;
-            }
-        }
-        assert!(
-            q.segments_allocated() - before <= 6,
-            "{} fresh segments over 100 quiescent rounds — striped \
-             reclamation wedged after contention",
-            q.segments_allocated() - before
-        );
-    }
-
-    #[test]
-    fn push_batch_preserves_fifo_across_segment_boundaries() {
+    fn push_batch_preserves_fifo() {
         let q = Injector::new();
         let mut next = 0usize;
-        // Batch sizes straddle and exceed SEG_CAP, including empty.
-        for size in [0usize, 1, 7, SEG_CAP - 1, SEG_CAP, SEG_CAP + 5, 3 * SEG_CAP] {
+        for size in [0usize, 1, 7, 64 - 1, 64, 64 + 5, 3 * 64] {
             q.push_batch((next..next + size).collect::<Vec<_>>());
             next += size;
         }
@@ -1007,45 +277,22 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_recycles_segments() {
-        // Mirror of `single_threaded_traffic_recycles_segments` through the
-        // batch path: bounded traffic must not grow the allocation count.
-        let q = Injector::new();
-        let mut expected = 0usize;
-        for _ in 0..100 {
-            q.push_batch((expected..expected + 2 * SEG_CAP).collect::<Vec<_>>());
-            for _ in 0..2 * SEG_CAP {
-                assert_eq!(q.steal(), Some(expected));
-                expected += 1;
-            }
-        }
-        assert!(
-            q.segments_allocated() <= 8,
-            "{} segments allocated for bounded batch traffic",
-            q.segments_allocated()
-        );
-    }
-
-    #[test]
-    fn push_batch_enters_epoch_guard_once_per_batch() {
-        use std::sync::atomic::AtomicUsize;
+    fn push_batch_fires_the_push_hook_once_per_batch() {
         use std::sync::Arc;
 
         let q = Injector::new();
         let pushes = Arc::new(AtomicUsize::new(0));
         let p = Arc::clone(&pushes);
-        // The stall hook fires inside the (single) epoch registration, so
-        // its count observes how many times the guard was entered.
         assert!(q.install_stall_hook(move |site| {
             if site == StallSite::Push {
                 p.fetch_add(1, Ordering::Relaxed);
             }
         }));
-        q.push_batch(0..(3 * SEG_CAP)); // crosses segments: still one entry
-        q.push_batch(std::iter::empty::<usize>()); // no registration at all
+        q.push_batch(0..(3 * 64));
+        q.push_batch(std::iter::empty::<usize>()); // no hook, no lock
         q.push_batch([7usize; 5]);
         assert_eq!(pushes.load(Ordering::Relaxed), 2);
-        for expect in 0..3 * SEG_CAP {
+        for expect in 0..3 * 64 {
             assert_eq!(q.steal(), Some(expect));
         }
         for _ in 0..5 {
@@ -1056,7 +303,6 @@ mod tests {
 
     #[test]
     fn stall_hook_fires_per_operation_and_installs_once() {
-        use std::sync::atomic::AtomicUsize;
         use std::sync::Arc;
 
         let q = Injector::new();
@@ -1080,7 +326,7 @@ mod tests {
         }
         assert_eq!(q.steal(), None);
         assert_eq!(pushes.load(Ordering::Relaxed), 10);
-        // Every steal attempt registers, including the empty one.
+        // Every steal attempt fires the hook, including the empty one.
         assert_eq!(steals.load(Ordering::Relaxed), 11);
     }
 }

@@ -10,9 +10,9 @@
 //!   work-stealing deque, SPAA 2005) used by the real thread-pool runtime
 //!   in `wsf-runtime`; the invariants are documented inline and exercised
 //!   by a multi-threaded stress test.
-//! * [`injector`] — a lock-free segmented MPMC FIFO used by the runtime as
-//!   its global injector for tasks submitted from outside the pool, so no
-//!   path of the runtime's task plumbing takes a lock.
+//! * [`injector`] — a locked MPMC FIFO (`Mutex<VecDeque>` with a padded
+//!   length that lets an empty poll skip the lock) used by the runtime as
+//!   its global injector for tasks submitted from outside the pool.
 //! * [`sim`] — a deterministic, single-threaded deque with the same
 //!   bottom/top interface, used by the execution simulator in `wsf-core`
 //!   where determinism and introspection matter more than concurrency.
@@ -36,5 +36,5 @@ pub mod injector;
 pub mod sim;
 
 pub use chase_lev::{deque, Steal, Stealer, Worker};
-pub use injector::{Injector, StallSite, SEG_CAP, STRIPES};
+pub use injector::{Injector, StallSite};
 pub use sim::SimDeque;

@@ -3,11 +3,14 @@
 //! and every pushed item must be delivered exactly once — no losses, no
 //! duplications — including while buffers grow under contention.
 //!
-//! (The `chase_lev` and `injector` safety arguments promise exactly this.)
+//! (The `chase_lev` safety argument promises exactly this; the injector
+//! gets it from its lock.) One more injector test pins where its stall
+//! hook fires: before the lock, so a stalled operation stalls only its
+//! caller.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use wsf_deque::{deque, Injector, Steal};
+use wsf_deque::{deque, Injector, StallSite, Steal};
 
 /// Runs one owner against `thieves` stealers: the owner pushes `total`
 /// distinct items in bursts (interleaving pops of roughly half of each
@@ -226,8 +229,7 @@ fn hammer_injector(producers: usize, consumers: usize, per_producer: usize) -> V
 
 #[test]
 fn injector_mpmc_exactly_once() {
-    // N producers, M consumers; every value must arrive exactly once
-    // across many segment boundaries (SEG_CAP = 64).
+    // N producers, M consumers; every value must arrive exactly once.
     for (producers, consumers) in [(1usize, 1usize), (2, 2), (4, 2), (2, 4), (4, 4)] {
         let per_producer = 10_000;
         let total = producers * per_producer;
@@ -287,153 +289,15 @@ fn worker_is_send_across_threads() {
 }
 
 #[test]
-fn injector_retention_stays_bounded_not_linear_in_pushes() {
-    // The ISSUE-3 memory-bound contract: steady-state traffic must NOT
-    // retain ~48 bytes per task ever pushed. Each round pushes several
-    // segments' worth of items from ONE producer running alone — the
-    // producing phase is therefore quiescent (the epoch advances at every
-    // segment boundary), so the recycling guarantee is deterministic, not
-    // scheduling-dependent: drained segments are reclaimed and reused two
-    // epoch advances after retirement, while the old retire-until-drop
-    // scheme would allocate O(rounds * segments_per_round) segments. The
-    // drain phase still races two consumers for MPMC coverage; the fully
-    // contended case is asserted on (with a looser bound) by
-    // `injector_recycles_under_sustained_contention` below.
-    use wsf_deque::SEG_CAP;
-
-    let q: Injector<usize> = Injector::new();
-    let rounds = 50usize;
-    let per_round = 8 * SEG_CAP;
-    for round in 0..rounds {
-        for i in 0..per_round {
-            q.push(round * per_round + i);
-        }
-        let mut drained = 0usize;
-        std::thread::scope(|scope| {
-            let counts: Vec<_> = (0..2)
-                .map(|_| {
-                    let q = &q;
-                    scope.spawn(move || {
-                        let mut n = 0usize;
-                        while q.steal().is_some() {
-                            n += 1;
-                        }
-                        n
-                    })
-                })
-                .collect();
-            for c in counts {
-                drained += c.join().unwrap();
-            }
-        });
-        assert_eq!(drained, per_round, "round {round}");
-    }
-
-    let total_pushed = rounds * per_round;
-    let linear_segments = total_pushed / SEG_CAP; // what retire-until-drop retains
-    assert!(
-        q.segments_allocated() <= 2 * per_round.div_ceil(SEG_CAP) + 4,
-        "{} segments allocated over {rounds} quiescent rounds — retention is \
-         growing with total pushes ({linear_segments} segments), not with the \
-         per-round working set",
-        q.segments_allocated()
-    );
-    assert!(q.segments_parked() <= q.segments_allocated());
-}
-
-#[test]
-fn injector_striped_counters_survive_stripe_sharing() {
-    // The parity counters are striped per thread (STRIPES slots, assigned
-    // round-robin), so run MORE threads than stripes: several threads then
-    // share a stripe, and the reclaim pass's "sum of stripes is zero"
-    // check must still be exact — no lost or duplicated items, and
-    // recycling must still bound the allocation count (a wrongly-drained
-    // parity would instead free a reachable segment and corrupt delivery;
-    // a never-draining one would stall reclamation into linear retention).
-    use wsf_deque::{SEG_CAP, STRIPES};
-
-    let threads = STRIPES + 4;
-    let per_thread = 64 * SEG_CAP;
-    let q: Injector<usize> = Injector::new();
-    let received: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let q = &q;
-            let received = &received;
-            scope.spawn(move || {
-                // Every thread is both producer and consumer, so each
-                // registers in its stripe from both operation sites and
-                // the queue stays near-empty (any growth is retention).
-                let mut local = Vec::new();
-                for i in 0..per_thread {
-                    q.push(t * per_thread + i);
-                    if let Some(v) = q.steal() {
-                        local.push(v);
-                    }
-                }
-                let mut misses = 0usize;
-                while local.len() < per_thread && misses < 1_000_000 {
-                    match q.steal() {
-                        Some(v) => local.push(v),
-                        None => {
-                            misses += 1;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                received.lock().unwrap().extend(local);
-            });
-        }
-    });
-
-    // Threads drain exactly as many items as they pushed, so globally
-    // every item arrives exactly once (stragglers would show up here).
-    let total = threads * per_thread;
-    let mut delivered = received.into_inner().unwrap();
-    while let Some(v) = q.steal() {
-        delivered.push(v); // bounded-miss consumers may leave a tail
-    }
-    assert_exactly_once(delivered, total, "striped-counter stripe sharing");
-
-    // Reclamation must have survived the stripe sharing: with the threads
-    // joined every stripe is drained, so quiescent bounded traffic must
-    // recycle (a stripe left non-zero by a lost decrement would block
-    // every future epoch advance and make each round below allocate; the
-    // contended phase itself carries no allocation bound — on an
-    // oversubscribed box a preempted in-flight operation legitimately
-    // holds its parity non-zero for a scheduling quantum).
-    let before = q.segments_allocated();
-    for round in 0..100usize {
-        for i in 0..SEG_CAP {
-            q.push(total + round * SEG_CAP + i);
-        }
-        for i in 0..SEG_CAP {
-            assert_eq!(q.steal(), Some(total + round * SEG_CAP + i));
-        }
-    }
-    assert!(
-        q.segments_allocated() - before <= 6,
-        "{} fresh segments over 100 quiescent rounds — striped reclamation \
-         wedged after {} segment lifetimes of contended traffic",
-        q.segments_allocated() - before,
-        total / SEG_CAP
-    );
-}
-
-#[test]
 fn injector_push_batch_exactly_once_under_contention() {
-    // ISSUE-9 satellite: batched ingest must keep the exactly-once
-    // guarantee while racing scalar producers and concurrent consumers.
-    // Batch sizes are mixed (including > SEG_CAP, so single batches span
-    // segment installs) and producers alternate batch/scalar pushes so
-    // slot runs interleave with single-slot claims on the same segments.
-    use wsf_deque::SEG_CAP;
-
+    // Batched ingest must keep the exactly-once guarantee while racing
+    // scalar producers and concurrent consumers. Batch sizes are mixed and
+    // producers alternate batch/scalar pushes, so whole batches interleave
+    // with single pushes.
     let producers = 3usize;
     let consumers = 3usize;
     let batches_per_producer = 120usize;
-    let sizes = [1usize, 5, SEG_CAP - 3, SEG_CAP, SEG_CAP + 9, 2 * SEG_CAP];
+    let sizes = [1usize, 5, 61, 64, 73, 128];
     let per_producer: usize = (0..batches_per_producer)
         .map(|b| sizes[b % sizes.len()])
         .sum();
@@ -451,8 +315,7 @@ fn injector_push_batch_exactly_once_under_contention() {
                 for b in 0..batches_per_producer {
                     let size = sizes[b % sizes.len()];
                     if b % 3 == 2 {
-                        // Every third batch goes through the scalar path so
-                        // both claim disciplines share segments.
+                        // Every third batch goes through the scalar path.
                         for v in next..next + size {
                             q.push(v);
                         }
@@ -488,46 +351,19 @@ fn injector_push_batch_exactly_once_under_contention() {
 
     let total = producers * per_producer;
     assert_exactly_once(received.into_inner().unwrap(), total, "batched producers");
-
-    // Reclamation progress: with the contended phase joined (every stripe
-    // drained), quiescent batched traffic must recycle segments rather
-    // than allocate per round — the same bound the scalar-path tests pin.
-    let before = q.segments_allocated();
-    for round in 0..100usize {
-        let base = total + round * 2 * SEG_CAP;
-        q.push_batch(base..base + 2 * SEG_CAP);
-        for i in 0..2 * SEG_CAP {
-            assert_eq!(q.steal(), Some(base + i));
-        }
-    }
-    assert!(
-        q.segments_allocated() - before <= 8,
-        "{} fresh segments over 100 quiescent batched rounds — push_batch \
-         wedged reclamation",
-        q.segments_allocated() - before
-    );
-    assert!(q.segments_parked() <= q.segments_allocated());
 }
 
 #[test]
-fn injector_recycles_under_sustained_contention() {
-    // REVIEW follow-up: recycling must make progress while producers and
-    // consumers are *continuously* in flight, not only at single-operation
-    // quiescence. The two-parity epoch scheme guarantees that: operations
-    // entering after an epoch advance register against the new parity, so
-    // the old parity drains as soon as its (short) operations finish and
-    // the next advance becomes legal even under steady traffic. Producers
-    // throttle against a bounded in-flight window so the live queue stays
-    // O(window) and any allocation growth is retention, not backlog. The
-    // bound is deliberately loose (scheduling-dependent `try_lock` misses
-    // each cost one allocation) but far below the linear count.
-    use wsf_deque::SEG_CAP;
-
+fn injector_exactly_once_under_sustained_contention() {
+    // Two producers and two consumers stay continuously in flight: the
+    // producers throttle against a bounded in-flight window, so the queue
+    // hovers near a small length and keeps draining to empty and refilling
+    // while every value must still arrive exactly once.
     let q: Injector<usize> = Injector::new();
     let producers = 2usize;
     let consumers = 2usize;
-    let per_producer = 256 * SEG_CAP;
-    let window = 8 * SEG_CAP;
+    let per_producer = 256 * 64;
+    let window = 8 * 64;
     let pushed = AtomicUsize::new(0);
     let popped = AtomicUsize::new(0);
     let live_producers = AtomicUsize::new(producers);
@@ -591,14 +427,63 @@ fn injector_recycles_under_sustained_contention() {
     });
 
     let total = producers * per_producer;
-    assert_exactly_once(received.into_inner().unwrap(), total, "contended recycling");
-    let linear_segments = total / SEG_CAP; // what retire-until-drop retains
-    assert!(
-        q.segments_allocated() <= 64,
-        "{} segments allocated under sustained contention — recycling is not \
-         making progress (retire-until-drop would retain {linear_segments} \
-         segments for an O({window})-item working set)",
-        q.segments_allocated()
+    assert_exactly_once(
+        received.into_inner().unwrap(),
+        total,
+        "sustained contention",
     );
-    assert!(q.segments_parked() <= q.segments_allocated());
+}
+
+#[test]
+fn injector_stalled_operation_stalls_only_its_caller() {
+    // Thread A's push parks in the stall hook. While it is parked, thread
+    // B must push and steal its own value, then release A. If the hook
+    // ever fired with the lock held, B would block on the lock and the
+    // bounded wait below would fail instead of hanging.
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const WAIT: Duration = Duration::from_secs(10);
+    let q: Injector<usize> = Injector::new();
+    let armed = AtomicBool::new(true);
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    // Only the first push (A's) parks; it gives up after twice the test's
+    // own wait, so a regression fails the assertion before A moves on.
+    let park = move |site| {
+        if site == StallSite::Push && armed.swap(false, Ordering::SeqCst) {
+            entered_tx.send(()).unwrap();
+            let _ = release_rx.lock().unwrap().recv_timeout(2 * WAIT);
+        }
+    };
+    assert!(q.install_stall_hook(park));
+
+    std::thread::scope(|scope| {
+        let q = &q;
+        let (a_done_tx, a_done_rx) = mpsc::channel::<()>();
+        scope.spawn(move || {
+            q.push(1);
+            a_done_tx.send(()).unwrap();
+        });
+        entered_rx
+            .recv_timeout(WAIT)
+            .expect("thread A never reached the stall hook");
+
+        let (b_done_tx, b_done_rx) = mpsc::channel::<Option<usize>>();
+        scope.spawn(move || {
+            q.push(2);
+            b_done_tx.send(q.steal()).unwrap();
+            release_tx.send(()).unwrap();
+        });
+        let stolen = b_done_rx
+            .recv_timeout(WAIT)
+            .expect("thread B blocked behind thread A's stalled push");
+        assert_eq!(stolen, Some(2), "B must steal its own value");
+        a_done_rx
+            .recv_timeout(WAIT)
+            .expect("thread A never finished its push after release");
+    });
+    assert_eq!(q.steal(), Some(1));
+    assert!(q.is_empty());
 }

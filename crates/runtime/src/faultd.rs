@@ -61,9 +61,9 @@ pub trait FaultHooks: Send + Sync + 'static {
         None
     }
 
-    /// Called at the top of every injector push/steal (inside the
-    /// injector's epoch registration); returns how long the operation
-    /// should stall in flight.
+    /// Called at the top of every injector push/steal, before the
+    /// injector's lock is taken; returns how long the operation should
+    /// stall, which delays only its caller.
     fn on_injector(&self, _site: StallSite) -> Option<Duration> {
         None
     }

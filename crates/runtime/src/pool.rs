@@ -55,7 +55,7 @@ thread_local! {
 /// threads holding futures.
 pub(crate) struct Inner {
     stealers: Vec<Stealer<Task>>,
-    /// Lock-free MPMC queue for tasks submitted from outside the pool
+    /// Locked MPMC queue for tasks submitted from outside the pool
     /// (external `spawn_future`/`defer_future` callers); workers drain it
     /// after their own deque and before stealing.
     injector: Injector<Task>,
@@ -90,8 +90,7 @@ pub(crate) struct Inner {
     /// branch per dispatch site, mirroring `hooks`.
     trace: Option<Arc<TouchTrace>>,
     /// Per-worker steal/execute counters, one cache-padded slot per worker
-    /// so each writer owns its line (the per-thread analogue of the
-    /// injector's striped epoch counters).
+    /// so each writer owns its line.
     worker_stats: Vec<CachePadded<WorkerCounters>>,
 }
 

@@ -196,7 +196,7 @@ fn join_combines_both_results() {
 
 #[test]
 fn external_submissions_never_lose_tasks() {
-    // Tasks pushed from outside the pool go through the lock-free injector;
+    // Tasks pushed from outside the pool go through the injector;
     // every one must execute exactly once and every touch must complete
     // (no lost wakeups), even with several external submitter threads
     // racing each other and the workers.

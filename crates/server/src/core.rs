@@ -1,6 +1,6 @@
 //! The transport-independent server core: ingest, admission, execution.
 //!
-//! [`ServerCore`] owns the shared submission queue (a lock-free
+//! [`ServerCore`] owns the shared submission queue (a locked
 //! [`Injector`]), the tenant table, the plan cache ([`crate::plan`]), the
 //! execution [`Runtime`] and a small pool of executor threads. The network
 //! layer (or a test) drives it with already-framed request words:
@@ -23,8 +23,8 @@
 //! **The ingest hot path allocates nothing in steady state.** Ingest
 //! builds nothing: a job is the decoded [`ShapeSpec`] plus its routing
 //! words, staged into a reused buffer and entered into the injector
-//! through [`Injector::push_batch`] — one two-parity epoch-guard entry per
-//! frame instead of one per submission.
+//! through [`Injector::push_batch`] — one lock per frame instead of one
+//! per submission.
 //! `crates/server/tests/alloc_free.rs` proves the full
 //! decode→admit→stage→push_batch path under a counting allocator.
 //! Nothing here paces it against the executors; a network reader does that
@@ -326,8 +326,8 @@ impl ServerCore {
 
     /// Processes one request frame: decode each submission, admit or shed
     /// it, stage the accepted ones and batch them into the injector (one
-    /// epoch-guard entry per frame). Nothing is built here; the executing
-    /// worker resolves the shape's plan.
+    /// lock per frame). Nothing is built here; the executing worker
+    /// resolves the shape's plan.
     ///
     /// Shed/draining rejections complete immediately on the connection's
     /// completion queue. An `Err` is fatal for the connection; accepted

@@ -4,13 +4,12 @@
 //! concurrent clients over a length-prefixed, versioned flat-`u64` binary
 //! protocol ([`protocol`]), admits or sheds them by declared block
 //! footprint ([`admission`]), batches accepted work into the runtime's
-//! injector via [`wsf_deque::Injector::push_batch`] — one two-parity
-//! epoch-guard entry per frame, no steady-state allocation on the ingest
-//! hot path — and executes each submission on a shared
-//! [`wsf_runtime::Runtime`] with per-tenant accounting ([`tenant`]). A
-//! shape's DAG and sequential baseline are built once and shared by every
-//! request that names them ([`plan`]); only the tenant's seeded stealing
-//! run is computed per request.
+//! injector via [`wsf_deque::Injector::push_batch`] — one lock per frame,
+//! no steady-state allocation on the ingest hot path — and executes each
+//! submission on a shared [`wsf_runtime::Runtime`] with per-tenant
+//! accounting ([`tenant`]). A shape's DAG and sequential baseline are
+//! built once and shared by every request that names them ([`plan`]);
+//! only the tenant's seeded stealing run is computed per request.
 //!
 //! Layering:
 //!

@@ -8,15 +8,14 @@
 //! [`ServerCore::ingest_frame`]. After warm-up, a full ingest round must
 //! allocate nothing at all on the ingest thread, round after round — only
 //! possible if every buffer is reused: the frame reader's byte and word
-//! arenas, the job staging buffer, and the injector's epoch-recycled
-//! segments. (Ingest builds no DAG: the executing worker resolves the
-//! shape's shared plan.)
+//! arenas, the job staging buffer, and the injector's `VecDeque`. (Ingest
+//! builds no DAG: the executing worker resolves the shape's shared plan.)
 //!
-//! Warm-up is adaptive rather than a fixed count: the injector's segment
-//! free-list only proves reuse once pushes have crossed a segment boundary
-//! (every `SEG_CAP` submissions). The test therefore warms until a long
-//! streak of zero-allocation rounds — long enough to span
-//! segment-boundary crossings — and only then asserts the steady state.
+//! Warm-up is adaptive rather than a fixed count: the staging buffer and
+//! the injector's `VecDeque` allocate until each reaches its peak
+//! capacity, and the test does not assume which round that is. It warms
+//! until a long streak of zero-allocation rounds and only then asserts
+//! the steady state.
 //!
 //! Executor-side work (the future cell, completion records) happens on
 //! other threads and is out of scope here, per the counting-allocator
@@ -36,8 +35,8 @@ mod counting_alloc;
 use counting_alloc::thread_allocs as allocs;
 
 /// Zero-allocation rounds required before the steady state counts as
-/// reached: > `SEG_CAP` (64) / submissions-per-round (3), so the streak is
-/// guaranteed to span at least one injector segment-boundary crossing.
+/// reached: long enough that the staging buffer and the injector's
+/// `VecDeque` have reached their peak capacity.
 const ZERO_STREAK: u32 = 30;
 /// Warm-up bound; the streak itself takes `ZERO_STREAK` rounds.
 const MAX_WARMUP_ROUNDS: u32 = 400;
@@ -112,8 +111,8 @@ fn ingest_path_is_allocation_free_in_steady_state() {
         }
     }
 
-    // Steady state: every further round — including ones that cross
-    // injector segment boundaries — must allocate nothing on this thread.
+    // Steady state: every further round must allocate nothing on this
+    // thread.
     for i in 0..ZERO_STREAK {
         let steady = round();
         assert_eq!(

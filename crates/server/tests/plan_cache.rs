@@ -442,7 +442,7 @@ fn a_warm_hit_allocates_independently_of_dag_size() {
     };
 
     // Warm both plans, the worker's scratch (sized by the larger DAG), the
-    // injector's segment free-list and the completion queue.
+    // injector's queue and the completion queue.
     for _ in 0..200 {
         round(large);
         round(small);
