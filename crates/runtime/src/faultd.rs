@@ -28,10 +28,12 @@ pub enum FaultAction {
     /// Run the task normally.
     None,
     /// Make the task body panic (through the real unwind path; the panic
-    /// is contained by the worker's `catch_unwind` and surfaced as a
-    /// [`crate::TaskError::Panicked`] at touch time).
+    /// is contained by the worker's `catch_unwind`, counted, and — for a
+    /// future's task — surfaced as a [`crate::TaskError::Panicked`] at
+    /// touch time).
     PanicTask,
-    /// Fail the task's future with [`crate::TaskError::WorkerKilled`] and
+    /// Fail the task's future with [`crate::TaskError::WorkerKilled`] (a
+    /// plain [`crate::Runtime::spawn`] task is dropped unrun) and
     /// terminate the executing worker permanently — a crashed worker. The
     /// pool degrades to the surviving workers; tasks left on the dead
     /// worker's deque remain stealable.

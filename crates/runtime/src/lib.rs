@@ -16,6 +16,13 @@
 //!   helper-first (parent-first) scheduling of newly created futures, the
 //!   choice whose locality consequences Theorems 8 and 10 contrast.
 //! * [`Runtime::join`] is the fork-join special case (Cilk spawn/sync).
+//! * [`Runtime::spawn`] queues a plain task with no future at all, for
+//!   work whose result travels some other way (a `dag_exec` chain
+//!   publishes through its DAG's join counters): one boxed task, no
+//!   completion slot, never run inline.
+//! * [`Runtime::stats`] and [`Runtime::worker_stats`] read the counters;
+//!   the per-task ones (`tasks_executed`, `steals`) live in cache-padded
+//!   per-worker slots and the totals are their sums.
 //!
 //! ```
 //! use wsf_runtime::Runtime;

@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -21,8 +21,8 @@ use wsf_deque::{deque, Injector, Steal, Stealer, Worker};
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Where a worker currently is, for the shutdown watchdog's diagnosis.
-/// Stored relaxed in `Inner::worker_sites`; purely informational.
-const SITE_LAUNCHING: u8 = 0;
+/// Stored relaxed in the worker's `WorkerCounters::site`; purely
+/// informational. A slot starts at 0, launching.
 const SITE_SCANNING: u8 = 1;
 const SITE_EXECUTING: u8 = 2;
 const SITE_PARKED: u8 = 3;
@@ -39,7 +39,7 @@ fn site_label(site: u8) -> &'static str {
 }
 
 /// A fault the worker loop has scheduled for the task it is about to run;
-/// consumed by the task wrapper (see `make_task`).
+/// consumed by the task wrapper (see `make_task` and `Runtime::spawn`).
 #[derive(Copy, Clone, PartialEq, Eq)]
 enum InjectedFault {
     None,
@@ -56,8 +56,8 @@ thread_local! {
 pub(crate) struct Inner {
     stealers: Vec<Stealer<Task>>,
     /// Locked MPMC queue for tasks submitted from outside the pool
-    /// (external `spawn_future`/`defer_future` callers); workers drain it
-    /// after their own deque and before stealing.
+    /// (external `spawn`/`spawn_future`/`defer_future` callers); workers
+    /// drain it after their own deque and before stealing.
     injector: Injector<Task>,
     idle_mutex: Mutex<()>,
     idle_cond: Condvar,
@@ -83,14 +83,15 @@ pub(crate) struct Inner {
     /// Global dequeued-task sequence number, advanced only when fault
     /// hooks are installed; the coordinate system of seeded fault plans.
     task_seq: AtomicU64,
-    /// Per-worker location tags for the shutdown watchdog (`SITE_*`).
-    worker_sites: Vec<AtomicU8>,
-    pub(crate) stats: AtomicStats,
+    /// The pool-wide counters, on their own line: a wake-up or a panic
+    /// does not evict the read-mostly fields every dispatch reads.
+    pub(crate) stats: CachePadded<AtomicStats>,
     /// Block-touch recorder; `None` (the default) costs one never-taken
     /// branch per dispatch site, mirroring `hooks`.
     trace: Option<Arc<TouchTrace>>,
-    /// Per-worker steal/execute counters, one cache-padded slot per worker
-    /// so each writer owns its line.
+    /// Per-worker steal/execute counters and watchdog site (`SITE_*`), one
+    /// cache-padded slot per worker so each writer owns its line: no pool
+    /// line is written by every worker on every task.
     worker_stats: Vec<CachePadded<WorkerCounters>>,
 }
 
@@ -174,7 +175,12 @@ impl Inner {
     }
 
     fn set_site(&self, index: usize, site: u8) {
-        self.worker_sites[index].store(site, Ordering::Relaxed);
+        self.worker_stats[index].site.store(site, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> RuntimeStats {
+        self.stats
+            .snapshot(self.worker_stats.iter().map(|slot| &**slot))
     }
 
     /// Finds a task for the worker `index`: its own deque first, then the
@@ -202,7 +208,6 @@ impl Inner {
             loop {
                 match self.stealers[victim].steal() {
                     Steal::Success(t) => {
-                        self.stats.steals.fetch_add(1, Ordering::Relaxed);
                         self.worker_stats[local.index]
                             .steals
                             .fetch_add(1, Ordering::Relaxed);
@@ -236,14 +241,13 @@ impl Inner {
     }
 
     fn run_task(self: &Arc<Self>, index: usize, task: Task) {
-        self.stats.tasks_executed.fetch_add(1, Ordering::Relaxed);
         self.worker_stats[index]
             .executed
             .fetch_add(1, Ordering::Relaxed);
-        // Backstop only: every queued task is a `make_task` wrapper that
-        // contains its own panics, so this catch should never observe one.
-        // It exists so a future wrapper bug still cannot unwind through
-        // (and silently lose) a worker thread.
+        // A `make_task` wrapper contains its own panics (it has a future to
+        // fail); a `Runtime::spawn` task has none, so its panics — injected
+        // or from the body — are caught and counted here. Either way no
+        // panic unwinds through (and silently loses) a worker thread.
         if catch_unwind(AssertUnwindSafe(task)).is_err() {
             self.stats.panics.fetch_add(1, Ordering::Relaxed);
         }
@@ -521,10 +525,7 @@ impl RuntimeBuilder {
             hooks: self.hooks,
             live_workers: AtomicUsize::new(self.threads),
             task_seq: AtomicU64::new(0),
-            worker_sites: (0..self.threads)
-                .map(|_| AtomicU8::new(SITE_LAUNCHING))
-                .collect(),
-            stats: AtomicStats::default(),
+            stats: CachePadded::new(AtomicStats::default()),
             trace: self
                 .trace_capacity
                 .map(|capacity| TouchTrace::new(self.threads, capacity)),
@@ -627,11 +628,12 @@ impl Runtime {
 
     /// A snapshot of the runtime's counters.
     pub fn stats(&self) -> RuntimeStats {
-        self.inner.stats.snapshot()
+        self.inner.snapshot()
     }
 
-    /// Per-worker steal/execute snapshots, indexed by worker. Each worker's
-    /// counters sum to the global [`RuntimeStats`] figures once the pool is
+    /// Per-worker steal/execute snapshots, indexed by worker. The
+    /// [`RuntimeStats`] `steals` and `tasks_executed` totals are the sums
+    /// of these slots, so the two readings agree once the pool is
     /// quiescent (asserted by `pool_smoke`).
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         self.inner
@@ -766,6 +768,29 @@ impl Runtime {
         }
     }
 
+    /// Queues `f` as a plain pool task: no future, no completion slot.
+    ///
+    /// The task lands where [`Runtime::defer_future`]'s would — the bottom
+    /// of the calling worker's deque, or the injector when the caller is
+    /// not one of this pool's workers — and never runs inline, whatever
+    /// the spawn policy. Nothing reports its outcome, so `f` publishes its
+    /// own result (a `dag_exec` chain does, through the DAG's join
+    /// counters). A panic in `f` is contained and counted in
+    /// [`RuntimeStats::panics`]; an injected worker kill drops `f` unrun.
+    /// It is not counted in [`RuntimeStats::futures_created`].
+    pub fn spawn<F>(&self, f: F)
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        self.push_task(Box::new(move || {
+            match INJECTED.replace(InjectedFault::None) {
+                InjectedFault::None => f(),
+                InjectedFault::Panic => panic!("wsf-faultd: injected task panic"),
+                InjectedFault::Kill => {}
+            }
+        }));
+    }
+
     /// Shuts the pool down, waiting at most `timeout` for the workers to
     /// exit. On success returns the final counter snapshot. If a worker
     /// is hung (stalled in a task, or wedged on a queue), the error names
@@ -785,7 +810,9 @@ impl Runtime {
                     .filter(|(_, h)| !h.is_finished())
                     .map(|(index, _)| HungWorker {
                         index,
-                        site: site_label(self.inner.worker_sites[index].load(Ordering::Relaxed)),
+                        site: site_label(
+                            self.inner.worker_stats[index].site.load(Ordering::Relaxed),
+                        ),
                     })
                     .collect();
                 let err = ShutdownError { hung };
@@ -803,7 +830,7 @@ impl Runtime {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-        Ok(self.inner.stats.snapshot())
+        Ok(self.inner.snapshot())
     }
 
     fn push_task(&self, task: Task) {

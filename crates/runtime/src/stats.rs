@@ -1,12 +1,13 @@
 //! Runtime execution counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// Shared atomic counters updated by the workers.
+/// Pool-wide atomic counters for the events no single worker owns:
+/// future creation and touches (any thread), wake-ups (any pusher),
+/// panics, deaths and idle scans. The per-task counters live in
+/// [`WorkerCounters`]; [`AtomicStats::snapshot`] adds their sums in.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
-    pub tasks_executed: AtomicU64,
-    pub steals: AtomicU64,
     pub failed_steals: AtomicU64,
     pub futures_created: AtomicU64,
     pub touches: AtomicU64,
@@ -18,10 +19,20 @@ pub(crate) struct AtomicStats {
 }
 
 impl AtomicStats {
-    pub(crate) fn snapshot(&self) -> RuntimeStats {
+    /// The pool-wide counters plus the sums of the per-worker ones.
+    pub(crate) fn snapshot<'a>(
+        &self,
+        workers: impl IntoIterator<Item = &'a WorkerCounters>,
+    ) -> RuntimeStats {
+        let (tasks_executed, steals) = workers.into_iter().fold((0, 0), |(t, s), w| {
+            (
+                t + w.executed.load(Ordering::Relaxed),
+                s + w.steals.load(Ordering::Relaxed),
+            )
+        });
         RuntimeStats {
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
+            tasks_executed,
+            steals,
             failed_steals: self.failed_steals.load(Ordering::Relaxed),
             futures_created: self.futures_created.load(Ordering::Relaxed),
             touches: self.touches.load(Ordering::Relaxed),
@@ -34,17 +45,23 @@ impl AtomicStats {
     }
 }
 
-/// Per-worker atomic counters. Each worker owns one slot (cache-padded in
-/// the pool) so the hot-path increments never contend or false-share.
+/// One worker's own counters and shutdown-watchdog site, written only by
+/// that worker. The pool keeps each slot on its own cache line, so the
+/// per-task writes never contend or false-share; `RuntimeStats`'
+/// `tasks_executed` and `steals` are the sums of these slots.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerCounters {
     pub steals: AtomicU64,
     pub executed: AtomicU64,
+    /// Where the worker currently is (the pool's `SITE_*` tags), stored
+    /// relaxed; purely informational.
+    pub site: AtomicU8,
 }
 
 /// A point-in-time snapshot of one worker's counters (see
-/// [`crate::Runtime::worker_stats`]). Once the pool is quiescent, the
-/// per-worker figures sum to the corresponding [`RuntimeStats`] totals.
+/// [`crate::Runtime::worker_stats`]). The [`RuntimeStats`] `steals` and
+/// `tasks_executed` totals are the sums of these per-worker figures, so
+/// once the pool is quiescent the two readings agree exactly.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The worker's index in the pool.
@@ -144,17 +161,19 @@ mod tests {
     #[test]
     fn snapshot_and_since() {
         let a = AtomicStats::default();
-        a.tasks_executed.store(10, Ordering::Relaxed);
-        a.steals.store(3, Ordering::Relaxed);
+        let workers = [WorkerCounters::default(), WorkerCounters::default()];
+        workers[0].executed.store(6, Ordering::Relaxed);
+        workers[1].executed.store(4, Ordering::Relaxed);
+        workers[1].steals.store(3, Ordering::Relaxed);
         a.futures_created.store(4, Ordering::Relaxed);
         a.inline_runs.store(2, Ordering::Relaxed);
-        let s1 = a.snapshot();
-        assert_eq!(s1.tasks_executed, 10);
+        let s1 = a.snapshot(&workers);
+        assert_eq!(s1.tasks_executed, 10, "summed over the workers");
         assert_eq!(s1.steals, 3);
         assert!((s1.inline_fraction() - 0.5).abs() < 1e-12);
 
-        a.tasks_executed.store(15, Ordering::Relaxed);
-        let s2 = a.snapshot();
+        workers[0].executed.store(11, Ordering::Relaxed);
+        let s2 = a.snapshot(&workers);
         let d = s2.since(&s1);
         assert_eq!(d.tasks_executed, 5);
         assert_eq!(d.steals, 0);

@@ -8,6 +8,10 @@
 //!   untraced pool allocates the same in steady state: with the reserve
 //!   paid at construction, enabling tracing adds no per-event cost to
 //!   the hot loop (and disabled tracing is a single never-taken branch).
+//! * A `dag_exec` chain is a plain pool task (`Runtime::spawn`), not a
+//!   future: a warmed untraced run allocates one boxed task per executed
+//!   task plus the run's own few set-up allocations — no completion slot
+//!   per chain.
 //!
 //! The counter is process-global (worker threads allocate too), so this
 //! file holds a single test function: nothing else may run concurrently
@@ -120,5 +124,26 @@ fn recording_allocates_only_during_the_construction_reserve() {
         traced_steady <= untraced_steady + events / 8,
         "tracing allocated per event: {traced_steady} vs {untraced_steady} \
          for {events} recorded events"
+    );
+
+    // ---- Chains are tasks: one allocation per executed task. ----
+    // The untraced pool is warm (its deque has grown), so what remains is
+    // the boxed task per chain plus the run's context and its two
+    // per-node arrays. A future per chain would add a completion slot each.
+    let stats_before = untraced.stats();
+    let before = allocs();
+    let report = run_dag_on_pool(&untraced, &dag, ForkPolicy::FutureFirst);
+    let count = allocs() - before;
+    let delta = untraced.stats().since(&stats_before);
+    assert_eq!(report.nodes_executed, dag.num_nodes());
+    assert_eq!(delta.futures_created, 0, "a chain creates no future");
+    eprintln!(
+        "chain tasks: allocations={count} tasks={}",
+        delta.tasks_executed
+    );
+    assert!(
+        count <= delta.tasks_executed + 4,
+        "{count} allocations for {} chain tasks",
+        delta.tasks_executed
     );
 }

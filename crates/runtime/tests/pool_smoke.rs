@@ -1,11 +1,11 @@
 //! Smoke tests of the real thread pool: spawn/touch fan-outs under both
-//! [`SpawnPolicy`] variants, checking results and the consistency of the
-//! [`RuntimeStats`] counters.
+//! [`SpawnPolicy`] variants, plain [`Runtime::spawn`] tasks, checking
+//! results and the consistency of the [`RuntimeStats`] counters.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use wsf_runtime::{Runtime, RuntimeStats, SpawnPolicy, TaskError};
+use std::time::{Duration, Instant};
+use wsf_runtime::{FaultAction, FaultHooks, Runtime, RuntimeStats, SpawnPolicy, TaskError};
 
 /// Recursive fork-join fib on the runtime (the canonical fan-out).
 fn fib(rt: &Arc<Runtime>, n: u64) -> u64 {
@@ -28,7 +28,9 @@ fn fib_reference(n: u64) -> u64 {
     a
 }
 
-/// Asserts the internal consistency relations between the counters.
+/// Asserts the internal consistency relations between the counters of a
+/// future-only load (a [`Runtime::spawn`] task is queued without a future,
+/// so it would count in `tasks_executed` but in no `futures_created`).
 fn assert_stats_consistent(stats: &RuntimeStats, context: &str) {
     assert!(
         stats.touches <= stats.futures_created,
@@ -407,39 +409,212 @@ fn stats_snapshots_are_monotonic() {
     assert_stats_consistent(&delta, "delta snapshot");
 }
 
+/// Polls `done` until it holds, failing after ten seconds.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Fault hooks that apply `action` to the dequeued task numbered `seq`.
+struct FaultAt {
+    seq: u64,
+    action: FaultAction,
+}
+
+impl FaultHooks for FaultAt {
+    fn on_task(&self, _worker: usize, seq: u64) -> FaultAction {
+        if seq == self.seq {
+            self.action
+        } else {
+            FaultAction::None
+        }
+    }
+}
+
 #[test]
 fn per_worker_counters_sum_to_the_global_stats() {
-    // The cache-padded per-worker steal/execute counters are incremented
-    // alongside the global ones (both before a task's body runs), so once
-    // every spawned future has been touched the pool is quiescent and the
-    // per-worker figures must sum exactly to the `RuntimeStats` totals.
+    // `RuntimeStats::steals` and `tasks_executed` are the sums of the
+    // cache-padded per-worker slots, so once the pool is quiescent the
+    // two readings agree exactly — for a future-only fan-out, and again
+    // after a mixed load of plain `spawn` tasks (from outside and from
+    // inside tasks), deferred futures and spawned futures.
     for policy in SpawnPolicy::ALL {
         let rt = Arc::new(Runtime::builder().threads(4).policy(policy).build());
         let n = 18u64;
         assert_eq!(fib(&rt, n), fib_reference(n));
+        assert_stats_consistent(&rt.stats(), &format!("per-worker sums / {policy}"));
+        assert_sums_match(&rt, &format!("fib / {policy}"));
 
-        let stats = rt.stats();
-        let workers = rt.worker_stats();
-        assert_eq!(workers.len(), 4, "{policy}: one snapshot per worker");
-        for (i, w) in workers.iter().enumerate() {
-            assert_eq!(w.index, i, "{policy}: snapshots are worker-indexed");
-            assert!(
-                w.steals <= w.tasks_executed,
-                "{policy}: worker {i} stole {} tasks but executed only {}",
-                w.steals,
-                w.tasks_executed
-            );
+        let before = rt.stats();
+        let spawned = Arc::new(AtomicU64::new(0));
+        const OUTER: u64 = 64;
+        for i in 0..OUTER {
+            let (rt2, spawned) = (Arc::clone(&rt), Arc::clone(&spawned));
+            rt.spawn(move || {
+                for _ in 0..2 {
+                    let spawned = Arc::clone(&spawned);
+                    rt2.spawn(move || {
+                        spawned.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                let deferred = rt2.defer_future(move || i);
+                let rt3 = Arc::clone(&rt2);
+                let inner = rt2.spawn_future(move || fib(&rt3, 6));
+                assert_eq!(deferred.touch() + inner.touch(), i + 8);
+                spawned.fetch_add(1, Ordering::Relaxed);
+            });
         }
-        let steals: u64 = workers.iter().map(|w| w.steals).sum();
-        let executed: u64 = workers.iter().map(|w| w.tasks_executed).sum();
-        assert_eq!(
-            steals, stats.steals,
-            "{policy}: per-worker steals must sum to the global counter"
+        wait_until("the mixed load", || {
+            spawned.load(Ordering::Relaxed) == 3 * OUTER
+        });
+        let delta = rt.stats().since(&before);
+        assert_eq!(delta.touches, delta.futures_created, "{policy}");
+        assert!(
+            delta.tasks_executed >= 3 * OUTER,
+            "{policy}: every spawned body is an executed task: {delta:?}"
         );
-        assert_eq!(
-            executed, stats.tasks_executed,
-            "{policy}: per-worker executions must sum to the global counter"
-        );
-        assert_stats_consistent(&stats, &format!("per-worker sums / {policy}"));
+        assert_sums_match(&rt, &format!("mixed load / {policy}"));
     }
+}
+
+/// The per-worker slots of a quiescent pool sum to its global counters.
+fn assert_sums_match(rt: &Runtime, context: &str) {
+    let stats = rt.stats();
+    let workers = rt.worker_stats();
+    assert_eq!(workers.len(), rt.num_threads(), "{context}: one per worker");
+    for (i, w) in workers.iter().enumerate() {
+        assert_eq!(w.index, i, "{context}: snapshots are worker-indexed");
+        assert!(
+            w.steals <= w.tasks_executed,
+            "{context}: worker {i} stole {} tasks but executed only {}",
+            w.steals,
+            w.tasks_executed
+        );
+    }
+    let steals: u64 = workers.iter().map(|w| w.steals).sum();
+    let executed: u64 = workers.iter().map(|w| w.tasks_executed).sum();
+    assert_eq!(steals, stats.steals, "{context}: per-worker steals");
+    assert_eq!(
+        executed, stats.tasks_executed,
+        "{context}: per-worker executions"
+    );
+}
+
+#[test]
+fn spawn_runs_each_body_exactly_once_without_a_future() {
+    const TASKS: u64 = 200;
+    for policy in SpawnPolicy::ALL {
+        for threads in [1usize, 2, 4] {
+            let rt = Arc::new(Runtime::builder().threads(threads).policy(policy).build());
+            let ran = Arc::new(AtomicU64::new(0));
+            for _ in 0..TASKS {
+                let ran = Arc::clone(&ran);
+                rt.spawn(move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            wait_until("the spawned bodies", || {
+                ran.load(Ordering::Relaxed) == TASKS
+            });
+            std::thread::sleep(Duration::from_millis(10));
+            let at = format!("{policy}/{threads}t");
+            assert_eq!(ran.load(Ordering::Relaxed), TASKS, "{at}: once each");
+            let stats = rt.stats();
+            assert_eq!(stats.tasks_executed, TASKS, "{at}: one task per spawn");
+            assert_eq!(stats.futures_created, 0, "{at}: spawn makes no future");
+            assert_eq!(stats.inline_runs, 0, "{at}");
+            assert_eq!(stats.panics, 0, "{at}");
+        }
+    }
+}
+
+#[test]
+fn spawn_on_a_worker_is_queued_not_run_inline_under_child_first() {
+    // One worker, child-first: a future spawned here would run inline. A
+    // plain task must instead wait on the worker's deque until the task
+    // that spawned it returns, and then run on that same worker.
+    let rt = Arc::new(
+        Runtime::builder()
+            .threads(1)
+            .policy(SpawnPolicy::ChildFirst)
+            .build(),
+    );
+    let ran_on = Arc::new(AtomicU64::new(u64::MAX));
+    let (rt2, ran_on2) = (Arc::clone(&rt), Arc::clone(&ran_on));
+    let outer = rt.spawn_future(move || {
+        let (rt3, ran_on3) = (Arc::clone(&rt2), Arc::clone(&ran_on2));
+        rt2.spawn(move || {
+            let worker = rt3.current_worker().expect("runs on a worker");
+            ran_on3.store(worker as u64, Ordering::Relaxed);
+        });
+        ran_on2.load(Ordering::Relaxed)
+    });
+    assert_eq!(outer.touch(), u64::MAX, "the body ran inline at spawn");
+    wait_until("the queued task", || ran_on.load(Ordering::Relaxed) == 0);
+    let stats = rt.stats();
+    assert_eq!(stats.inline_runs, 0, "nothing ran inline");
+    assert_eq!(stats.futures_created, 1, "only the outer future");
+    assert_eq!(stats.tasks_executed, 2);
+}
+
+#[test]
+fn spawn_under_an_injected_kill_skips_the_body() {
+    let rt = Runtime::builder()
+        .threads(2)
+        .fault_hooks(Arc::new(FaultAt {
+            seq: 0,
+            action: FaultAction::KillWorker,
+        }))
+        .build();
+    let (killed, after) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let flag = Arc::clone(&killed);
+    rt.spawn(move || flag.store(true, Ordering::Release));
+    wait_until("the kill", || rt.stats().worker_deaths == 1);
+    let flag = Arc::clone(&after);
+    rt.spawn(move || flag.store(true, Ordering::Release));
+    wait_until("the surviving worker", || after.load(Ordering::Acquire));
+    assert!(
+        !killed.load(Ordering::Acquire),
+        "the killed task's body ran"
+    );
+    assert_eq!(rt.live_workers(), 1);
+    assert_eq!(rt.stats().panics, 0);
+}
+
+#[test]
+fn spawn_panics_are_counted_and_the_worker_goes_on() {
+    // One worker: the injected panic (task 0) and the body's own panic
+    // (task 1) are both contained, and that same worker runs task 2.
+    let rt = Runtime::builder()
+        .threads(1)
+        .fault_hooks(Arc::new(FaultAt {
+            seq: 0,
+            action: FaultAction::PanicTask,
+        }))
+        .build();
+    let (injected, last) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let flag = Arc::clone(&injected);
+    rt.spawn(move || flag.store(true, Ordering::Release));
+    wait_until("the injected panic", || rt.stats().panics == 1);
+    rt.spawn(|| panic!("intentional spawned-task panic"));
+    wait_until("the body's panic", || rt.stats().panics == 2);
+    let flag = Arc::clone(&last);
+    rt.spawn(move || flag.store(true, Ordering::Release));
+    wait_until("the task after the panics", || last.load(Ordering::Acquire));
+    assert!(
+        !injected.load(Ordering::Acquire),
+        "an injected panic skips the body"
+    );
+    let stats = rt.stats();
+    assert_eq!((stats.panics, stats.tasks_executed), (2, 3), "{stats:?}");
+    assert_eq!((rt.live_workers(), stats.worker_deaths), (1, 0));
 }

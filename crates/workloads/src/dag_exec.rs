@@ -14,7 +14,9 @@
 //! successors from its [`SuccessorRecord`](wsf_dag::SuccessorRecord), lets
 //! [`next_and_push`] — the rule the sequential and parallel simulators
 //! call — pick `next` and `push`, follows `next`, and spawns `push` as a
-//! *new* chain task via [`Runtime::defer_future`]. Deferred chains land on
+//! *new* chain task via [`Runtime::spawn`]. A chain is a task, not a
+//! future: nobody touches it, and its result travels through the join
+//! counters below, so it carries no completion slot. Spawned chains land on
 //! the bottom of the running worker's deque, where the owner pops them LIFO
 //! and other workers steal them FIFO — the same discipline `SimDeque` gives
 //! the simulators.
@@ -46,23 +48,23 @@
 //! Nothing counts nodes while the DAG runs. A node's claim is sequenced
 //! before the work that enables its successors, and that enabling carries
 //! it on: program order along a chain, the deque's push/steal pair to a
-//! deferred chain, and for a join the `AcqRel` decrements, whose release
+//! spawned chain, and for a join the `AcqRel` decrements, whose release
 //! sequence reaches the decrement that enables it. Every node precedes the
 //! final node, so the claims all happen before the final node runs, and
 //! the `done` mutex carries them to the caller: after `done`, one scan of
 //! the state bytes finds every node claimed.
 //!
-//! When the fault injector kills a worker, the chain task it was about to
-//! run fails without executing (its nodes stay enabled but unclaimed). The
-//! caller's wait loop counts claimed nodes once per 100 ms window that ends
-//! without `done`; when a window claimed nothing, it respawns a chain for
-//! every enabled-but-unclaimed node — or, once every worker is dead,
-//! executes them directly on the calling thread (recorded on the trace's
-//! external lane). A node counts as enabled when its `remaining` count is
-//! zero (the root, and joins) or when it has in-degree 1 and its one
-//! predecessor is `DONE`. `RUNNING` is not enough: a predecessor that has
-//! claimed but not yet traced would let its respawned successor overtake
-//! it in the trace.
+//! When the fault injector kills a worker (or panics a task), the chain
+//! task it was about to run is dropped without executing (its nodes stay
+//! enabled but unclaimed). The caller's wait loop counts claimed nodes once
+//! per 100 ms window that ends without `done`; when a window claimed
+//! nothing, it respawns a chain for every enabled-but-unclaimed node — or,
+//! once every worker is dead, executes them directly on the calling thread
+//! (recorded on the trace's external lane). A node counts as enabled when
+//! its `remaining` count is zero (the root, and joins) or when it has
+//! in-degree 1 and its one predecessor is `DONE`. `RUNNING` is not enough:
+//! a predecessor that has claimed but not yet traced would let its
+//! respawned successor overtake it in the trace.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,6 +93,10 @@ const UNCLAIMED: u8 = 0;
 const RUNNING: u8 = 1;
 const DONE: u8 = 2;
 
+/// Aligned to 128 bytes so that inside its `Arc` the reference counts,
+/// written by every chain spawn and exit on both workers, sit on another
+/// cache-line pair than the fields every node reads.
+#[repr(align(128))]
 struct Ctx {
     rt: Arc<Runtime>,
     dag: Arc<Dag>,
@@ -125,7 +131,7 @@ impl Ctx {
     }
 
     /// Executes the chain starting at `start`: run the node, enable its
-    /// children, follow `next`, defer `push` as a new chain. In `direct`
+    /// children, follow `next`, spawn `push` as a new chain. In `direct`
     /// mode (every worker dead) pushes go onto a local LIFO stack instead
     /// of the pool — the sequential executor's discipline on the caller
     /// thread. Returns the number of nodes this call executed.
@@ -170,9 +176,9 @@ impl Ctx {
                     stack.push(push);
                 } else {
                     let ctx = Arc::clone(self);
-                    drop(self.rt.defer_future(move || {
+                    self.rt.spawn(move || {
                         ctx.run_chain(push, false);
-                    }));
+                    });
                 }
             }
             current = next.or_else(|| if direct { stack.pop() } else { None });
@@ -207,7 +213,7 @@ impl Ctx {
     }
 
     /// Respawns a chain for every enabled-but-unclaimed node. With live
-    /// workers the chains are deferred to the pool; with none they run
+    /// workers the chains are spawned on the pool; with none they run
     /// directly on the calling thread. Returns `(respawned, direct_runs)`.
     fn rescue(self: &Arc<Self>) -> (usize, usize) {
         let direct = self.rt.live_workers() == 0;
@@ -221,9 +227,9 @@ impl Ctx {
                     direct_runs += self.run_chain(node, true);
                 } else {
                     let ctx = Arc::clone(self);
-                    drop(self.rt.defer_future(move || {
+                    self.rt.spawn(move || {
                         ctx.run_chain(node, false);
-                    }));
+                    });
                 }
             }
         }
@@ -251,9 +257,9 @@ pub fn run_dag_on_pool(rt: &Arc<Runtime>, dag: &Arc<Dag>, policy: ForkPolicy) ->
 
     let root = dag.root();
     let ctx2 = Arc::clone(&ctx);
-    drop(rt.defer_future(move || {
+    rt.spawn(move || {
         ctx2.run_chain(root, false);
-    }));
+    });
 
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut last_claimed = 0usize;
