@@ -31,11 +31,11 @@ pub use fit::{mean_ratio, power_law_exponent};
 pub use par::{par_map, set_threads, threads};
 pub use policy::{OrderSpec, PolicySpec};
 pub use sweeps::{
-    capacity_sweep, parallel_curve, seed_sweep, seed_sweep_cells, sequential_curve, CapacityGrid,
-    CapacityRun, CapacitySweep, SweepCell, SweepConfig,
+    capacity_sweep, seed_sweep, seed_sweep_cells, sequential_curve, CapacityGrid, CapacityRun,
+    CapacitySweep, SweepCell, SweepConfig,
 };
 pub use table::Table;
 pub use tournament::{
     policy_space, policy_space_with, run_tournament, Tournament, TournamentConfig, TournamentEntry,
 };
-pub use validate::{trace_curve, validate_trace, BoundFamily, TraceValidation};
+pub use validate::{validate_trace, BoundFamily, TraceValidation};

@@ -18,9 +18,9 @@
 //! * each `(seed, policy)` pair runs one [`capacity_sweep`]: the
 //!   sequential baseline is computed once, each `(P, scheduler)` schedule
 //!   is simulated once, traced, and every cache size is read off the
-//!   resulting miss-ratio curves. That is exact because no sweep scheduler
-//!   reads cache state (`docs/DESIGN.md` §4; [`seed_sweep_cells`] asserts
-//!   it);
+//!   recorded [`wsf_core::Schedule`]'s miss-ratio curve. That is exact
+//!   because no sweep scheduler reads cache state (`docs/DESIGN.md` §4;
+//!   [`seed_sweep_cells`] asserts it);
 //! * each sweep reuses one [`SimScratch`], so repeated simulations allocate
 //!   nothing per step.
 
@@ -28,9 +28,7 @@ use crate::par::par_map;
 use crate::policy::PolicySpec;
 use crate::table::Table;
 use wsf_cache::{MissRatioCurve, StackDistanceSim};
-use wsf_core::{
-    bounds, ExecutionReport, ForkPolicy, ParallelSimulator, SeqReport, SimConfig, SimScratch,
-};
+use wsf_core::{bounds, ForkPolicy, ParallelSimulator, SeqReport, SimConfig, SimScratch};
 use wsf_dag::{classify, span, Dag};
 use wsf_workloads::random::{random_single_touch, RandomConfig};
 
@@ -95,36 +93,6 @@ pub fn sequential_curve(dag: &Dag, seq: &SeqReport) -> MissRatioCurve {
     sd.curve()
 }
 
-/// A traced parallel execution's aggregate miss-ratio curve, profiled one
-/// processor at a time on a single profiler: each processor's
-/// completions, in trace order, form one lane. `curve.misses_at(c)`
-/// equals the summed per-processor miss count of the same execution at
-/// `cache_lines = c` exactly.
-///
-/// Lanes run one after another with a flush between them, so each starts
-/// from a cold cache while the histogram accumulates: that is the merge of
-/// the per-processor curves (merging is a sum, so lane order changes no
-/// count), with one profiler's working set in cache instead of `P`
-/// interleaved ones.
-///
-/// # Panics
-/// Panics if `rep` carries no trace (run the simulator with
-/// `traced = true`).
-pub fn parallel_curve(dag: &Dag, rep: &ExecutionReport) -> MissRatioCurve {
-    let trace = rep
-        .trace
-        .as_ref()
-        .expect("parallel_curve needs a traced execution");
-    let mut sd = StackDistanceSim::with_block_hint(dag.block_space());
-    for proc in 0..rep.per_proc.len() {
-        sd.flush();
-        for ev in trace.iter().filter(|ev| ev.proc == proc) {
-            sd.access_opt(dag.block_of(ev.node).map(|b| b.0));
-        }
-    }
-    sd.curve()
-}
-
 /// One `(P, scheduler)` execution of a [`capacity_sweep`]: the
 /// C-independent schedule measurements plus the miss-ratio curve that
 /// answers every capacity.
@@ -147,7 +115,7 @@ pub struct CapacityRun {
 impl CapacityRun {
     /// Cache misses beyond the sequential baseline at capacity `c`
     /// (clamped at zero, matching
-    /// [`ExecutionReport::additional_misses`]).
+    /// [`wsf_core::ExecutionReport::additional_misses`]).
     pub fn additional_misses_at(&self, seq_curve: &MissRatioCurve, c: usize) -> u64 {
         self.curve
             .misses_at(c)
@@ -167,10 +135,10 @@ pub struct CapacitySweep {
     pub runs: Vec<CapacityRun>,
 }
 
-/// Simulates `dag` once per `(P, scheduler)` pair and profiles every trace
-/// with the one-pass stack-distance simulator, so hit/miss counts at
-/// *every* capacity come from a single execution per pair — where the
-/// seed experiments re-simulated once per capacity.
+/// Simulates `dag` once per `(P, scheduler)` pair and profiles every
+/// recorded schedule with [`wsf_core::Schedule::curve`], so hit/miss
+/// counts at *every* capacity come from a single execution per pair —
+/// where the seed experiments re-simulated once per capacity.
 ///
 /// Replacing the per-C loop is exact only for schedulers with
 /// `wants_residency() == false`. Those never read cache state: caches are
@@ -223,7 +191,11 @@ pub fn capacity_sweep(
                 deviations: rep.deviations(),
                 steals: rep.steals(),
                 makespan: rep.makespan,
-                curve: parallel_curve(dag, &rep),
+                curve: rep
+                    .trace
+                    .as_ref()
+                    .expect("a traced run records its schedule")
+                    .curve(dag),
             });
         }
     }

@@ -6,14 +6,17 @@
 //! `wsf_runtime`, it
 //!
 //! 1. checks **coverage** — every DAG node executed exactly once, each
-//!    touching exactly the block the DAG declares;
-//! 2. counts **deviations** with the parallel executor's rule: walking a
-//!    lane's node sequence, a node whose sequential predecessor is not the
-//!    node the lane just executed is a deviation (the lane's first node
-//!    deviates unless its sequential predecessor is `None`);
-//! 3. replays each lane through a private [`CacheSim`](wsf_cache::CacheSim)
-//!    of `C` lines (via [`wsf_cache::replay()`]) and counts **extra misses**
-//!    over the sequential baseline, saturating at zero;
+//!    touching exactly the block the DAG declares — and reads the trace as
+//!    a [`Schedule`]: one lane per trace lane, each node's step its index
+//!    in the lane, since the pool keeps no global clock;
+//! 2. counts **deviations** with [`Schedule::deviations`], the parallel
+//!    executor's rule: walking a lane, a node whose sequential predecessor
+//!    is not the node the lane just executed is a deviation (the lane's
+//!    first node deviates unless its sequential predecessor is `None`);
+//! 3. reads the misses on per-worker private LRU caches of `C` lines off
+//!    [`Schedule::curve`] at `C` — exact by LRU inclusion
+//!    (`docs/DESIGN.md` §4) — and counts **extra misses** over the
+//!    sequential baseline, saturating at zero;
 //! 4. compares both counts against the requested theorem's bounds —
 //!    `O(P·T∞²)` deviations and `O(C·P·T∞²)` extra misses (with the
 //!    Theorem-16/18 constants for super-final DAGs).
@@ -22,9 +25,7 @@
 //! interpreter guarantees: the single worker's trace is **byte-identical**
 //! to the sequential executor's order.
 
-use wsf_cache::replay::{ops_from_blocks, replay, ReplayOp};
-use wsf_cache::MissRatioCurve;
-use wsf_core::{bounds, ForkPolicy, SequentialExecutor};
+use wsf_core::{bounds, ForkPolicy, Schedule, SequentialExecutor};
 use wsf_dag::{span, Dag, NodeId};
 use wsf_runtime::TouchTrace;
 
@@ -104,11 +105,32 @@ pub struct TraceValidation {
     pub within: bool,
 }
 
-/// Converts a recorded trace into per-lane replay ops.
-fn lane_ops(trace: &TouchTrace) -> Vec<Vec<ReplayOp>> {
-    (0..trace.lanes())
-        .map(|lane| ops_from_blocks(trace.node_trace(lane).into_iter().map(|(_, b)| b)))
-        .collect()
+/// The schedule a pool run executed, read off its trace: one lane per
+/// trace lane, each node's step its index in the lane. Also says whether
+/// the trace covers `dag`: every node exactly once, touching its declared
+/// block. A node id outside `dag` fails coverage and is left out of the
+/// schedule.
+fn schedule_of(dag: &Dag, trace: &TouchTrace) -> (Schedule, bool) {
+    let mut schedule = Schedule::default();
+    let mut seen = vec![0u32; dag.num_nodes()];
+    let mut blocks_ok = true;
+    for lane in 0..trace.lanes() {
+        let mut nodes = Vec::new();
+        for (step, (node, block)) in (0..).zip(trace.node_trace(lane)) {
+            let Some(count) = seen.get_mut(node as usize) else {
+                blocks_ok = false;
+                continue;
+            };
+            *count += 1;
+            let node = NodeId(node);
+            if dag.block_of(node).map(|b| b.0) != block {
+                blocks_ok = false;
+            }
+            nodes.push((node, step));
+        }
+        schedule.lanes.push(nodes);
+    }
+    (schedule, blocks_ok && seen.iter().all(|&c| c == 1))
 }
 
 /// Validates the executed schedule recorded in `trace` against `family`'s
@@ -132,42 +154,10 @@ pub fn validate_trace(
     let seq = SequentialExecutor::new(policy)
         .with_cache_lines(cache_lines)
         .run(dag);
-    let seq_prev = seq.predecessors();
-
-    // Coverage: every node exactly once, touching its declared block.
-    let mut seen = vec![0u32; dag.num_nodes()];
-    let mut blocks_ok = true;
-    for lane in 0..trace.lanes() {
-        for (node, block) in trace.node_trace(lane) {
-            match seen.get_mut(node as usize) {
-                Some(count) => *count += 1,
-                None => blocks_ok = false,
-            }
-            if dag.block_of(NodeId(node)).map(|b| b.0) != block {
-                blocks_ok = false;
-            }
-        }
-    }
-    let coverage_ok = blocks_ok && seen.iter().all(|&c| c == 1);
-
-    // Deviations, by the parallel executor's rule, per lane.
-    let mut deviations = 0u64;
-    for lane in 0..trace.lanes() {
-        let mut last: Option<NodeId> = None;
-        for (node, _) in trace.node_trace(lane) {
-            let node = NodeId(node);
-            let expected = seq_prev.get(node.index()).copied().flatten();
-            if last != expected {
-                deviations += 1;
-            }
-            last = Some(node);
-        }
-    }
-
-    // Misses on per-worker private caches, by exact replay.
-    let summary = replay(&lane_ops(trace), cache_lines, dag.block_space());
+    let (schedule, coverage_ok) = schedule_of(dag, trace);
+    let deviations = schedule.deviations(seq.predecessors());
     let seq_misses = seq.cache.misses;
-    let runtime_misses = summary.total.misses;
+    let runtime_misses = schedule.curve(dag).misses_at(cache_lines);
     let extra_misses = runtime_misses.saturating_sub(seq_misses);
 
     let span = span(dag);
@@ -203,12 +193,6 @@ pub fn validate_trace(
         p1_exact,
         within,
     }
-}
-
-/// The full per-capacity miss-ratio curve of the executed schedule on
-/// per-worker private LRU caches — one Mattson pass per lane, merged.
-pub fn trace_curve(dag: &Dag, trace: &TouchTrace) -> MissRatioCurve {
-    wsf_cache::replay_curves(&lane_ops(trace), dag.block_space())
 }
 
 #[cfg(test)]
@@ -283,41 +267,129 @@ mod tests {
     }
 
     #[test]
-    fn trace_curve_agrees_with_fixed_capacity_validation() {
+    fn one_schedule_accounting_for_simulated_and_pool_schedules() {
+        // Simulated schedules: on the DAGs, P and schedulers of
+        // `capacity_sweep_matches_per_capacity_simulation`, under both fork
+        // policies, the recorded schedule's recount equals the simulator's
+        // inline deviation count, and its curve at C equals an untraced run
+        // at C that simulates its caches.
+        use crate::policy::PolicySpec;
+        use wsf_cache::CacheSim;
+        use wsf_core::{ParallelSimulator, SeqReport, SimConfig};
+        let capacities = [1usize, 8, 16, 64];
+        for dag in [
+            sort::mergesort(64, 8),
+            stencil::stencil_exchange(4, 8, 1),
+            stencil::stencil_exchange(4, 8, 3),
+        ] {
+            for fork_policy in ForkPolicy::ALL {
+                let base = SimConfig {
+                    fork_policy,
+                    ..SimConfig::default()
+                };
+                let seq = ParallelSimulator::new(base).sequential(&dag);
+                // Built from the order, so the untraced runs run their
+                // caches even on a touch-once DAG.
+                let seq = SeqReport::new(seq.order().to_vec(), seq.cache);
+                for processors in [2usize, 4] {
+                    for scheduler in [PolicySpec::ws_random(), PolicySpec::parsimonious()] {
+                        let cfg = SimConfig { processors, ..base };
+                        let traced = ParallelSimulator::new(cfg).run_against(
+                            &dag,
+                            &seq,
+                            &mut scheduler.instantiate(cfg.seed),
+                            true,
+                        );
+                        let at = format!("{fork_policy}, P={processors}, {scheduler}");
+                        let schedule = traced.trace.as_ref().expect("traced run");
+                        assert_eq!(
+                            schedule.deviations(seq.predecessors()),
+                            traced.deviations(),
+                            "{at}"
+                        );
+                        let curve = schedule.curve(&dag);
+                        for cache_lines in capacities {
+                            let cfg = SimConfig { cache_lines, ..cfg };
+                            let untraced = ParallelSimulator::new(cfg).run_against(
+                                &dag,
+                                &seq,
+                                &mut scheduler.instantiate(cfg.seed),
+                                false,
+                            );
+                            assert_eq!(
+                                curve.misses_at(cache_lines),
+                                untraced.cache_misses(),
+                                "{at}, C={cache_lines}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        // A pool schedule: the one `validate_trace` reads off the trace,
+        // run through one hand-driven private cache per lane, gives its
+        // `runtime_misses`.
         let dag = Arc::new(sort::mergesort(64, 8));
         let trace = run_traced(&dag, 2);
-        let curve = trace_curve(&dag, &trace);
-        let v = validate_trace(
-            &dag,
-            &trace,
-            ForkPolicy::FutureFirst,
-            16,
-            2,
-            BoundFamily::Thm12,
-        );
-        assert_eq!(curve.stats_at(16).misses, v.runtime_misses);
+        let (schedule, coverage_ok) = schedule_of(&dag, &trace);
+        assert!(coverage_ok);
+        for cache_lines in capacities {
+            let replayed: u64 = schedule
+                .lanes
+                .iter()
+                .map(|lane| {
+                    let mut cache = CacheSim::with_block_hint(cache_lines, dag.block_space());
+                    for &(node, _) in lane {
+                        cache.access_opt(dag.block_of(node).map(|b| b.0));
+                    }
+                    cache.stats().misses
+                })
+                .sum();
+            let v = validate_trace(
+                &dag,
+                &trace,
+                ForkPolicy::FutureFirst,
+                cache_lines,
+                2,
+                BoundFamily::Thm12,
+            );
+            assert_eq!(v.runtime_misses, replayed, "C={cache_lines}");
+        }
     }
 
     #[test]
     fn tampered_traces_fail_coverage() {
         let dag = Arc::new(sort::mergesort(64, 8));
-        let trace = TouchTrace::new(1, 16);
-        trace.record(
-            0,
-            wsf_runtime::TouchEvent::Node {
-                node: 0,
-                block: dag.block_of(NodeId(0)).map(|b| b.0),
-            },
-        );
-        let v = validate_trace(
-            &dag,
-            &trace,
-            ForkPolicy::FutureFirst,
-            16,
-            1,
-            BoundFamily::Thm12,
-        );
-        assert!(!v.coverage_ok, "missing nodes must be caught");
-        assert!(!v.within);
+        let order = SequentialExecutor::new(ForkPolicy::FutureFirst)
+            .run(&dag)
+            .order()
+            .to_vec();
+        // A trace missing nodes, and the sequential order plus an id past
+        // the DAG's nodes.
+        let past_the_end = NodeId(dag.num_nodes() as u32);
+        for nodes in [vec![NodeId(0)], [&order[..], &[past_the_end]].concat()] {
+            let trace = TouchTrace::new(1, nodes.len());
+            for node in nodes {
+                let block = (node != past_the_end).then(|| dag.block_of(node)).flatten();
+                trace.record(
+                    0,
+                    wsf_runtime::TouchEvent::Node {
+                        node: node.0,
+                        block: block.map(|b| b.0),
+                    },
+                );
+            }
+            let v = validate_trace(
+                &dag,
+                &trace,
+                ForkPolicy::FutureFirst,
+                16,
+                1,
+                BoundFamily::Thm12,
+            );
+            assert!(!v.coverage_ok, "a tampered trace must fail coverage");
+            assert!(!v.within);
+        }
     }
 }

@@ -52,13 +52,11 @@
 
 mod indexed;
 mod lru;
-pub mod replay;
 mod sim;
 pub mod stack_distance;
 mod stats;
 
 pub use lru::LruCache;
-pub use replay::{replay, replay_curves, ReplayOp, ReplaySummary};
 pub use sim::{CacheSim, StackDistanceSim};
 pub use stack_distance::{MissRatioCurve, StackDistance};
 pub use stats::CacheStats;

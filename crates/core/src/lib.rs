@@ -58,7 +58,7 @@ pub use config::SimConfig;
 pub use parallel::ParallelSimulator;
 pub use policy::ForkPolicy;
 pub use ready::{next_and_push, ReadyTracker};
-pub use report::{ExecutionReport, ProcStats, SeqReport, TraceEvent};
+pub use report::{ExecutionReport, ProcStats, Schedule, SeqReport};
 pub use scheduler::{
     PolicyConfig, PolicyScheduler, RandomScheduler, Scheduler, ScriptedScheduler, SleepDirective,
     StealAmount, StealContext, VictimOrder, WakeCondition,

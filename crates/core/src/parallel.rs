@@ -35,10 +35,10 @@
 //!
 //! Strands need a [`Scheduler::step_blind`] scheduler — no processor
 //! sleeps mid-chain, no stall hook runs, and `on_complete` for a strand's
-//! last node stands in for all of them — and an untraced run, since a
-//! trace lists completions in (step, processor) order. Every other run
-//! (a [`crate::ScriptedScheduler`] adversary, any traced run) walks one
-//! step at a time, which is also the oracle the strand walk is pinned to
+//! last node stands in for all of them — and an untraced run, since the
+//! strand walk records no [`Schedule`]. Every other run (a
+//! [`crate::ScriptedScheduler`] adversary, any traced run) walks one step
+//! at a time, which is also the oracle the strand walk is pinned to
 //! in `crates/core/tests/policy_equivalence.rs`. Both walks produce equal
 //! reports.
 //!
@@ -58,12 +58,12 @@
 //! The hot loop is allocation-free in steady state: every buffer lives in a
 //! [`SimScratch`] that callers may reuse across runs, the set of non-empty
 //! deques is an incrementally maintained bitset (so victim selection costs
-//! O(candidates), not O(P) plus an allocation), and the trace vector is
-//! pre-sized to the node count when tracing is requested.
+//! O(candidates), not O(P) plus an allocation). A traced run appends each
+//! completion to its processor's lane of a [`Schedule`].
 
 use crate::config::SimConfig;
 use crate::ready::{next_and_push, ReadyTracker};
-use crate::report::{ExecutionReport, SeqReport, TraceEvent};
+use crate::report::{ExecutionReport, Schedule, SeqReport};
 use crate::scheduler::{RandomScheduler, Scheduler, StealAmount, StealContext};
 use crate::scratch::{NonEmptySet, Proc, SimScratch};
 use crate::sequential::SequentialExecutor;
@@ -98,13 +98,6 @@ impl ParallelSimulator {
         self.run_with_scratch(dag, &seq, &mut scheduler, false, &mut scratch)
     }
 
-    /// Runs the DAG with a caller-supplied scheduler (e.g. a scripted
-    /// adversary), computing the sequential baseline internally.
-    pub fn run_with(&self, dag: &Dag, scheduler: &mut dyn Scheduler) -> ExecutionReport {
-        let seq = self.sequential(dag);
-        self.run_against(dag, &seq, scheduler, false)
-    }
-
     /// The sequential baseline execution matching this simulator's fork
     /// policy and cache size.
     pub fn sequential(&self, dag: &Dag) -> SeqReport {
@@ -115,9 +108,10 @@ impl ParallelSimulator {
 
     /// Runs the DAG against a precomputed sequential baseline.
     ///
-    /// `record_trace` additionally records every completion event (step,
-    /// processor, node), which the tests and some experiments use to verify
-    /// execution orders node by node.
+    /// `record_trace` additionally records the run's [`Schedule`]: every
+    /// completion, on its processor's lane, with its step. The capacity
+    /// sweeps read their miss curves off it, and the tests verify
+    /// execution orders node by node with it.
     pub fn run_against(
         &self,
         dag: &Dag,
@@ -187,14 +181,12 @@ impl ParallelSimulator {
         let wants_residency = scheduler.wants_residency();
         let steal_amount = scheduler.steal_amount();
 
-        let mut trace = if record_trace {
-            Some(Vec::with_capacity(dag.num_nodes()))
-        } else {
-            None
-        };
+        let mut trace = record_trace.then(|| Schedule {
+            lanes: vec![Vec::new(); p_count],
+        });
 
-        // Strands need a step-blind scheduler, and an untraced run: a trace
-        // lists completions in (step, processor) order.
+        // Strands need a step-blind scheduler, and an untraced run: the
+        // strand walk records no schedule.
         let strands = scheduler.step_blind() && !record_trace;
 
         let total = dag.num_nodes();
@@ -271,7 +263,7 @@ impl ParallelSimulator {
                         resident.clear();
                         if wants_residency {
                             resident.extend(candidates.iter().map(|&q| {
-                                procs[q].deque.peek_top().is_some_and(|&n| {
+                                procs[q].deque.front().is_some_and(|&n| {
                                     dag.block_of(n)
                                         .is_some_and(|b| procs[p].cache.contains(b.0))
                                 })
@@ -284,7 +276,7 @@ impl ParallelSimulator {
                             Some(victim) if victim != p && nonempty.contains(victim) => {
                                 match steal_amount {
                                     StealAmount::One => {
-                                        let taken = procs[victim].deque.steal_top();
+                                        let taken = procs[victim].deque.pop_front();
                                         nonempty.sync(victim, !procs[victim].deque.is_empty());
                                         match taken {
                                             Some(node) => {
@@ -304,7 +296,7 @@ impl ParallelSimulator {
                                         let take = procs[victim].deque.len().div_ceil(2);
                                         stolen.clear();
                                         for _ in 0..take {
-                                            match procs[victim].deque.steal_top() {
+                                            match procs[victim].deque.pop_front() {
                                                 Some(n) => stolen.push(n),
                                                 None => break,
                                             }
@@ -314,7 +306,7 @@ impl ParallelSimulator {
                                             Some(node) => {
                                                 procs[p].current = Some(node);
                                                 for &n in &stolen[1..] {
-                                                    procs[p].deque.push_bottom(n);
+                                                    procs[p].deque.push_back(n);
                                                 }
                                                 nonempty.sync(p, !procs[p].deque.is_empty());
                                                 procs[p].stats.steals += 1;
@@ -385,7 +377,7 @@ impl ParallelSimulator {
         p: usize,
         node: NodeId,
         step: u64,
-        trace: &mut Option<Vec<TraceEvent>>,
+        trace: &mut Option<Schedule>,
     ) {
         let record = dag.record(node);
         touch::<COUNT_ONLY>(proc, record.block());
@@ -399,21 +391,17 @@ impl ParallelSimulator {
         }
         proc.last_completed = Some(node);
         if let Some(t) = trace.as_mut() {
-            t.push(TraceEvent {
-                step,
-                proc: p,
-                node,
-            });
+            t.lanes[p].push((node, step));
         }
 
         let enabled = tracker.retire(node, record);
         let (next, push) = next_and_push(record, enabled, self.config.fork_policy);
         if let Some(push) = push {
-            proc.deque.push_bottom(push);
+            proc.deque.push_back(push);
         }
         // Continue with the chosen child, otherwise fall back to the bottom
         // of the own deque (the parsimonious rule).
-        proc.current = next.or_else(|| proc.deque.pop_bottom());
+        proc.current = next.or_else(|| proc.deque.pop_back());
         nonempty.sync(p, !proc.deque.is_empty());
 
         scheduler.on_complete(p, node, step);
@@ -572,8 +560,15 @@ mod tests {
         assert_eq!(report.cache_misses(), seq.cache_misses());
 
         let trace = report.trace.unwrap();
-        let order: Vec<NodeId> = trace.iter().map(|e| e.node).collect();
+        let [lane] = &trace.lanes[..] else {
+            panic!("one processor, one lane");
+        };
+        let order: Vec<NodeId> = lane.iter().map(|&(node, _)| node).collect();
         assert_eq!(order, seq.order());
+        assert!(
+            lane.iter().zip(0..).all(|(&(_, step), i)| step == i),
+            "one processor completes a node per step"
+        );
     }
 
     #[test]

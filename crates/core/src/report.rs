@@ -1,7 +1,7 @@
 //! Execution reports produced by the executors.
 
-use wsf_cache::CacheStats;
-use wsf_dag::NodeId;
+use wsf_cache::{CacheStats, MissRatioCurve, StackDistanceSim};
+use wsf_dag::{Dag, NodeId};
 
 /// Result of a sequential (single-processor) execution.
 ///
@@ -92,15 +92,60 @@ pub struct ProcStats {
     pub cache: CacheStats,
 }
 
-/// A single completion event of a traced execution.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulated time step at which the node completed.
-    pub step: u64,
-    /// The processor that executed the node.
-    pub proc: usize,
-    /// The node.
-    pub node: NodeId,
+/// The schedule of an execution: one lane per processor, listing the
+/// nodes that processor completed, in completion order, each with the
+/// step at which it completed.
+///
+/// The simulator's traced runs record one, stepping by its global clock;
+/// `wsf_analysis::validate` builds one from a pool's touch trace, where a
+/// node's step is its index in its lane. Every locality count of the
+/// paper is a function of a schedule: [`Schedule::deviations`] and
+/// [`Schedule::curve`] compute the two.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Schedule {
+    /// One lane per processor: `(node, step)` in completion order.
+    pub lanes: Vec<Vec<(NodeId, u64)>>,
+}
+
+impl Schedule {
+    /// Number of deviations against the sequential order whose
+    /// predecessor table is `seq_prev` ([`SeqReport::predecessors`]): a
+    /// node deviates unless its lane completed its sequential predecessor
+    /// immediately before it. A lane's first node deviates unless it has
+    /// no sequential predecessor.
+    pub fn deviations(&self, seq_prev: &[Option<NodeId>]) -> u64 {
+        let mut deviations = 0;
+        for lane in &self.lanes {
+            let mut last = None;
+            for &(node, _) in lane {
+                deviations += u64::from(last != seq_prev.get(node.index()).copied().flatten());
+                last = Some(node);
+            }
+        }
+        deviations
+    }
+
+    /// The schedule's miss-ratio curve on per-processor private LRU
+    /// caches: `curve.misses_at(c)` is the summed miss count of the lanes,
+    /// each run through its own cold cache of `c` lines.
+    ///
+    /// One profiler takes the lanes one after another, flushed before
+    /// each, so every lane starts cold while the histogram accumulates:
+    /// that is the merge of the per-lane curves (merging is a sum, so lane
+    /// order changes no count), with one profiler's working set in cache.
+    ///
+    /// # Panics
+    /// Panics if a node is not in `dag`.
+    pub fn curve(&self, dag: &Dag) -> MissRatioCurve {
+        let mut sd = StackDistanceSim::with_block_hint(dag.block_space());
+        for lane in &self.lanes {
+            sd.flush();
+            for &(node, _) in lane {
+                sd.access_opt(dag.block_of(node).map(|b| b.0));
+            }
+        }
+        sd.curve()
+    }
 }
 
 /// Result of a simulated parallel execution.
@@ -113,8 +158,8 @@ pub struct ExecutionReport {
     /// Whether every node was executed within the step budget. `false`
     /// indicates the schedule (usually a scripted adversary) deadlocked.
     pub completed: bool,
-    /// Completion trace, present only for traced runs.
-    pub trace: Option<Vec<TraceEvent>>,
+    /// The schedule, present only for traced runs.
+    pub trace: Option<Schedule>,
 }
 
 impl ExecutionReport {
@@ -149,11 +194,6 @@ impl ExecutionReport {
     /// e.g. when a stolen subcomputation fits its thief's cache).
     pub fn additional_misses(&self, seq: &SeqReport) -> u64 {
         self.cache_misses().saturating_sub(seq.cache_misses())
-    }
-
-    /// Signed difference in cache misses against the sequential execution.
-    pub fn miss_delta(&self, seq: &SeqReport) -> i64 {
-        self.cache_misses() as i64 - seq.cache_misses() as i64
     }
 
     /// Number of processors that executed at least one node.
@@ -228,7 +268,6 @@ mod tests {
 
         let s = seq(&[0, 1, 2]);
         assert_eq!(report.additional_misses(&s), 2);
-        assert_eq!(report.miss_delta(&s), 2);
 
         let expensive_seq = SeqReport::new(
             vec![],
@@ -239,7 +278,22 @@ mod tests {
             },
         );
         assert_eq!(report.additional_misses(&expensive_seq), 0);
-        assert_eq!(report.miss_delta(&expensive_seq), -95);
+    }
+
+    #[test]
+    fn schedule_counts_deviations_per_lane() {
+        // Sequential order 0 1 2 3; processor 0 runs 0 1, processor 1
+        // runs 3 2. Node 0 has no predecessor and 1 follows 0 on its lane;
+        // 3 starts a lane although 2 precedes it, and 2 follows 3, not 1.
+        let s = seq(&[0, 1, 2, 3]);
+        let schedule = Schedule {
+            lanes: vec![
+                vec![(NodeId(0), 0), (NodeId(1), 1)],
+                vec![(NodeId(3), 1), (NodeId(2), 2)],
+            ],
+        };
+        assert_eq!(schedule.deviations(s.predecessors()), 2);
+        assert_eq!(Schedule::default().deviations(s.predecessors()), 0);
     }
 
     #[test]

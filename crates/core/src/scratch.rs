@@ -14,13 +14,15 @@
 
 use crate::ready::ReadyTracker;
 use crate::report::ProcStats;
+use std::collections::VecDeque;
 use wsf_cache::CacheSim;
 use wsf_dag::NodeId;
-use wsf_deque::SimDeque;
 
 /// Per-processor simulation state (deque, current node, private cache).
 pub(crate) struct Proc {
-    pub(crate) deque: SimDeque<NodeId>,
+    /// The ready nodes. Its back is the deque's bottom, where the owner
+    /// pushes and pops; its front is the top, where thieves steal.
+    pub(crate) deque: VecDeque<NodeId>,
     /// The node this processor executes in its next step.
     pub(crate) current: Option<NodeId>,
     /// The step at which `current` completes, once a strand walk has run
@@ -171,7 +173,7 @@ impl SimScratch {
         if self.cache_lines != Some(lines) || self.procs.len() != p_count {
             self.procs.clear();
             self.procs.extend((0..p_count).map(|_| Proc {
-                deque: SimDeque::new(),
+                deque: VecDeque::new(),
                 current: None,
                 ready_at: 0,
                 last_completed: None,

@@ -9,9 +9,9 @@
 use crate::policy::ForkPolicy;
 use crate::ready::{next_and_push, ReadyTracker};
 use crate::report::SeqReport;
+use std::collections::VecDeque;
 use wsf_cache::{CacheSim, MAX_BLOCK_SPACE};
 use wsf_dag::{Dag, NodeId};
-use wsf_deque::SimDeque;
 
 /// Executes a computation DAG on one simulated processor.
 #[derive(Copy, Clone, Debug)]
@@ -50,7 +50,7 @@ impl SequentialExecutor {
     /// malformed DAG (builder-produced DAGs always complete).
     pub fn run(&self, dag: &Dag) -> SeqReport {
         let mut tracker = ReadyTracker::new(dag);
-        let mut deque: SimDeque<NodeId> = SimDeque::new();
+        let mut deque: VecDeque<NodeId> = VecDeque::new();
         // Workload blocks are allocated densely from 0, so the DAG's block
         // space selects the direct-mapped cache index at large capacities.
         let mut cache = CacheSim::with_block_hint(self.cache_lines, dag.block_space());
@@ -65,9 +65,9 @@ impl SequentialExecutor {
             let enabled = tracker.retire(node, record);
             let (next, push) = next_and_push(record, enabled, self.fork_policy);
             if let Some(push) = push {
-                deque.push_bottom(push);
+                deque.push_back(push);
             }
-            current = next.or_else(|| deque.pop_bottom());
+            current = next.or_else(|| deque.pop_back());
         }
 
         assert_eq!(

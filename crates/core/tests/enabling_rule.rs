@@ -18,9 +18,9 @@ mod builder_programs;
 
 use builder_programs::{arb_program, run_program};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use wsf_core::{next_and_push, ForkPolicy, ReadyTracker, SequentialExecutor};
 use wsf_dag::{Dag, DagBuilder, EdgeKind, NodeId};
-use wsf_deque::SimDeque;
 use wsf_workloads::figures::{fig3, Fig6, Fig7a, Fig7b, Fig8};
 use wsf_workloads::random::{random_single_touch, RandomConfig};
 use wsf_workloads::stencil::stencil_exchange;
@@ -137,7 +137,7 @@ fn check_sequential_walk(name: &str, dag: &Dag) {
     for policy in ForkPolicy::ALL {
         let mut remaining = dag.in_degrees().to_vec();
         let mut tracker = ReadyTracker::new(dag);
-        let mut deque = SimDeque::new();
+        let mut deque = VecDeque::new();
         let mut enabled = Vec::new();
         let mut order = Vec::with_capacity(dag.num_nodes());
         let mut current = Some(dag.root());
@@ -151,9 +151,9 @@ fn check_sequential_walk(name: &str, dag: &Dag) {
             );
             let (next, push) = schedule_enabled(dag, node, &enabled, policy);
             if let Some(push) = push {
-                deque.push_bottom(push);
+                deque.push_back(push);
             }
-            current = next.or_else(|| deque.pop_bottom());
+            current = next.or_else(|| deque.pop_back());
         }
         assert_eq!(tracker.executed_count(), dag.num_nodes(), "{name}");
         let seq = SequentialExecutor::new(policy).run(dag);

@@ -113,9 +113,9 @@ fn assert_reports_identical<S1: Scheduler, S2: Scheduler>(
     assert_eq!(ra.deviations(), rb.deviations());
     assert_eq!(ra.cache_misses(), rb.cache_misses());
     let (ta, tb) = (ra.trace.as_ref().unwrap(), rb.trace.as_ref().unwrap());
-    assert_eq!(ta.len(), tb.len());
-    for (x, y) in ta.iter().zip(tb) {
-        assert_eq!((x.step, x.proc, x.node), (y.step, y.proc, y.node));
+    assert_eq!(ta.lanes.len(), tb.lanes.len());
+    for (proc, (la, lb)) in ta.lanes.iter().zip(&tb.lanes).enumerate() {
+        assert_eq!(la, lb, "processor {proc}: (node, step) lanes differ");
     }
 }
 
@@ -173,11 +173,10 @@ fn assert_half_steal_invariants(order: VictimOrder, processors: usize, dag: &wsf
     );
     assert_eq!(report.executed(), dag.num_nodes() as u64);
     let mut seen = vec![false; dag.num_nodes()];
-    for ev in report.trace.as_ref().unwrap() {
+    for &(node, _) in report.trace.as_ref().unwrap().lanes.iter().flatten() {
         assert!(
-            !std::mem::replace(&mut seen[ev.node.0 as usize], true),
-            "node {:?} executed twice under steal-half",
-            ev.node
+            !std::mem::replace(&mut seen[node.index()], true),
+            "node {node:?} executed twice under steal-half"
         );
     }
     assert!(seen.iter().all(|&s| s), "steal-half dropped nodes");

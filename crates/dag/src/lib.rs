@@ -21,8 +21,7 @@
 //!   (structured, single-touch, local-touch, super-final-node variants),
 //! * [`traverse`] — span `T∞`, work `T₁`, critical paths, reachability,
 //! * [`memory`] — memory-block assignment helpers used by the cache
-//!   locality experiments,
-//! * [`dot`] — Graphviz export.
+//!   locality experiments.
 //!
 //! ```
 //! use wsf_dag::{DagBuilder, classify, span};
@@ -54,7 +53,6 @@
 mod builder;
 mod classify;
 mod dag;
-pub mod dot;
 mod edge;
 mod error;
 mod ids;

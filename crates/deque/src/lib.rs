@@ -4,7 +4,7 @@
 //! processor a double-ended queue: the owner pushes and pops work at the
 //! *bottom* while thieves steal from the *top*.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
 //! * [`chase_lev`] — a lock-free Chase–Lev deque (dynamic circular
 //!   work-stealing deque, SPAA 2005) used by the real thread-pool runtime
@@ -13,9 +13,6 @@
 //! * [`injector`] — a locked MPMC FIFO (`Mutex<VecDeque>` with a padded
 //!   length that lets an empty poll skip the lock) used by the runtime as
 //!   its global injector for tasks submitted from outside the pool.
-//! * [`sim`] — a deterministic, single-threaded deque with the same
-//!   bottom/top interface, used by the execution simulator in `wsf-core`
-//!   where determinism and introspection matter more than concurrency.
 //!
 //! ```
 //! use wsf_deque::chase_lev;
@@ -33,8 +30,6 @@
 
 pub mod chase_lev;
 pub mod injector;
-pub mod sim;
 
 pub use chase_lev::{deque, Steal, Stealer, Worker};
 pub use injector::{Injector, StallSite};
-pub use sim::SimDeque;

@@ -5,9 +5,9 @@
 //! loop: it records, per worker, the sequence of `(node, block)` touches a
 //! real pool execution performs, interleaved with task-provenance events
 //! (was the task popped locally, pulled from the injector, stolen — and
-//! from whom — or run inline). The per-worker sequences replay through
-//! `wsf_cache::replay` and classify against the simulator's deviation
-//! accounting in `wsf_analysis::validate`.
+//! from whom — or run inline). `wsf_analysis::validate` reads the
+//! per-worker sequences as a `wsf_core::Schedule` and counts them with the
+//! simulator's own deviation and miss accounting.
 //!
 //! The recorder follows the same discipline as [`crate::FaultHooks`]:
 //! stored as `Option<Arc<TouchTrace>>` on the pool, so every dispatch site

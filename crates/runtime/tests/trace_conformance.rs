@@ -4,8 +4,8 @@
 //! * At `P = 1` with the `ChildFirst` spawn policy, the single worker's
 //!   trace must be **byte-identical** to the sequential executor's order
 //!   for every Theorem-12/16 workload family, under both fork policies —
-//!   a worker's own-deque LIFO pop is exactly the simulator's
-//!   `pop_bottom`.
+//!   a worker's own-deque LIFO pop is exactly the simulator's pop from
+//!   its deque's bottom.
 //! * At `P > 1` the schedule is nondeterministic, but every execution
 //!   must satisfy the universal relations (each node exactly once,
 //!   touching its declared block) and the theorem bounds on deviations

@@ -18,14 +18,15 @@
 //! future: nobody touches it, and its result travels through the join
 //! counters below, so it carries no completion slot. Spawned chains land on
 //! the bottom of the running worker's deque, where the owner pops them LIFO
-//! and other workers steal them FIFO — the same discipline `SimDeque` gives
-//! the simulators.
+//! and other workers steal them FIFO — the same discipline the simulators'
+//! deques follow.
 //!
 //! At `P = 1` this makes the node order **byte-identical** to
 //! [`SequentialExecutor`](wsf_core::SequentialExecutor): a single worker's
-//! own-deque pop is exactly the simulator's `pop_bottom`, chains are the
-//! simulator's `next` walks, and both read the same record through the same
-//! rule — the property the `trace_conformance` suite pins down.
+//! own-deque pop is exactly the simulator's pop from its deque's bottom,
+//! chains are the simulator's `next` walks, and both read the same record
+//! through the same rule — the property the `trace_conformance` suite pins
+//! down.
 //!
 //! ## Exactly-once and fault rescue
 //!
