@@ -497,8 +497,8 @@ fn fib_reference(n: u64) -> u64 {
 /// E21 — the hardware-validation loop: the Theorem-12/16/18 suite
 /// families executed on the *real* work-stealing pool at `P ∈ {1, 2, 4}`
 /// (a fresh traced pool per cell, `C = 16` per-worker private LRU caches),
-/// their block-touch traces replayed through the cache simulator and
-/// checked against the theorem bounds — bound verdicts over executed
+/// their block-touch traces read as a [`wsf_core::Schedule`], counted
+/// per lane and checked against the theorem bounds — bound verdicts over executed
 /// schedules rather than simulated ones.
 ///
 /// The matrix is the four Theorem-12 suite families, the exchange stencil

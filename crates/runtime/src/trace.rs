@@ -136,7 +136,8 @@ impl TouchTrace {
     }
 
     /// One lane's `(node, block)` touch sequence, in execution order
-    /// (provenance events filtered out) — the replay input format.
+    /// (provenance events filtered out) — what `wsf_analysis::validate`
+    /// reads as one lane of a schedule.
     pub fn node_trace(&self, lane: usize) -> Vec<(u32, Option<u32>)> {
         self.lanes[lane]
             .lock()
