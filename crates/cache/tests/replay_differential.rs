@@ -4,11 +4,11 @@
 //! summed statistics of one private [`CacheSim`] per lane driven by hand,
 //! and must equal the merge of one profiler per lane — on random
 //! multi-lane block sequences (proptest) with silent accesses and block
-//! ids past the declared space that grow the block index mid-lane. That
-//! is how `wsf_core::Schedule::curve` profiles a schedule, simulated or
-//! executed on the pool: this wall is what licenses the capacity sweeps
-//! and the hardware-validation loop (E21) to read per-worker private-cache
-//! misses off one curve, not an approximation of them.
+//! ids past the declared space that grow the block index mid-lane. The
+//! wall holds the method, in `profile_lanes` below; `wsf_core::Schedule::curve`,
+//! which the capacity sweeps and the hardware-validation loop (E21) read
+//! per-worker private-cache misses off, is one copy of it, held to the
+//! same per-lane oracle by its own proptest in `wsf-core`'s `report.rs`.
 
 use proptest::prelude::*;
 use wsf_cache::{BlockId, CacheSim, CacheStats, MissRatioCurve, StackDistanceSim};

@@ -98,6 +98,13 @@ impl ParallelSimulator {
         self.run_with_scratch(dag, &seq, &mut scheduler, false, &mut scratch)
     }
 
+    /// Runs the DAG with a caller-supplied scheduler (e.g. a scripted
+    /// adversary), computing the sequential baseline internally.
+    pub fn run_with(&self, dag: &Dag, scheduler: &mut dyn Scheduler) -> ExecutionReport {
+        let seq = self.sequential(dag);
+        self.run_against(dag, &seq, scheduler, false)
+    }
+
     /// The sequential baseline execution matching this simulator's fork
     /// policy and cache size.
     pub fn sequential(&self, dag: &Dag) -> SeqReport {

@@ -32,6 +32,12 @@ impl ReadyTracker {
         t
     }
 
+    /// Whether `node` has already executed.
+    #[inline]
+    pub fn is_executed(&self, node: NodeId) -> bool {
+        self.remaining[node.index()] == Self::EXECUTED
+    }
+
     /// Whether every dependency of `node` has executed (and `node` itself
     /// has not).
     #[inline]
@@ -148,7 +154,7 @@ mod tests {
         let dag = tiny();
         let mut t = ReadyTracker::new(&dag);
         assert!(t.is_ready(dag.root()));
-        assert_eq!(t.executed_count(), 0);
+        assert!(!t.is_executed(dag.root()));
 
         let root = dag.root();
         assert_eq!(
@@ -156,7 +162,7 @@ mod tests {
             [true, false],
             "root enables the fork"
         );
-        assert!(!t.is_ready(root), "an executed node is not ready");
+        assert!(t.is_executed(root) && !t.is_ready(root));
         assert_eq!(t.executed_count(), 1);
 
         let fork = dag.forks().next().unwrap();

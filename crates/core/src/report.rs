@@ -196,6 +196,11 @@ impl ExecutionReport {
         self.cache_misses().saturating_sub(seq.cache_misses())
     }
 
+    /// Signed difference in cache misses against the sequential execution.
+    pub fn miss_delta(&self, seq: &SeqReport) -> i64 {
+        self.cache_misses() as i64 - seq.cache_misses() as i64
+    }
+
     /// Number of processors that executed at least one node.
     pub fn busy_processors(&self) -> usize {
         self.per_proc.iter().filter(|p| p.executed > 0).count()
@@ -268,6 +273,7 @@ mod tests {
 
         let s = seq(&[0, 1, 2]);
         assert_eq!(report.additional_misses(&s), 2);
+        assert_eq!(report.miss_delta(&s), 2);
 
         let expensive_seq = SeqReport::new(
             vec![],
@@ -278,6 +284,7 @@ mod tests {
             },
         );
         assert_eq!(report.additional_misses(&expensive_seq), 0);
+        assert_eq!(report.miss_delta(&expensive_seq), -95);
     }
 
     #[test]
@@ -294,6 +301,59 @@ mod tests {
         };
         assert_eq!(schedule.deviations(s.predecessors()), 2);
         assert_eq!(Schedule::default().deviations(s.predecessors()), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `Schedule::curve` against its oracle: one private `CacheSim`
+        /// per lane, driven by hand, statistics summed over the lanes. The
+        /// nodes form one chain whose blocks are random (`None` is a node
+        /// that touches no memory); the lanes pick nodes at random, with
+        /// repeats, since the curve reads nothing but a node's block.
+        #[test]
+        fn schedule_curve_is_per_lane_private_caches(
+            (blocks, raw_lanes) in (
+                proptest::collection::vec((0u8..10, 0u32..200), 1..150),
+                proptest::collection::vec(proptest::collection::vec(0usize..1000, 0..120), 1..6),
+            )
+        ) {
+            let mut b = wsf_dag::DagBuilder::new();
+            let main = b.main_thread();
+            for (tag, block) in blocks {
+                let node = b.task(main);
+                if tag < 9 {
+                    b.set_block(node, wsf_dag::Block(block));
+                }
+            }
+            let dag = b.finish().unwrap();
+            let schedule = Schedule {
+                lanes: raw_lanes
+                    .into_iter()
+                    .map(|lane| {
+                        lane.into_iter()
+                            .zip(0..)
+                            .map(|(n, step)| (NodeId((n % dag.num_nodes()) as u32), step))
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let curve = schedule.curve(&dag);
+            for capacity in [1, 2, 15, 16, 17, 64, 256] {
+                let direct: CacheStats = schedule
+                    .lanes
+                    .iter()
+                    .map(|lane| {
+                        let mut sim = wsf_cache::CacheSim::with_block_hint(capacity, dag.block_space());
+                        for &(node, _) in lane {
+                            sim.access_opt(dag.block_of(node).map(|b| b.0));
+                        }
+                        sim.stats()
+                    })
+                    .sum();
+                assert_eq!(curve.stats_at(capacity), direct, "C = {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -313,12 +313,18 @@ impl PolicyScheduler {
         &self.config
     }
 
-    /// Processor `i`'s entry of a per-processor table, grown with zeros.
-    fn slot<T: Copy + Default>(vec: &mut Vec<T>, i: usize) -> &mut T {
+    fn slot(vec: &mut Vec<u32>, i: usize) -> &mut u32 {
         if vec.len() <= i {
-            vec.resize(i + 1, T::default());
+            vec.resize(i + 1, 0);
         }
         &mut vec[i]
+    }
+
+    fn prev_slot(&mut self, thief: usize) -> &mut usize {
+        if self.prev_victim.len() <= thief {
+            self.prev_victim.resize(thief + 1, 0);
+        }
+        &mut self.prev_victim[thief]
     }
 }
 
@@ -369,7 +375,7 @@ impl Scheduler for PolicyScheduler {
             }
             VictimOrder::LowestId => (0..n).find(|&i| eligible(i)),
             VictimOrder::RoundRobin => {
-                let prev = *Self::slot(&mut self.prev_victim, thief);
+                let prev = *self.prev_slot(thief);
                 // Smallest eligible candidate id strictly greater than the
                 // previous victim (prev stores id + 1, so `>= prev` is
                 // `> previous id`); wrap to the smallest eligible.
@@ -381,7 +387,7 @@ impl Scheduler for PolicyScheduler {
                 .filter(|&i| eligible(i))
                 .max_by(|&a, &b| ctx.depth(a).cmp(&ctx.depth(b)).then(b.cmp(&a))),
             VictimOrder::LastVictim => {
-                let prev = *Self::slot(&mut self.prev_victim, thief);
+                let prev = *self.prev_slot(thief);
                 (0..n)
                     .find(|&i| eligible(i) && ctx.candidates()[i] + 1 == prev)
                     .or_else(|| (0..n).find(|&i| eligible(i)))
@@ -391,7 +397,7 @@ impl Scheduler for PolicyScheduler {
         if let Some(v) = victim {
             match self.config.order {
                 VictimOrder::RoundRobin | VictimOrder::LastVictim => {
-                    *Self::slot(&mut self.prev_victim, thief) = v + 1;
+                    *self.prev_slot(thief) = v + 1;
                 }
                 _ => {}
             }
@@ -490,6 +496,14 @@ impl ScriptedScheduler {
     /// candidate, nobody sleeps).
     pub fn new() -> Self {
         ScriptedScheduler::default()
+    }
+
+    /// Puts `proc` to sleep from the very beginning of the execution, until
+    /// `until` holds. Used to keep a processor out of the race for the first
+    /// few steals while the proof's scenario is being set up.
+    pub fn initially_asleep(mut self, proc: usize, until: WakeCondition) -> Self {
+        self.asleep.insert(proc, until);
+        self
     }
 
     /// Adds a sleep directive.
@@ -752,6 +766,16 @@ mod tests {
         assert!(!s.is_awake(1, 3));
         s.on_stalled(4);
         assert!(s.is_awake(1, 5));
+    }
+
+    #[test]
+    fn initially_asleep_until_node() {
+        let mut s =
+            ScriptedScheduler::new().initially_asleep(2, WakeCondition::AfterNode(NodeId(4)));
+        assert!(!s.is_awake(2, 0));
+        assert!(s.is_awake(0, 0));
+        s.on_complete(0, NodeId(4), 1);
+        assert!(s.is_awake(2, 2));
     }
 
     #[test]
